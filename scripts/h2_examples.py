@@ -9,19 +9,12 @@ Run from the repository root:
 from fractions import Fraction
 
 from lsconf.algebras import AlgebraSpec, tensor
+from lsconf.cli import family_text
 from lsconf.cohomology import h2, unital_vanishing_check
 from lsconf.conformal import (ModuleElement, build_rank_one,
                               format_lambda_poly, lambda_product)
 
 F = Fraction
-
-
-def family_text(alg, fam):
-    parts = [f"alpha_{i}({alg.basis[a]},{alg.basis[b]}) = {v}"
-             for i in range(fam.degree_cap, -1, -1)
-             for a in range(alg.dim) for b in range(alg.dim)
-             if (v := fam.forms[i][a][b])]
-    return ", ".join(parts) or "0"
 
 
 def show(alg, beta):

@@ -23,11 +23,13 @@ multilinearity that is exhaustive.
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 from dataclasses import dataclass, field
 
 from fractions import Fraction
 
-from .linalg import ZERO, DimensionMismatch, mat_mul, mat_vec, unit, vadd, vsub, vzero
+from .linalg import (ZERO, DimensionMismatch, mat_mul, mat_vec, rank, unit, vadd,
+                     vsub, vzero)
 
 
 class AlgebraError(Exception):
@@ -63,7 +65,6 @@ class IdentityError(AlgebraError):
 
 
 STORED_OPS = ("ld", "rd", "circ", "dot", "bracket")
-DERIVED_OPS = ("ast", "star", "bracket")
 
 
 def tensor(dim, entries=None):
@@ -234,262 +235,206 @@ def op_tensor(alg, op):
     return [[prod_basis(alg, op, i, j) for j in range(alg.dim)] for i in range(alg.dim)]
 
 
+def products_span(alg, op):
+    """Do the products e_i op e_j span the whole space?"""
+    return rank([v for row in op_tensor(alg, op) for v in row], alg.dim) == alg.dim
+
+
 # ---------------------------------------------------------------------------
 # identity catalog
-
-def _ev(alg, op):
-    return lambda x, y: eval_product(alg, op, x, y)
-
-
-def _r_left_symmetric(op):
-    def res(alg, aux, a, b, c):
-        p = _ev(alg, op)
-        return vsub(vsub(p(p(a, b), c), p(a, p(b, c))),
-                    vsub(p(p(b, a), c), p(b, p(a, c))))
-    return res
-
-
-def _r_right_commutative(op):
-    def res(alg, aux, a, b, c):
-        p = _ev(alg, op)
-        return vsub(p(p(a, b), c), p(p(a, c), b))
-    return res
-
-
-def _r_commutative(op):
-    def res(alg, aux, a, b):
-        p = _ev(alg, op)
-        return vsub(p(a, b), p(b, a))
-    return res
-
-
-def _r_associative(op):
-    def res(alg, aux, a, b, c):
-        p = _ev(alg, op)
-        return vsub(p(p(a, b), c), p(a, p(b, c)))
-    return res
-
-
-def _r_zinbiel(alg, aux, a, b, c):
-    d = _ev(alg, "dot")
-    return vsub(d(a, d(b, c)), d(vadd(d(a, b), d(b, a)), c))
-
-
-def _r_pn1(alg, aux, a, b, c):
-    ld, rd = _ev(alg, "ld"), _ev(alg, "rd")
-    lhs = rd(a, rd(b, c))
-    rhs = vadd(vsub(rd(vadd(rd(a, b), ld(a, b)), c), rd(vadd(rd(b, a), ld(b, a)), c)),
-               rd(b, rd(a, c)))
-    return vsub(lhs, rhs)
-
-
-def _r_pn2(alg, aux, a, b, c):
-    ld, rd = _ev(alg, "ld"), _ev(alg, "rd")
-    lhs = rd(a, ld(b, c))
-    rhs = vsub(vadd(ld(rd(a, b), c), ld(b, vadd(ld(a, c), rd(a, c)))), ld(ld(b, a), c))
-    return vsub(lhs, rhs)
-
-
-def _r_pn3(alg, aux, a, b, c):
-    ld, rd = _ev(alg, "ld"), _ev(alg, "rd")
-    return vsub(rd(vadd(ld(a, b), rd(a, b)), c), ld(rd(a, c), b))
-
-
-def _r_pn4(alg, aux, a, b, c):
-    ld = _ev(alg, "ld")
-    return vsub(ld(ld(a, b), c), ld(ld(a, c), b))
-
-
-def _r_pg1(alg, aux, a, b, c):
-    ld, co = _ev(alg, "ld"), _ev(alg, "circ")
-    lhs = vsub(vsub(ld(c, vsub(co(a, b), co(b, a))), co(a, ld(c, b))), ld(co(b, c), a))
-    rhs = vsub([-t for t in co(b, ld(c, a))], ld(co(a, c), b))
-    return vsub(lhs, rhs)
-
-
-def _r_pg2(alg, aux, a, b, c):
-    ld, rd, co = _ev(alg, "ld"), _ev(alg, "rd"), _ev(alg, "circ")
-    lhs = vadd(rd(vsub(co(a, b), co(b, a)), c), co(vadd(ld(a, b), rd(a, b)), c))
-    rhs = vadd(vsub(rd(a, co(b, c)), co(b, rd(a, c))), ld(co(a, c), b))
-    return vsub(lhs, rhs)
-
-
-def _r_leibniz(alg, aux, a, b):
-    if aux is None:
-        raise MissingAuxMap("DERIVATION needs an aux linear map")
-    d = _ev(alg, "dot")
-    da, db = aux.apply(a), aux.apply(b)
-    return vsub(aux.apply(d(a, b)), vadd(d(da, b), d(a, db)))
-
-
-def _gd_ops(alg):
-    # bracket falls back to the circ commutator (zero when circ is absent),
-    # so GD_COMPAT is checkable on any spec
-    st = novikov_star(alg)
-    return _ev(alg, st), _ev(alg, "bracket")
-
-
-def _r_gd_skew(alg, aux, a, b):
-    _, br = _gd_ops(alg)
-    return vadd(br(a, b), br(b, a))
-
-
-def _r_gd_jacobi(alg, aux, a, b, c):
-    _, br = _gd_ops(alg)
-    return vadd(vadd(br(br(a, b), c), br(br(b, c), a)), br(br(c, a), b))
-
-
-def _r_gd_ls(alg, aux, a, b, c):
-    star, _ = _gd_ops(alg)
-    return vsub(vsub(star(star(a, b), c), star(a, star(b, c))),
-                vsub(star(star(b, a), c), star(b, star(a, c))))
-
-
-def _r_gd_rc(alg, aux, a, b, c):
-    star, _ = _gd_ops(alg)
-    return vsub(star(star(a, b), c), star(star(a, c), b))
-
-
-def _r_gd_mixed(alg, aux, a, b, c):
-    star, br = _gd_ops(alg)
-    out = br(star(a, b), c)
-    out = vsub(out, br(star(a, c), b))
-    out = vadd(out, star(br(a, b), c))
-    out = vsub(out, star(br(a, c), b))
-    out = vsub(out, star(a, br(b, c)))
-    return out
-
-
-def _r_lsp1(alg, aux, a, b, c):
-    d, co = _ev(alg, "dot"), _ev(alg, "circ")
-    return vsub(co(d(a, b), c), d(a, co(b, c)))
-
-
-def _r_lsp2(alg, aux, a, b, c):
-    d, co = _ev(alg, "dot"), _ev(alg, "circ")
-    return vsub(vsub(d(co(a, b), c), co(a, d(b, c))),
-                vsub(d(co(b, a), c), co(b, d(a, c))))
-
-
-def _s1(alg):
-    ld = _ev(alg, "ld")
-    return lambda x, y: ld(y, x)
-
-
-# The nine quadratic identities are small sums of nested double products;
-# written out one by one so each stays auditable against its source.
-
-def _qq(alg):
-    s1 = _s1(alg)
-    s2 = _ev(alg, "star")
-    co = _ev(alg, "circ")
-    return s1, s2, co
-
-
-def _r_q1(alg, aux, a, b, c):
-    s1, s2, co = _qq(alg)
-    return vsub(s1(a, s1(b, c)), s1(b, s1(a, c)))
-
-
-def _r_q2(alg, aux, a, b, c):
-    s1, s2, co = _qq(alg)
-    lhs = vadd(vsub(s1(s1(a, b), c), s1(s2(a, b), c)),
-               vadd(s1(a, s1(b, c)), s2(a, s1(b, c))))
-    rhs = vadd(s1(s1(b, a), c), s1(b, s2(a, c)))
-    return vsub(lhs, rhs)
-
-
-def _r_q3(alg, aux, a, b, c):
-    s1, s2, co = _qq(alg)
-    lhs = vadd(s1(s1(a, b), c), s1(a, s2(b, c)))
-    rhs = vadd(vadd(vsub(s1(s1(b, a), c), s1(s2(b, a), c)), s1(b, s1(a, c))),
-               s2(b, s1(a, c)))
-    return vsub(lhs, rhs)
-
-
-def _r_q4(alg, aux, a, b, c):
-    s1, s2, co = _qq(alg)
-    lhs = vadd(vsub(s2(s1(a, b), c), s2(s2(a, b), c)), s2(a, s1(b, c)))
-    rhs = s2(s1(b, a), c)
-    return vsub(lhs, rhs)
-
-
-def _r_q5(alg, aux, a, b, c):
-    s1, s2, co = _qq(alg)
-    lhs = vadd(vsub([2 * t for t in s2(s1(a, b), c)], s2(s2(a, b), c)), s2(a, s2(b, c)))
-    rhs = vadd(vsub([2 * t for t in s2(s1(b, a), c)], s2(s2(b, a), c)), s2(b, s2(a, c)))
-    return vsub(lhs, rhs)
-
-
-def _r_q6(alg, aux, a, b, c):
-    s1, s2, co = _qq(alg)
-    lhs = s2(s1(a, b), c)
-    rhs = vadd(vsub(s2(s1(b, a), c), s2(s2(b, a), c)), s2(b, s1(a, c)))
-    return vsub(lhs, rhs)
-
-
-def _r_q7(alg, aux, a, b, c):
-    s1, s2, co = _qq(alg)
-    lhs = vsub(vsub(s1(co(a, b), c), co(a, s1(b, c))), s1(a, co(b, c)))
-    rhs = vsub(vsub(s1(co(b, a), c), co(b, s1(a, c))), s1(b, co(a, c)))
-    return vsub(lhs, rhs)
-
-
-def _r_q8(alg, aux, a, b, c):
-    s1, s2, co = _qq(alg)
-    lhs = vadd(vadd(vsub(vsub(co(s1(a, b), c), s2(co(a, b), c)), co(s2(a, b), c)),
-                    co(a, s1(b, c))), s2(a, co(b, c)))
-    rhs = vadd(vsub(co(s1(b, a), c), s2(co(b, a), c)), co(b, s2(a, c)))
-    return vsub(lhs, rhs)
-
-
-def _r_q9(alg, aux, a, b, c):
-    s1, s2, co = _qq(alg)
-    lhs = vadd(vsub(co(s1(a, b), c), s2(co(a, b), c)), co(a, s2(b, c)))
-    rhs = vadd(vadd(vsub(vsub(co(s1(b, a), c), s2(co(b, a), c)),
-                         co(s2(b, a), c)), co(b, s1(a, c))),
-               s2(b, co(a, c)))
-    return vsub(lhs, rhs)
-
-
-# (label, arity, residual)
-_LS = ("left_symmetry", 3, _r_left_symmetric("circ"))
-_RC = ("right_commutativity", 3, _r_right_commutative("circ"))
+#
+# Each law is (label, terms): a signed sum of nested products in the argument
+# letters a, b, c, read like the formula it transcribes.  A product node is
+# (op, left, right); ("aux", x) applies the aux linear map.  Op names are the
+# stored and derived ops plus two resolved per algebra: "nov" is the Novikov
+# product novikov_star(alg), "s1" is ld with its arguments swapped,
+# s1(x, y) = y ld x.  bracket reads a stored tensor when there is one, so laws
+# about the circ commutator spell it as two circ terms.
+
+_LS = ("left_symmetry", [(1, ("circ", ("circ", "a", "b"), "c")),
+                         (-1, ("circ", "a", ("circ", "b", "c"))),
+                         (-1, ("circ", ("circ", "b", "a"), "c")),
+                         (1, ("circ", "b", ("circ", "a", "c")))])
+_RC = ("right_commutativity", [(1, ("circ", ("circ", "a", "b"), "c")),
+                               (-1, ("circ", ("circ", "a", "c"), "b"))])
+_COMM = [(1, ("dot", "a", "b")), (-1, ("dot", "b", "a"))]
+_ASSOC = [(1, ("dot", ("dot", "a", "b"), "c")), (-1, ("dot", "a", ("dot", "b", "c")))]
+
+# a |> (b |> c) = (a * b) |> c - (b * a) |> c + b |> (a |> c)
+_PN1 = ("pn1", [(1, ("rd", "a", ("rd", "b", "c"))), (-1, ("rd", ("ast", "a", "b"), "c")),
+                (1, ("rd", ("ast", "b", "a"), "c")), (-1, ("rd", "b", ("rd", "a", "c")))])
+# a |> (b <| c) = (a |> b) <| c + b <| (a * c) - (b <| a) <| c
+_PN2 = ("pn2", [(1, ("rd", "a", ("ld", "b", "c"))), (-1, ("ld", ("rd", "a", "b"), "c")),
+                (-1, ("ld", "b", ("ast", "a", "c"))), (1, ("ld", ("ld", "b", "a"), "c"))])
+# (a * b) |> c = (a |> c) <| b
+_PN3 = ("pn3", [(1, ("rd", ("ast", "a", "b"), "c")), (-1, ("ld", ("rd", "a", "c"), "b"))])
+# (a <| b) <| c = (a <| c) <| b
+_PN4 = ("pn4", [(1, ("ld", ("ld", "a", "b"), "c")), (-1, ("ld", ("ld", "a", "c"), "b"))])
+# c <| [a, b] - a o (c <| b) - (b o c) <| a = -b o (c <| a) - (a o c) <| b
+_PG1 = ("pg1", [(1, ("ld", "c", ("circ", "a", "b"))), (-1, ("ld", "c", ("circ", "b", "a"))),
+                (-1, ("circ", "a", ("ld", "c", "b"))), (-1, ("ld", ("circ", "b", "c"), "a")),
+                (1, ("circ", "b", ("ld", "c", "a"))), (1, ("ld", ("circ", "a", "c"), "b"))])
+# [a, b] |> c + (a * b) o c = a |> (b o c) - b o (a |> c) + (a o c) <| b
+_PG2 = ("pg2", [(1, ("rd", ("circ", "a", "b"), "c")), (-1, ("rd", ("circ", "b", "a"), "c")),
+                (1, ("circ", ("ast", "a", "b"), "c")), (-1, ("rd", "a", ("circ", "b", "c"))),
+                (1, ("circ", "b", ("rd", "a", "c"))), (-1, ("ld", ("circ", "a", "c"), "b"))])
+# (a . b) o c = a . (b o c)
+_LSP1 = ("lsp1", [(1, ("circ", ("dot", "a", "b"), "c")), (-1, ("dot", "a", ("circ", "b", "c")))])
+# (a o b) . c - a o (b . c) = (b o a) . c - b o (a . c)
+_LSP2 = ("lsp2", [(1, ("dot", ("circ", "a", "b"), "c")), (-1, ("circ", "a", ("dot", "b", "c"))),
+                  (-1, ("dot", ("circ", "b", "a"), "c")), (1, ("circ", "b", ("dot", "a", "c")))])
 
 CATALOG = {
     "LEFT_SYMMETRIC": (_LS,),
     "NOVIKOV": (_LS, _RC),
-    "ZINBIEL": (("zinbiel", 3, _r_zinbiel),),
-    "COMM_ASSOC": (("commutativity", 2, _r_commutative("dot")),
-                   ("associativity", 3, _r_associative("dot"))),
-    "PRE_NOVIKOV": (("pn1", 3, _r_pn1), ("pn2", 3, _r_pn2),
-                    ("pn3", 3, _r_pn3), ("pn4", 3, _r_pn4)),
-    "PRE_GD_COMPAT": (("pg1", 3, _r_pg1), ("pg2", 3, _r_pg2)),
-    "PRE_GD": (("pn1", 3, _r_pn1), ("pn2", 3, _r_pn2),
-               ("pn3", 3, _r_pn3), ("pn4", 3, _r_pn4),
-               _LS,
-               ("pg1", 3, _r_pg1), ("pg2", 3, _r_pg2)),
-    "GD_COMPAT": (("skew", 2, _r_gd_skew), ("jacobi", 3, _r_gd_jacobi),
-                  ("novikov_left_symmetry", 3, _r_gd_ls),
-                  ("novikov_right_commutativity", 3, _r_gd_rc),
-                  ("mixed_compat", 3, _r_gd_mixed)),
-    "LS_POISSON": (_LS,
-                   ("dot_commutativity", 2, _r_commutative("dot")),
-                   ("dot_associativity", 3, _r_associative("dot")),
-                   ("lsp1", 3, _r_lsp1), ("lsp2", 3, _r_lsp2)),
-    "NOVIKOV_POISSON": (_LS, _RC,
-                        ("dot_commutativity", 2, _r_commutative("dot")),
-                        ("dot_associativity", 3, _r_associative("dot")),
-                        ("lsp1", 3, _r_lsp1), ("lsp2", 3, _r_lsp2)),
-    "DERIVATION": (("leibniz", 2, _r_leibniz),),
-    "QUADRATIC_9": (("q1", 3, _r_q1), ("q2", 3, _r_q2), ("q3", 3, _r_q3),
-                    ("q4", 3, _r_q4), ("q5", 3, _r_q5), ("q6", 3, _r_q6),
-                    ("q7", 3, _r_q7), ("q8", 3, _r_q8), ("q9", 3, _r_q9)),
+    # a . (b . c) = (a . b + b . a) . c
+    "ZINBIEL": (("zinbiel", [(1, ("dot", "a", ("dot", "b", "c"))),
+                             (-1, ("dot", ("dot", "a", "b"), "c")),
+                             (-1, ("dot", ("dot", "b", "a"), "c"))]),),
+    "COMM_ASSOC": (("commutativity", _COMM), ("associativity", _ASSOC)),
+    "PRE_NOVIKOV": (_PN1, _PN2, _PN3, _PN4),
+    "PRE_GD_COMPAT": (_PG1, _PG2),
+    "PRE_GD": (_PN1, _PN2, _PN3, _PN4, _LS, _PG1, _PG2),
+    "GD_COMPAT": (
+        ("skew", [(1, ("bracket", "a", "b")), (1, ("bracket", "b", "a"))]),
+        ("jacobi", [(1, ("bracket", ("bracket", "a", "b"), "c")),
+                    (1, ("bracket", ("bracket", "b", "c"), "a")),
+                    (1, ("bracket", ("bracket", "c", "a"), "b"))]),
+        ("novikov_left_symmetry", [(1, ("nov", ("nov", "a", "b"), "c")),
+                                   (-1, ("nov", "a", ("nov", "b", "c"))),
+                                   (-1, ("nov", ("nov", "b", "a"), "c")),
+                                   (1, ("nov", "b", ("nov", "a", "c")))]),
+        ("novikov_right_commutativity", [(1, ("nov", ("nov", "a", "b"), "c")),
+                                         (-1, ("nov", ("nov", "a", "c"), "b"))]),
+        # [a * b, c] - [a * c, b] + [a, b] * c - [a, c] * b - a * [b, c]
+        ("mixed_compat", [(1, ("bracket", ("nov", "a", "b"), "c")),
+                          (-1, ("bracket", ("nov", "a", "c"), "b")),
+                          (1, ("nov", ("bracket", "a", "b"), "c")),
+                          (-1, ("nov", ("bracket", "a", "c"), "b")),
+                          (-1, ("nov", "a", ("bracket", "b", "c")))])),
+    "LS_POISSON": (_LS, ("dot_commutativity", _COMM), ("dot_associativity", _ASSOC),
+                   _LSP1, _LSP2),
+    "NOVIKOV_POISSON": (_LS, _RC, ("dot_commutativity", _COMM),
+                        ("dot_associativity", _ASSOC), _LSP1, _LSP2),
+    # D(a . b) = D(a) . b + a . D(b)
+    "DERIVATION": (("leibniz", [(1, ("aux", ("dot", "a", "b"))),
+                                (-1, ("dot", ("aux", "a"), "b")),
+                                (-1, ("dot", "a", ("aux", "b")))]),),
+    # the nine quadratic identities in s1, s2 = star and circ
+    "QUADRATIC_9": (
+        ("q1", [(1, ("s1", "a", ("s1", "b", "c"))), (-1, ("s1", "b", ("s1", "a", "c")))]),
+        ("q2", [(1, ("s1", ("s1", "a", "b"), "c")), (-1, ("s1", ("star", "a", "b"), "c")),
+                (1, ("s1", "a", ("s1", "b", "c"))), (1, ("star", "a", ("s1", "b", "c"))),
+                (-1, ("s1", ("s1", "b", "a"), "c")), (-1, ("s1", "b", ("star", "a", "c")))]),
+        ("q3", [(1, ("s1", ("s1", "a", "b"), "c")), (1, ("s1", "a", ("star", "b", "c"))),
+                (-1, ("s1", ("s1", "b", "a"), "c")), (1, ("s1", ("star", "b", "a"), "c")),
+                (-1, ("s1", "b", ("s1", "a", "c"))), (-1, ("star", "b", ("s1", "a", "c")))]),
+        ("q4", [(1, ("star", ("s1", "a", "b"), "c")), (-1, ("star", ("star", "a", "b"), "c")),
+                (1, ("star", "a", ("s1", "b", "c"))), (-1, ("star", ("s1", "b", "a"), "c"))]),
+        ("q5", [(2, ("star", ("s1", "a", "b"), "c")), (-1, ("star", ("star", "a", "b"), "c")),
+                (1, ("star", "a", ("star", "b", "c"))), (-2, ("star", ("s1", "b", "a"), "c")),
+                (1, ("star", ("star", "b", "a"), "c")), (-1, ("star", "b", ("star", "a", "c")))]),
+        ("q6", [(1, ("star", ("s1", "a", "b"), "c")), (-1, ("star", ("s1", "b", "a"), "c")),
+                (1, ("star", ("star", "b", "a"), "c")), (-1, ("star", "b", ("s1", "a", "c")))]),
+        ("q7", [(1, ("s1", ("circ", "a", "b"), "c")), (-1, ("circ", "a", ("s1", "b", "c"))),
+                (-1, ("s1", "a", ("circ", "b", "c"))), (-1, ("s1", ("circ", "b", "a"), "c")),
+                (1, ("circ", "b", ("s1", "a", "c"))), (1, ("s1", "b", ("circ", "a", "c")))]),
+        ("q8", [(1, ("circ", ("s1", "a", "b"), "c")), (-1, ("star", ("circ", "a", "b"), "c")),
+                (-1, ("circ", ("star", "a", "b"), "c")), (1, ("circ", "a", ("s1", "b", "c"))),
+                (1, ("star", "a", ("circ", "b", "c"))), (-1, ("circ", ("s1", "b", "a"), "c")),
+                (1, ("star", ("circ", "b", "a"), "c")), (-1, ("circ", "b", ("star", "a", "c")))]),
+        ("q9", [(1, ("circ", ("s1", "a", "b"), "c")), (-1, ("star", ("circ", "a", "b"), "c")),
+                (1, ("circ", "a", ("star", "b", "c"))), (-1, ("circ", ("s1", "b", "a"), "c")),
+                (1, ("star", ("circ", "b", "a"), "c")), (1, ("circ", ("star", "b", "a"), "c")),
+                (-1, ("circ", "b", ("s1", "a", "c"))), (-1, ("star", "b", ("circ", "a", "c")))])),
 }
 
 
 def normalize_identity_id(identity_id):
     return identity_id.strip().replace("-", "_").upper()
+
+
+def _sparse(vec):
+    return tuple((k, x) for k, x in enumerate(vec) if x)
+
+
+def _lincomb(pairs):
+    """Sparse sum of c * vec over (c, sparse vec) pairs."""
+    acc = {}
+    for c, vec in pairs:
+        for k, x in vec:
+            acc[k] = acc.get(k, ZERO) + c * x
+    return tuple((k, x) for k, x in acc.items() if x)
+
+
+def _shape(tree):
+    """(tree with its letters blanked to None, the letters' positions in abc)."""
+    if isinstance(tree, str):
+        return None, ("abc".index(tree),)
+    parts = [_shape(t) for t in tree[1:]]
+    return ((tree[0],) + tuple(shape for shape, _ in parts),
+            sum((letters for _, letters in parts), ()))
+
+
+def _residuals(alg, laws, aux, leaves, domain):
+    """Yield (label, idx, residual) per law and per index tuple of
+    domain(arity); idx picks the law's arguments a, b, c from leaves.
+
+    Every op tensor is materialized once (sparse), and every distinct nested
+    product is tabulated once over all tuples of leaves; a term is then a
+    signed lookup under the permutation its letters spell.
+    """
+    tensors = {} if aux is None else {"aux": [_sparse(col) for col in zip(*aux.matrix)]}
+    tables = {None: {(x,): _sparse(v) for x, v in enumerate(leaves)}}
+
+    def op_table(op):
+        if op not in tensors:
+            t = op_tensor(alg, {"nov": novikov_star(alg), "s1": "ld"}.get(op, op))
+            if op == "s1":
+                t = list(zip(*t))
+            tensors[op] = [[_sparse(v) for v in row] for row in t]
+        return tensors[op]
+
+    def table(shape):
+        if shape not in tables:
+            t = op_table(shape[0])
+            if len(shape) == 2:
+                tables[shape] = {key: _lincomb((x, t[j]) for j, x in v)
+                                 for key, v in table(shape[1]).items()}
+            else:
+                tables[shape] = {
+                    kl + kr: _lincomb((x * y, t[i][j]) for i, x in u for j, y in v)
+                    for kl, u in table(shape[1]).items()
+                    for kr, v in table(shape[2]).items()}
+        return tables[shape]
+
+    shaped = [(label, [(coef, *_shape(tree)) for coef, tree in terms])
+              for label, terms in laws]
+    last_use = {shape: n for n, (_, law) in enumerate(shaped) for _, shape, _ in law}
+    for n, (label, law) in enumerate(shaped):
+        terms = [(coef, table(shape), itemgetter(*letters))
+                 for coef, shape, letters in law]
+        for idx in domain(len(law[0][2])):
+            acc = [ZERO] * alg.dim
+            for coef, tab, pick in terms:
+                for k, x in tab[pick(idx)]:
+                    acc[k] += coef * x
+            yield label, tuple(idx), tuple(acc)
+        # drop what no later law reads, which bounds the peak memory
+        for shape, last in last_use.items():
+            if last == n:
+                del tables[shape]
+
+
+def _laws(alg, identity_id, aux):
+    key = normalize_identity_id(identity_id)
+    if key not in CATALOG:
+        raise UnknownIdentity(f"unknown identity {identity_id!r}")
+    if key == "DERIVATION" and aux is None:
+        raise MissingAuxMap("DERIVATION needs --derivation / aux=LinearMapSpec")
+    if aux is not None and aux.dim != alg.dim:
+        raise DimensionMismatch("aux map dimension does not match the algebra")
+    return key, CATALOG[key]
 
 
 def check_identity(alg, identity_id, aux=None, triples=None, pairs=None):
@@ -500,32 +445,27 @@ def check_identity(alg, identity_id, aux=None, triples=None, pairs=None):
     everything over basis^arity is checked, which is complete by
     multilinearity.
     """
-    key = normalize_identity_id(identity_id)
-    if key not in CATALOG:
-        raise UnknownIdentity(f"unknown identity {identity_id!r}")
-    if key == "DERIVATION" and aux is None:
-        raise MissingAuxMap("DERIVATION needs --derivation / aux=LinearMapSpec")
-    if aux is not None and aux.dim != alg.dim:
-        raise DimensionMismatch("aux map dimension does not match the algebra")
+    key, laws = _laws(alg, identity_id, aux)
     dim = alg.dim
+
+    def domain(arity):
+        given = pairs if arity == 2 else triples
+        return given if given is not None else itertools.product(range(dim), repeat=arity)
+
     units = [unit(dim, i) for i in range(dim)]
-    violations = []
-    for label, arity, res in CATALOG[key]:
-        if arity == 2:
-            domain = pairs if pairs is not None else itertools.product(range(dim), repeat=2)
-        else:
-            domain = triples if triples is not None else itertools.product(range(dim), repeat=3)
-        for idx in domain:
-            vecs = [units[t] for t in idx]
-            r = res(alg, aux, *vecs)
-            if any(r):
-                violations.append((label, tuple(idx), tuple(r)))
-    return IdentityReport(key, not violations, tuple(violations))
+    violations = tuple(v for v in _residuals(alg, laws, aux, units, domain) if any(v[2]))
+    return IdentityReport(key, not violations, violations)
 
 
-def pre_gd_suite(alg, triples=None):
-    """The full suite a pre-GD algebra must satisfy."""
-    return check_identity(alg, "PRE_GD", triples=triples)
+def identity_residuals(alg, identity_id, vectors, aux=None):
+    """[(label, residual)] for each law of an identity system at the
+    arguments a, b, c = vectors, arbitrary coordinate vectors, computed by
+    the same contraction check_identity runs on basis tuples."""
+    _, laws = _laws(alg, identity_id, aux)
+    if any(len(v) != alg.dim for v in vectors):
+        raise DimensionMismatch("operand length does not match algebra dim")
+    return [(label, res) for label, _, res in
+            _residuals(alg, laws, aux, vectors, lambda arity: [tuple(range(arity))])]
 
 
 def require_identity(alg, identity_id, aux=None, triples=None, pairs=None):

@@ -39,6 +39,12 @@ def _cli_rational(text):
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
+def _cli_count(text):
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
+    return int(text)
+
+
 def _emit(args, doc, text_lines):
     if getattr(args, "json", False):
         sys.stdout.write(dump_json(doc))
@@ -86,7 +92,7 @@ def cmd_check(args):
     return FAIL
 
 
-def _family_text(alg, fam):
+def family_text(alg, fam):
     cap = fam.degree_cap
     parts = []
     for i in range(cap, -1, -1):
@@ -111,7 +117,7 @@ def cmd_h2(args):
               f"dim B2 = {result.dim_B2}",
               f"dim H2 = {result.dim_H2}"]
     for k, fam in enumerate(result.representatives, 1):
-        lines.append(f"representative {k}: {_family_text(alg, fam)}")
+        lines.append(f"representative {k}: {family_text(alg, fam)}")
     doc = {"command": "h2", "input": args.file,
            "input_sha256": file_sha256(args.file), "beta": str(result.beta),
            "degree_cap": result.degree_cap, "cap_limited": result.cap_limited,
@@ -286,13 +292,13 @@ def build_parser():
                                   "conformal algebra")
     c.add_argument("file")
     c.add_argument("--beta", type=_cli_rational, default=Fraction(0))
-    c.add_argument("--degree-cap", type=int, default=None)
+    c.add_argument("--degree-cap", type=_cli_count, default=None)
     c.add_argument("--json", action="store_true")
     c.set_defaults(func=cmd_h2)
 
     c = sub.add_parser("simple", help="certify conformal simplicity")
     c.add_argument("file")
-    c.add_argument("--trials", type=int, default=20)
+    c.add_argument("--trials", type=_cli_count, default=20)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--json", action="store_true")
     c.set_defaults(func=cmd_simple)
@@ -324,7 +330,7 @@ def build_parser():
     c = sub.add_parser("coeff-check", help="left-symmetry of the windowed "
                                            "coefficient algebra")
     c.add_argument("file")
-    c.add_argument("--window", type=int, required=True)
+    c.add_argument("--window", type=_cli_count, required=True)
     c.add_argument("--cocycle")
     c.add_argument("--json", action="store_true")
     c.set_defaults(func=cmd_coeff_check)

@@ -28,9 +28,9 @@ from fractions import Fraction
 from math import comb
 
 from .algebras import (AlgebraSpec, IdentityError, check_identity, prod_basis,
-                       require_identity)
+                       products_span, require_identity, tensor)
 from .linalg import (ZERO, ONE, Subspace, nullspace, quotient_representatives,
-                     rank, solve, unit)
+                     solve, unit)
 
 
 class SpanningConditionError(Exception):
@@ -306,17 +306,9 @@ def _ls_poisson_shaped(alg):
     if alg.has("rd"):
         return False
     probe = AlgebraSpec(alg.name + "~lsp?", alg.dim, alg.basis,
-                        {"dot": alg.ops.get("ld", _zero_tensor(alg.dim)),
-                         "circ": alg.ops.get("circ", _zero_tensor(alg.dim))})
-    if not check_identity(probe, "LS_POISSON").passed:
-        return False
-    prods = [prod_basis(alg, "ld", i, j)
-             for i in range(alg.dim) for j in range(alg.dim)]
-    return rank(prods, alg.dim) == alg.dim
-
-
-def _zero_tensor(dim):
-    return [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
+                        {"dot": alg.ops.get("ld", tensor(alg.dim)),
+                         "circ": alg.ops.get("circ", tensor(alg.dim))})
+    return check_identity(probe, "LS_POISSON").passed and products_span(alg, "ld")
 
 
 def hardcoded_cocycle_system(alg, beta, variant="auto"):
@@ -364,13 +356,7 @@ SPANNING_OPS = ("ast", "star", "ld", "rd")
 
 def check_spanning(alg):
     """Which of the four product spans equal V."""
-    out = set()
-    for op in SPANNING_OPS:
-        prods = [prod_basis(alg, op, i, j)
-                 for i in range(alg.dim) for j in range(alg.dim)]
-        if rank(prods, alg.dim) == alg.dim:
-            out.add(op)
-    return out
+    return {op for op in SPANNING_OPS if products_span(alg, op)}
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 from .algebras import (AlgebraSpec, IdentityReport, IdentityError, prod_basis,
                        require_identity, tensor)
@@ -337,19 +337,12 @@ class WindowedElement:
 
 
 def _eta(cocycle, i, j, m, n):
-    """Central coefficient of (e_i (x) t^m)(e_j (x) t^n) from a cocycle."""
-    if cocycle is None:
+    """Central coefficient of (e_i (x) t^m)(e_j (x) t^n) from a cocycle:
+    alpha_d contributes m(m-1)...(m-d+1) when m + n + 1 = d."""
+    d = m + n + 1
+    if cocycle is None or not 0 <= d <= cocycle.degree_cap:
         return ZERO
-    out = ZERO
-    if m + n + 1 == 0:
-        out += _alpha(cocycle, 0, i, j)
-    if m + n == 0:
-        out += m * _alpha(cocycle, 1, i, j)
-    if m + n - 1 == 0:
-        out += m * (m - 1) * _alpha(cocycle, 2, i, j)
-    if m + n - 2 == 0:
-        out += m * (m - 1) * (m - 2) * _alpha(cocycle, 3, i, j)
-    return out
+    return prod(range(m, m - d, -1)) * cocycle.forms[d][i][j]
 
 
 def coeff_product(alg, x, y, cocycle=None):

@@ -53,11 +53,14 @@ def _rational_cell(value, location):
 def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except OSError as exc:
         raise FileFormatError(str(exc), path) from exc
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"invalid JSON: {exc}", path) from exc
+    if not isinstance(doc, dict):
+        raise FileFormatError("top-level JSON value must be an object", path)
+    return doc
 
 
 def load_algebra(path):
@@ -66,7 +69,7 @@ def load_algebra(path):
         if key not in doc:
             raise FileFormatError(f"missing field {key!r}", path)
     name, dim, basis = doc["name"], doc["dim"], doc["basis"]
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise FileFormatError("dim must be a positive integer", "dim")
     if (not isinstance(basis, list) or len(basis) != dim
             or not all(isinstance(b, str) for b in basis)):
@@ -74,8 +77,11 @@ def load_algebra(path):
     if len(set(basis)) != dim:
         raise FileFormatError("basis labels must be distinct", "basis")
     index = {lab: i for i, lab in enumerate(basis)}
+    tables = doc.get("ops", {})
+    if not isinstance(tables, dict):
+        raise FileFormatError("ops must be an object", "ops")
     ops = {}
-    for op, table in (doc.get("ops") or {}).items():
+    for op, table in tables.items():
         if op not in FILE_OPS:
             raise FileFormatError(f"unknown op {op!r}", f"ops.{op}")
         tensor = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
@@ -150,13 +156,17 @@ def load_cocycle(path, dim=None):
     doc = _load_json(path)
     cap = doc.get("degree_cap")
     forms = doc.get("forms")
-    if not isinstance(cap, int) or cap < 0:
+    if not isinstance(cap, int) or isinstance(cap, bool) or cap < 0:
         raise FileFormatError("degree_cap must be a non-negative integer",
                               "degree_cap")
     if not isinstance(forms, list) or len(forms) != cap + 1:
         raise FileFormatError("need degree_cap + 1 forms", "forms")
     parsed = []
     for i, f in enumerate(forms):
+        if (not isinstance(f, list) or len(f) != len(forms[0])
+                or not all(isinstance(row, list) and len(row) == len(f) for row in f)):
+            raise FileFormatError("forms must be square matrices (lists of rows) "
+                                  "of one size", f"forms[{i}]")
         mat = []
         for a, row in enumerate(f):
             mat.append([_rational_cell(x, f"forms[{i}][{a}][{b}]")

@@ -19,7 +19,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebras import AlgebraSpec, check_identity, eval_product, prod_basis
+from .algebras import (AlgebraSpec, check_identity, eval_product, prod_basis,
+                       products_span)
 from .linalg import (ZERO, Subspace, identity_matrix, mat_mul, nullspace,
                      rank, unit)
 
@@ -217,12 +218,6 @@ def _pre_novikov_part_certificate(alg, trials, rng_seed, log):
     return cert
 
 
-def _star_spans(alg):
-    prods = [prod_basis(alg, "star", i, j)
-             for i in range(alg.dim) for j in range(alg.dim)]
-    return rank(prods, alg.dim) == alg.dim
-
-
 def _regular_element(alg, trials, rng):
     """Some a with ker(L_a) and ker(R_a) for ld intersecting trivially."""
     dim = alg.dim
@@ -249,7 +244,7 @@ def certify_conformal_simplicity(alg, trials=20, rng_seed=0):
 
     pn_cert = _pre_novikov_part_certificate(alg, trials, rng_seed, log)
     if pn_cert is not None and pn_cert.verdict == "simple":
-        if _star_spans(alg):
+        if products_span(alg, "star"):
             log.append("star products span V")
             return SimplicityCertificate("simple", "pre_novikov_simple_spanning",
                                          details=tuple(log))

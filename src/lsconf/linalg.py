@@ -36,11 +36,6 @@ class ContainmentError(LinalgError):
 # ---------------------------------------------------------------------------
 # vectors
 
-def qvec(entries):
-    """Coerce an iterable of ints/strings/Fractions to a Fraction vector."""
-    return [Fraction(x) for x in entries]
-
-
 def vzero(n):
     return [ZERO] * n
 
@@ -254,11 +249,6 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
-
-
-def solve_membership(sub, v):
-    """Coordinates of v in sub's basis, or None.  Thin alias for scripts."""
-    return sub.coordinates(v)
 
 
 def quotient_dim(big, small):

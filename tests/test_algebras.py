@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from lsconf.algebras import (AlgebraSpec, CATALOG, DimensionMismatch,
                              IdentityError, LinearMapSpec, MissingAuxMap,
                              MissingOps, UnknownIdentity, associated,
                              check_identity, check_representation,
-                             eval_product, normalize_identity_id, prod_basis,
+                             eval_product, identity_residuals, normalize_identity_id, prod_basis,
                              regular_gd_representation,
                              regular_novikov_representation, require_identity,
                              tensor)
@@ -117,9 +118,59 @@ def test_residuals_are_multilinear(coords):
     alg = two_dim_lw()
     x, y = list(coords[:2]), list(coords[2:4])
     z = list(coords[4:6])
-    for label, arity, res in CATALOG["PRE_NOVIKOV"]:
-        args = (x, y, z)[:arity]
-        assert not any(res(alg, None, *args)), label
+    for label, res in identity_residuals(alg, "PRE_NOVIKOV", (x, y, z)):
+        assert not any(res), label
+
+
+def test_residuals_at_vectors_match_basis_residuals():
+    # on unit vectors the vector route reproduces the basis-triple residuals
+    alg = random_algebra(random.Random(3), 2)
+    units = ([F(1), F(0)], [F(0), F(1)])
+    rep = check_identity(alg, "PRE_GD")
+    got = [(label, (0, 1, 0), res) for label, res in
+           identity_residuals(alg, "PRE_GD", (units[0], units[1], units[0]))
+           if any(res)]
+    assert got == [v for v in rep.violations if v[1] == (0, 1, 0)]
+
+
+def _golden_algebra():
+    rng = random.Random(4242)
+
+    def entry():
+        return F(rng.randint(-3, 3), rng.choice((1, 2)))
+
+    ops = {op: [[[entry() for _ in range(3)] for _ in range(3)] for _ in range(3)]
+           for op in ("ld", "rd", "circ", "dot", "bracket")}
+    aux = LinearMapSpec(tuple(tuple(entry() for _ in range(3)) for _ in range(3)))
+    return AlgebraSpec("golden", 3, ("x", "y", "z"), ops), aux
+
+
+# sha256 of repr(violations) per catalog key on _golden_algebra(), recorded
+# with the hand-written residual functions the term table replaced
+GOLDEN_VIOLATIONS = {
+    "LEFT_SYMMETRIC": "aed83bc2c84116289e75b8e2d1ebc402a8242edad12e675f595cf929d6bfc4e5",
+    "NOVIKOV": "976e40d30d1c61fc0acbb14d1330809c3fb11d96dc3a3d8b67f39e534def8b18",
+    "ZINBIEL": "ca962af6247e1ee4c562e915c1045b189a2b1ec8f9c943562402031ed2ee7a80",
+    "COMM_ASSOC": "702c288cae4dbae7fe08680fe9f55c31ad28fc4284a07a5458c766ad46faae70",
+    "PRE_NOVIKOV": "7aa68271e212094c4aaffd847c91d5193c9dbfe2ba37cc0f8104000f6c6c894a",
+    "PRE_GD_COMPAT": "0b5897d9728ca0f8d1c05c117fb63a31fc255fdfd1121cbb34b2f6c0ca2a8070",
+    "PRE_GD": "79faf80f3892e91dc89d6c98079d9810aec6da31184d831a03d1260e97646d84",
+    "GD_COMPAT": "0f3c3cd8a1c96431ff3141119a5900f78eefa2bf8c03fe2cfc46a9b64383619c",
+    "LS_POISSON": "fba97b4238a491c1ec2b3527de1e575803d30fe8ecc5ffcc5a5a907edc48b875",
+    "NOVIKOV_POISSON": "63c51533d7dea94477c1a6ec67150fac0fe1deca2d049fbbc3186bedd2960779",
+    "DERIVATION": "ebdcffdd6e72f15576ee4f31bcf39562cffd429f313226eb3586a4a251b33901",
+    "QUADRATIC_9": "7e3cb92068bf7861f18106c15c66e299a981c8a3156c29cee23784bd5bb8c44c",
+}
+
+
+def test_catalog_golden_violations():
+    alg, aux = _golden_algebra()
+    assert set(GOLDEN_VIOLATIONS) == set(CATALOG)
+    for key, digest in GOLDEN_VIOLATIONS.items():
+        rep = check_identity(alg, key, aux=aux)
+        # every law of every system fails here, so each term is exercised
+        assert {v[0] for v in rep.violations} == {law[0] for law in CATALOG[key]}, key
+        assert hashlib.sha256(repr(rep.violations).encode()).hexdigest() == digest, key
 
 
 def test_eval_product_bilinear_consistency():

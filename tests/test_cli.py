@@ -191,6 +191,49 @@ def test_coeff_check_command(capsys, inputs):
     assert doc["passed"] is True and doc["skipped"] == 69
 
 
+R1 = {"name": "r1", "dim": 1, "basis": ["L"], "ops": {"ld": {"L,L": {"L": "1"}}}}
+
+
+# (file kind, malformed content); the other files of the command are valid
+@pytest.mark.parametrize("kind, content", [
+    ("algebra", 5),
+    ("algebra", [R1]),
+    ("algebra", {**R1, "dim": True}),
+    ("algebra", {**R1, "ops": []}),
+    ("derivation", [["1"]]),
+    ("cocycle", 5),
+    ("cocycle", {"degree_cap": 0, "forms": [5]}),
+    ("cocycle", {"degree_cap": 0, "forms": [[5]]}),
+    ("cocycle", {"degree_cap": 1, "forms": [[["1"]], [["1", "0"]]]}),
+])
+def test_malformed_files_exit_2_with_location(capsys, tmp_path, kind, content):
+    paths = {}
+    for name, doc in {"algebra": R1, kind: content}.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps(doc))
+    options = {"algebra": ["check", "--identity", "pre-gd"],
+               "derivation": ["check", "--identity", "derivation",
+                              "--derivation", paths.get("derivation")],
+               "cocycle": ["coeff-check", "--window", "1",
+                           "--cocycle", paths.get("cocycle")]}[kind]
+    code, _, err = run(capsys, options[0], paths["algebra"], *options[1:])
+    assert code == 2
+    assert "Traceback" not in err and "(at " in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["coeff-check", "{r1}", "--window", "-1"],
+    ["simple", "{r1}", "--trials", "-5"],
+    ["h2", "{r1}", "--degree-cap", "-1"],
+    ["h2", "{r1}", "--degree-cap", "two"],
+])
+def test_negative_counts_are_refused(capsys, inputs, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(**inputs) for a in argv])
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 # The wrapper pip writes for a `module:func` console script.

@@ -188,3 +188,13 @@ def test_coeff_left_symmetry_detects_failure():
     rep = check_coeff_left_symmetry(probe, 1)
     assert not rep.passed
     assert rep.violations[0] == ((0, 1, 1), (-1, 0, 0), (((0, -1), F(1, 9)),))
+
+
+@pytest.mark.parametrize("cap", range(7))
+def test_coeff_and_conformal_verdicts_agree_on_single_forms(cap):
+    # alpha_cap(L, L) = 1 is the only nonzero form; window 7 reaches every
+    # exponent pair m + n + 1 = cap, so the two routes must agree
+    fam = CocycleFamily(cap, tuple(((int(d == cap),),) for d in range(cap + 1)))
+    alg = build_rank_one(0)
+    assert (check_coeff_left_symmetry(alg, 7, cocycle=fam).passed
+            == check_conformal_left_symmetry(alg, cocycle=fam).passed)
