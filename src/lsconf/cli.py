@@ -2,7 +2,8 @@
 
 Exit codes are a contract shared by every subcommand:
 0 pass/success, 1 negative finding, 2 input error, 3 guarded refusal,
-4 inconclusive.
+4 inconclusive, 70 internal error (a broken invariant: a defect in lsconf,
+never a finding about the input).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from .algebras import AlgebraError, IdentityError, check_identity, normalize_identity_id
-from .cohomology import SpanningConditionError, h2
+from .cohomology import CohomologyError, SpanningConditionError, h2
 from .conformal import (ModuleElement, build_current, build_rank_one,
                         check_coeff_left_symmetry, format_lambda_poly,
                         lambda_product)
@@ -22,10 +23,10 @@ from .constructions import (comm_assoc_derivation_to_novikov_poisson,
                             zinbiel_to_pre_novikov)
 from .files import (FileFormatError, dump_json, file_sha256, load_algebra,
                     load_cocycle, load_matrix, save_algebra, cocycle_to_json)
-from .ideals import TrivialAlgebra, certify_conformal_simplicity
+from .ideals import IdealVerificationError, TrivialAlgebra, certify_conformal_simplicity
 from .linalg import LinalgError
 
-PASS, FAIL, INPUT_ERROR, REFUSED, INCONCLUSIVE = 0, 1, 2, 3, 4
+PASS, FAIL, INPUT_ERROR, REFUSED, INCONCLUSIVE, INTERNAL_ERROR = 0, 1, 2, 3, 4, 70
 
 
 def _err(msg):
@@ -350,6 +351,9 @@ def main(argv=None):
     except (FileFormatError, AlgebraError, LinalgError, ValueError) as exc:
         _err(str(exc))
         return INPUT_ERROR
+    except (CohomologyError, IdealVerificationError) as exc:
+        _err(f"internal: {exc}")
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -8,9 +8,8 @@ bilinear forms on the algebra.  The extension identity
 
 expands, for the quadratic lam-product, into one linear equation per
 basis triple and lam^i mu^j monomial; generate_cocycle_system performs
-that expansion mechanically and is the source of truth.  The hardcoded
-equation lists (general cap-3 system, the pre-Novikov and LS-Poisson
-specializations) exist purely as cross-checks.
+that expansion mechanically and is the source of truth.  (The tests
+cross-check it against hand-written cap-3 equation lists.)
 
 Cocycle coordinates are ordered highest-degree form first:
 
@@ -27,10 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .algebras import (AlgebraSpec, IdentityError, check_identity, prod_basis,
-                       products_span, require_identity, tensor)
-from .linalg import (ZERO, ONE, Subspace, nullspace, quotient_representatives,
-                     solve, unit)
+from .algebras import IdentityError, prod_basis, products_span, require_identity
+from .linalg import (ZERO, ONE, Subspace, identity_matrix, mat_vec, nullspace,
+                     quotient_representatives, solve, vadd, vscale)
 
 
 class SpanningConditionError(Exception):
@@ -114,7 +112,8 @@ def _add(acc, key, col, coeff):
 
 def generate_cocycle_system(alg, beta, degree_cap):
     """Constraint matrix of the extension identity, one row per basis
-    triple and lam^i mu^j monomial (zero rows and duplicates dropped)."""
+    triple and lam^i mu^j monomial (zero rows dropped; duplicates are
+    dependent, so elimination drops them)."""
     require_identity(alg, "PRE_GD")
     beta = Fraction(beta)
     cap, dim = degree_cap, alg.dim
@@ -138,7 +137,7 @@ def generate_cocycle_system(alg, beta, degree_cap):
                 if cv:
                     _add(acc, key, coord_index(cap, dim, i, fidx, b2), sign * cv)
 
-    rows, seen = [], set()
+    rows = []
     for a, b, c in itertools.product(range(dim), repeat=3):
         acc = {}
         alpha_lm(acc, prod_basis(alg, "ld", b, a), c, -ONE, 0, 1)
@@ -158,175 +157,9 @@ def generate_cocycle_system(alg, beta, degree_cap):
         alpha_one(acc, b, prod_basis(alg, "circ", a, c), ONE, 0, 0, 1)
         for key in sorted(acc):
             form = acc[key]
-            dense = tuple(form.get(col, ZERO) for col in range(width))
-            if any(dense) and dense not in seen:
-                seen.add(dense)
-                rows.append(list(dense))
+            if any(form.values()):
+                rows.append([form.get(col, ZERO) for col in range(width)])
     return rows
-
-
-# ---------------------------------------------------------------------------
-# hardcoded cross-check systems (fixed cap 3)
-
-HARDCODED_CAP = 3
-
-
-class _RowBuilder:
-    def __init__(self, dim):
-        self.dim = dim
-        self.row = [ZERO] * ncols(HARDCODED_CAP, dim)
-
-    def alpha(self, i, u, v, coeff=ONE):
-        """coeff * alpha_i(u, v), u and v coordinate vectors."""
-        for a, cu in enumerate(u):
-            if not cu:
-                continue
-            for b, cv in enumerate(v):
-                if cv:
-                    self.row[coord_index(HARDCODED_CAP, self.dim, i, a, b)] += coeff * cu * cv
-
-
-def _hardcoded_rows(alg, beta, variant):
-    dim = alg.dim
-    beta = Fraction(beta)
-    units = [unit(dim, t) for t in range(dim)]
-
-    def P(op, i, j):
-        return prod_basis(alg, op, i, j)
-
-    rows = []
-
-    def emit(build):
-        rb = _RowBuilder(dim)
-        build(rb)
-        if any(rb.row):
-            rows.append(rb.row)
-
-    for a, b, c in itertools.product(range(dim), repeat=3):
-        ea, eb, ec = units[a], units[b], units[c]
-        ast_ab, ast_ba = P("ast", a, b), P("ast", b, a)
-        ld_cb, ld_ca = P("ld", c, b), P("ld", c, a)
-        rd_ac = P("rd", a, c)
-        star_bc, star_ac = P("star", b, c), P("star", a, c)
-        circ_ab, circ_ba = P("circ", a, b), P("circ", b, a)
-        circ_bc, circ_ac = P("circ", b, c), P("circ", a, c)
-
-        if variant in ("general", "pre_novikov", "pre_novikov_beta0"):
-            # the chained cap-degree identities
-            emit(lambda r: (r.alpha(3, ast_ab, ec), r.alpha(3, ast_ba, ec, -ONE)))
-            emit(lambda r: (r.alpha(3, ast_ba, ec), r.alpha(3, ea, ld_cb, -ONE)))
-            emit(lambda r: (r.alpha(3, ea, ld_cb), r.alpha(3, eb, rd_ac, -ONE)))
-
-        if variant == "general":
-            emit(lambda r: (r.alpha(2, ast_ab, ec), r.alpha(2, ea, ld_cb, -ONE),
-                            r.alpha(3, ea, ld_cb, -beta), r.alpha(3, ea, circ_bc, -ONE),
-                            r.alpha(3, circ_ba, ec, -ONE), r.alpha(3, circ_ab, ec)))
-            emit(lambda r: (r.alpha(2, ast_ab, ec, Fraction(2)), r.alpha(2, ast_ba, ec, -ONE),
-                            r.alpha(2, ea, star_bc, -ONE),
-                            r.alpha(3, circ_ba, ec, Fraction(-3)),
-                            r.alpha(3, circ_ab, ec, Fraction(3))))
-            emit(lambda r: (r.alpha(1, ast_ab, ec), r.alpha(1, ea, ld_cb, -ONE),
-                            r.alpha(2, ea, ld_cb, -beta), r.alpha(2, ea, circ_bc, -ONE),
-                            r.alpha(2, circ_ba, ec, -ONE), r.alpha(2, circ_ab, ec)))
-            emit(lambda r: (r.alpha(1, ast_ab, ec), r.alpha(1, ast_ba, ec, -ONE),
-                            r.alpha(1, ea, star_bc, -ONE), r.alpha(1, eb, star_ac),
-                            r.alpha(2, circ_ba, ec, Fraction(-2)),
-                            r.alpha(2, circ_ab, ec, Fraction(2))))
-            emit(lambda r: (r.alpha(0, ast_ab, ec), r.alpha(0, ea, ld_cb, -ONE),
-                            r.alpha(0, eb, star_ac), r.alpha(1, ea, ld_cb, -beta),
-                            r.alpha(1, ea, circ_bc, -ONE),
-                            r.alpha(1, circ_ba, ec, -ONE), r.alpha(1, circ_ab, ec)))
-            emit(lambda r: (r.alpha(0, circ_ab, ec), r.alpha(0, ea, ld_cb, -beta),
-                            r.alpha(0, ea, circ_bc, -ONE), r.alpha(0, circ_ba, ec, -ONE),
-                            r.alpha(0, eb, ld_ca, beta), r.alpha(0, eb, circ_ac)))
-
-        elif variant == "pre_novikov":
-            emit(lambda r: (r.alpha(2, ast_ab, ec), r.alpha(2, ea, ld_cb, -ONE),
-                            r.alpha(3, ea, ld_cb, -beta)))
-            emit(lambda r: (r.alpha(2, ast_ab, ec, Fraction(2)), r.alpha(2, ast_ba, ec, -ONE),
-                            r.alpha(2, ea, star_bc, -ONE)))
-            emit(lambda r: (r.alpha(1, ast_ab, ec), r.alpha(1, ea, ld_cb, -ONE),
-                            r.alpha(2, ea, ld_cb, -beta)))
-            emit(lambda r: (r.alpha(1, ast_ab, ec), r.alpha(1, ast_ba, ec, -ONE),
-                            r.alpha(1, ea, star_bc, -ONE), r.alpha(1, eb, star_ac)))
-            emit(lambda r: (r.alpha(0, ast_ab, ec), r.alpha(0, ea, ld_cb, -ONE),
-                            r.alpha(0, eb, star_ac), r.alpha(1, ea, ld_cb, -beta)))
-            emit(lambda r: (r.alpha(0, ea, ld_cb, beta), r.alpha(0, eb, ld_ca, -beta)))
-
-        elif variant == "pre_novikov_beta0":
-            rd_bc = P("rd", b, c)
-            emit(lambda r: (r.alpha(2, ast_ab, ec), r.alpha(2, ea, ld_cb, -ONE)))
-            emit(lambda r: (r.alpha(2, ast_ab, ec), r.alpha(2, ast_ba, ec, -ONE),
-                            r.alpha(2, ea, rd_bc, -ONE)))
-            emit(lambda r: (r.alpha(1, ast_ab, ec), r.alpha(1, ea, ld_cb, -ONE)))
-            emit(lambda r: (r.alpha(1, ea, rd_bc), r.alpha(1, eb, rd_ac, -ONE)))
-            emit(lambda r: (r.alpha(0, ast_ab, ec), r.alpha(0, ea, ld_cb, -ONE),
-                            r.alpha(0, eb, star_ac)))
-
-        elif variant == "ls_poisson":
-            # dot realized as ld; cap semantics 2, emitted in cap-3
-            # coordinates with explicit alpha_3 = 0 rows below
-            dot_ab = P("ld", a, b)
-            dot_cb, dot_ca = ld_cb, ld_ca
-            emit(lambda r: (r.alpha(2, dot_ab, ec), r.alpha(2, ea, dot_cb, -ONE)))
-            emit(lambda r: (r.alpha(2, circ_ab, ec), r.alpha(1, ea, dot_cb, -ONE),
-                            r.alpha(2, ea, dot_cb, -beta), r.alpha(2, ea, circ_bc, -ONE),
-                            r.alpha(1, dot_ab, ec), r.alpha(2, circ_ba, ec, -ONE)))
-            emit(lambda r: (r.alpha(2, circ_ab, ec, Fraction(2)), r.alpha(1, ea, dot_cb, -ONE),
-                            r.alpha(2, circ_ba, ec, Fraction(-2)), r.alpha(1, eb, dot_ca)))
-            emit(lambda r: (r.alpha(1, circ_ab, ec), r.alpha(0, ea, dot_cb, -ONE),
-                            r.alpha(1, ea, dot_cb, -beta), r.alpha(1, ea, circ_bc, -ONE),
-                            r.alpha(0, dot_ab, ec), r.alpha(1, circ_ba, ec, -ONE),
-                            r.alpha(0, eb, dot_ca)))
-            emit(lambda r: (r.alpha(0, circ_ab, ec), r.alpha(0, ea, dot_cb, -beta),
-                            r.alpha(0, ea, circ_bc, -ONE), r.alpha(0, circ_ba, ec, -ONE),
-                            r.alpha(0, eb, dot_ca, beta), r.alpha(0, eb, circ_ac)))
-        else:
-            raise ValueError(f"unknown variant {variant!r}")
-
-    if variant == "ls_poisson":
-        for a in range(dim):
-            for b in range(dim):
-                rb = _RowBuilder(dim)
-                rb.row[coord_index(HARDCODED_CAP, dim, 3, a, b)] = ONE
-                rows.append(rb.row)
-    # dedupe
-    out, seen = [], set()
-    for r in rows:
-        key = tuple(r)
-        if key not in seen:
-            seen.add(key)
-            out.append(r)
-    return out
-
-
-def _ls_poisson_shaped(alg):
-    """Does the spec look like an LS-Poisson image (dot = ld, rd = 0)
-    with the product spanning V?"""
-    if alg.has("rd"):
-        return False
-    probe = AlgebraSpec(alg.name + "~lsp?", alg.dim, alg.basis,
-                        {"dot": alg.ops.get("ld", tensor(alg.dim)),
-                         "circ": alg.ops.get("circ", tensor(alg.dim))})
-    return check_identity(probe, "LS_POISSON").passed and products_span(alg, "ld")
-
-
-def hardcoded_cocycle_system(alg, beta, variant="auto"):
-    """The explicitly listed cap-3 equation systems (cross-check only)."""
-    require_identity(alg, "PRE_GD")
-    beta = Fraction(beta)
-    if variant == "auto":
-        if not alg.has("circ"):
-            variant = "pre_novikov_beta0" if beta == 0 else "pre_novikov"
-        elif _ls_poisson_shaped(alg):
-            variant = "ls_poisson"
-        else:
-            variant = "general"
-    if variant == "pre_novikov_beta0" and beta != 0:
-        raise ValueError("the beta0 equation list requires beta = 0")
-    if variant in ("pre_novikov", "pre_novikov_beta0") and alg.has("circ"):
-        raise ValueError("pre-Novikov equation lists require circ = 0")
-    return _hardcoded_rows(alg, beta, variant)
 
 
 # ---------------------------------------------------------------------------
@@ -334,21 +167,21 @@ def hardcoded_cocycle_system(alg, beta, variant="auto"):
 
 def coboundary_space(alg, beta, degree_cap):
     """Image of phi -> (alpha_0 = beta phi(b ld a) + phi(a circ b),
-    alpha_1 = phi(a star b), higher forms zero)."""
+    alpha_1 = phi(a star b), higher forms zero).  At cap 0 there is no
+    alpha_1, so phi ranges over the functionals with phi(a star b) = 0."""
     beta = Fraction(beta)
     cap, dim = degree_cap, alg.dim
-    width = ncols(cap, dim)
+    pairs = list(itertools.product(range(dim), repeat=2))
+    alpha0 = [vadd(vscale(beta, prod_basis(alg, "ld", b, a)),
+                   prod_basis(alg, "circ", a, b)) for a, b in pairs]
+    alpha1 = [prod_basis(alg, "star", a, b) for a, b in pairs]
+    phis = identity_matrix(dim) if cap else nullspace(alpha1, dim).basis
     gens = []
-    for t in range(dim):
-        vec = [ZERO] * width
-        for a in range(dim):
-            for b in range(dim):
-                a0 = beta * prod_basis(alg, "ld", b, a)[t] + prod_basis(alg, "circ", a, b)[t]
-                a1 = prod_basis(alg, "star", a, b)[t]
-                vec[coord_index(cap, dim, 0, a, b)] = a0
-                vec[coord_index(cap, dim, 1, a, b)] = a1
-        gens.append(vec)
-    return Subspace(width, gens)
+    for phi in phis:
+        # one dim*dim block per form, highest degree first (coord_index)
+        head = [ZERO] * ((cap - 1) * dim * dim) + mat_vec(alpha1, phi) if cap else []
+        gens.append(head + mat_vec(alpha0, phi))
+    return Subspace(ncols(cap, dim), gens)
 
 
 SPANNING_OPS = ("ast", "star", "ld", "rd")
@@ -370,8 +203,6 @@ class ExtensionResult:
     dim_H2: int
     cocycle_basis: tuple
     representatives: tuple
-    z2_space: Subspace
-    b2_space: Subspace
 
 
 def h2(alg, beta, degree_cap=None):
@@ -397,8 +228,7 @@ def h2(alg, beta, degree_cap=None):
         spanning=tuple(sorted(spanning)),
         dim_Z2=z2.dim, dim_B2=b2.dim, dim_H2=z2.dim - b2.dim,
         cocycle_basis=tuple(family_from_coords(cap, dim, v) for v in z2.basis),
-        representatives=tuple(family_from_coords(cap, dim, v) for v in reps),
-        z2_space=z2, b2_space=b2)
+        representatives=tuple(family_from_coords(cap, dim, v) for v in reps))
 
 
 def find_right_unit(alg):

@@ -29,12 +29,15 @@ class TrivialAlgebra(Exception):
     """All products vanish; simplicity is undefined for such algebras."""
 
 
+class IdealVerificationError(Exception):
+    """A found ideal failed re-verification: a defect, not bad input."""
+
+
 PRE_GD_OPS = ("ld", "rd", "circ")
 
 
 @dataclass(frozen=True)
 class IdealReport:
-    seed: Subspace
     closure: Subspace
     is_proper: bool
 
@@ -51,31 +54,22 @@ class SimplicityCertificate:
     details: tuple = ()
 
 
-def _as_subspace(alg, seed):
-    if isinstance(seed, Subspace):
-        return seed
-    return Subspace(alg.dim, seed)
-
-
 def ideal_closure(alg, seed, ops=PRE_GD_OPS):
     """Least subspace containing seed with x op v, v op x inside, for
     every basis v and listed op."""
     dim = alg.dim
     ops = tuple(sorted(set(ops)))
-    cur = _as_subspace(alg, seed)
-    while True:
-        vecs = list(cur.basis)
-        for x in cur.basis:
-            for i in range(dim):
-                e = unit(dim, i)
-                for op in ops:
-                    vecs.append(eval_product(alg, op, e, x))
-                    vecs.append(eval_product(alg, op, x, e))
-        nxt = Subspace(dim, vecs)
-        if nxt.dim == cur.dim:
-            return IdealReport(seed=_as_subspace(alg, seed), closure=nxt,
-                               is_proper=0 < nxt.dim < dim)
-        cur = nxt
+    closure = seed.copy() if isinstance(seed, Subspace) else Subspace(dim, seed)
+    todo = list(closure.basis)
+    while todo:
+        x = todo.pop()
+        for i in range(dim):
+            e = unit(dim, i)
+            for op in ops:
+                for v in (eval_product(alg, op, e, x), eval_product(alg, op, x, e)):
+                    if closure.add(v):
+                        todo.append(v)
+    return IdealReport(closure=closure, is_proper=0 < closure.dim < dim)
 
 
 def _mult_matrix(alg, op, x, side):
@@ -116,9 +110,9 @@ def associative_envelope(alg, ops=PRE_GD_OPS):
         for m in frontier:
             for g in gens:
                 gm = mat_mul(g, m)
-                f = flat(gm)
-                if not span.contains(f):
-                    span = Subspace(dim * dim, span.basis + [f])
+                if span.add(flat(gm)):
+                    if span.is_full():
+                        return span
                     fresh.append(gm)
         frontier = fresh
     return span
@@ -175,11 +169,11 @@ def _verify_ideal(alg, sub, ops):
             e = unit(dim, i)
             for op in sorted(set(ops)):
                 if not sub.contains(eval_product(alg, op, e, x)):
-                    raise AssertionError("claimed ideal is not left-stable")
+                    raise IdealVerificationError("claimed ideal is not left-stable")
                 if not sub.contains(eval_product(alg, op, x, e)):
-                    raise AssertionError("claimed ideal is not right-stable")
+                    raise IdealVerificationError("claimed ideal is not right-stable")
     if not 0 < sub.dim < dim:
-        raise AssertionError("claimed ideal is not proper")
+        raise IdealVerificationError("claimed ideal is not proper")
 
 
 def _all_products_zero(alg, ops):

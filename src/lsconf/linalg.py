@@ -2,20 +2,19 @@
 
 Everything downstream reduces to ranks, nullspaces and membership tests of
 matrices with Fraction entries.  A matrix is a plain list of rows (lists of
-Fractions); the one class here is Subspace, which keeps its basis in reduced
-row echelon form so that two subspaces are equal iff their stored bases are
-equal componentwise.
-
-Elimination is done on gcd-normalised integer rows: each row is scaled to
-coprime integers, combined by cross multiplication, and re-reduced by the
-gcd after every combination.  That keeps intermediate entries small without
-ever leaving exact arithmetic.
+Fractions).  All elimination happens in Subspace.add, a streaming
+fraction-free echelon (Bareiss 1968 style) of sparse integer rows: each
+arriving vector is reduced against the stored pivots by cross
+multiplication and re-reduced by the gcd after every combination, so
+entries stay small without leaving exact arithmetic; a dependent vector
+(a duplicate, say) is dropped on arrival.  rref, rank, nullspace and solve
+read one Subspace build.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -76,21 +75,33 @@ def identity_matrix(n):
 
 
 # ---------------------------------------------------------------------------
-# elimination
+# elimination on sparse integer rows {col: int}
 
-def _int_row(row):
-    """Scale a Fraction row to coprime integers; None for the zero row."""
-    den = 1
-    for x in row:
-        d = x.denominator
-        den = den * d // gcd(den, d)
-    ints = [int(x * den) for x in row]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g == 0:
-        return None
-    return [v // g for v in ints]
+def _primitive(row):
+    g = gcd(*row.values())
+    return {c: x // g for c, x in row.items()} if g > 1 else row
+
+
+def _sparse(v):
+    """v (ints or Fractions) as a gcd-primitive sparse integer row."""
+    nz = {j: x for j, x in enumerate(v) if x}
+    den = lcm(*(x.denominator for x in nz.values()))
+    return _primitive({j: x.numerator * (den // x.denominator) for j, x in nz.items()})
+
+
+def _clear(t, r, p):
+    """Column p eliminated from row t by row r (r[p] > 0): the primitive
+    row of a*t - b*r with a > 0, so a stored t keeps a positive pivot."""
+    g = gcd(r[p], t[p])
+    a, b = r[p] // g, t[p] // g
+    out = {c: a * x for c, x in t.items()}
+    for c, y in r.items():
+        z = out.get(c, 0) - b * y
+        if z:
+            out[c] = z
+        else:
+            del out[c]
+    return _primitive(out)
 
 
 def rref(rows, ncols):
@@ -99,50 +110,8 @@ def rref(rows, ncols):
     Returns (rref_rows, pivot_cols): rows with leading entry 1, zeros above
     and below every pivot, ordered by pivot column.
     """
-    work = []
-    for r in rows:
-        if len(r) != ncols:
-            raise DimensionMismatch(f"row of length {len(r)}, expected {ncols}")
-        ir = _int_row(r)
-        if ir is not None:
-            work.append(ir)
-    pivots = []
-    nrows = len(work)
-    for col in range(ncols):
-        npiv = len(pivots)
-        hit = None
-        for i in range(npiv, nrows):
-            if work[i][col]:
-                hit = i
-                break
-        if hit is None:
-            continue
-        work[npiv], work[hit] = work[hit], work[npiv]
-        prow = work[npiv]
-        pv = prow[col]
-        for i in range(nrows):
-            if i == npiv:
-                continue
-            v = work[i][col]
-            if not v:
-                continue
-            row = work[i]
-            comb = [pv * a - v * b for a, b in zip(row, prow)]
-            g = 0
-            for x in comb:
-                g = gcd(g, x)
-            if g > 1:
-                comb = [x // g for x in comb]
-            work[i] = comb
-        pivots.append(col)
-        if len(pivots) == nrows:
-            break
-    out = []
-    for k, col in enumerate(pivots):
-        row = work[k]
-        lead = Fraction(row[col])
-        out.append([Fraction(x) / lead for x in row])
-    return out, pivots
+    s = Subspace(ncols, rows)
+    return s.basis, s.pivots
 
 
 def rank(rows, ncols):
@@ -181,32 +150,69 @@ def solve(rows, rhs):
 # subspaces
 
 class Subspace:
-    """A subspace of Q^n held as a canonical (RREF) basis.
-
-    Equality of subspaces is literal equality of the stored bases; dim is
-    the number of basis rows.  Construction accepts any spanning list.
+    """A subspace of Q^n as its RREF with each row scaled to coprime
+    integers, positive at its pivot: `_rows` maps pivot column -> sparse
+    integer row.  That form is canonical, so subspaces are equal iff their
+    `_rows` are.  Rows are never changed in place, so copies share them;
+    the Fraction RREF `basis` is derived once per state.
     """
 
-    __slots__ = ("ambient_dim", "basis", "pivots")
+    __slots__ = ("ambient_dim", "_rows", "_basis")
 
     def __init__(self, ambient_dim, vectors=()):
         self.ambient_dim = ambient_dim
-        vecs = list(vectors)
-        for v in vecs:
-            if len(v) != ambient_dim:
-                raise DimensionMismatch(
-                    f"vector of length {len(v)} in ambient dimension {ambient_dim}")
-        self.basis, self.pivots = rref(vecs, ambient_dim)
+        self._rows = {}
+        self._basis = None
+        for v in vectors:
+            self.add(v)
+
+    def add(self, v):
+        """Put v into the span; True iff it was not already there."""
+        if len(v) != self.ambient_dim:
+            raise DimensionMismatch(
+                f"vector of length {len(v)} in ambient dimension {self.ambient_dim}")
+        rows = self._rows
+        t = _sparse(v)
+        for p in [c for c in t if c in rows]:
+            t = _clear(t, rows[p], p)
+        if not t:
+            return False
+        p = min(t)
+        if t[p] < 0:
+            t = {c: -x for c, x in t.items()}
+        for q, r in rows.items():
+            if p in r:
+                rows[q] = _clear(r, t, p)
+        rows[p] = t
+        self._basis = None
+        return True
+
+    def copy(self):
+        out = Subspace(self.ambient_dim)
+        out._rows = dict(self._rows)
+        return out
+
+    @property
+    def basis(self):
+        if self._basis is None:
+            self._basis = []
+            for p in self.pivots:
+                row = [ZERO] * self.ambient_dim
+                for c, x in self._rows[p].items():
+                    row[c] = Fraction(x, self._rows[p][p])
+                self._basis.append(row)
+        return self._basis
+
+    @property
+    def pivots(self):
+        return sorted(self._rows)
 
     @property
     def dim(self):
-        return len(self.basis)
-
-    def is_zero(self):
-        return not self.basis
+        return len(self._rows)
 
     def is_full(self):
-        return len(self.basis) == self.ambient_dim
+        return len(self._rows) == self.ambient_dim
 
     def reduce(self, v):
         """Residual of v after eliminating all pivot coordinates."""
@@ -237,15 +243,15 @@ class Subspace:
     def sum(self, other):
         if other.ambient_dim != self.ambient_dim:
             raise DimensionMismatch("ambient dimensions differ")
-        return Subspace(self.ambient_dim, self.basis + other.basis)
+        total = self.copy()
+        for b in other.basis:
+            total.add(b)
+        return total
 
     def __eq__(self, other):
         return (isinstance(other, Subspace)
                 and self.ambient_dim == other.ambient_dim
-                and self.basis == other.basis)
-
-    def __hash__(self):
-        return hash((self.ambient_dim, tuple(tuple(r) for r in self.basis)))
+                and self._rows == other._rows)
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
@@ -267,10 +273,10 @@ def quotient_representatives(big, small):
     if not big.contains_subspace(small):
         raise ContainmentError("claimed subspace is not contained in the larger space")
     reps = []
-    seen = Subspace(big.ambient_dim, small.basis)
+    seen = small.copy()
     for b in big.basis:
         r = seen.reduce(b)
         if any(r):
             reps.append(r)
-            seen = Subspace(big.ambient_dim, seen.basis + [r])
+            seen.add(r)
     return reps

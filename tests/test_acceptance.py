@@ -10,8 +10,7 @@ from fractions import Fraction
 
 from lsconf.algebras import check_identity, eval_product
 from lsconf.cohomology import (check_spanning, coboundary_space,
-                               generate_cocycle_system, h2,
-                               hardcoded_cocycle_system, ncols)
+                               generate_cocycle_system, h2, ncols)
 from lsconf.conformal import (build_rank_one, check_coeff_left_symmetry,
                               check_conformal_left_symmetry)
 from lsconf.cohomology import CocycleFamily
@@ -21,6 +20,7 @@ from lsconf.linalg import nullspace, unit
 from lsconf import constructions as cons
 
 from conftest import random_algebra, rank_two, two_dim_lw, unital_one_dim
+from oracles import hardcoded_cocycle_system
 
 F = Fraction
 

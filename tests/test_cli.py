@@ -9,10 +9,13 @@ from pathlib import Path
 import pytest
 
 import lsconf
+from lsconf import cohomology, ideals
 from lsconf.algebras import AlgebraSpec, check_identity, tensor
 from lsconf.cli import main
+from lsconf.cohomology import ncols
 from lsconf.conformal import build_rank_one
 from lsconf.files import dump_json, file_sha256, load_algebra, save_algebra
+from lsconf.linalg import Subspace, nullspace, unit
 
 from conftest import rank_two, two_dim_lw
 
@@ -93,6 +96,41 @@ def test_h2_refusal_and_cap_override(capsys, inputs):
     lines = out.splitlines()
     assert any(ln.startswith("note: no product spans V") for ln in lines)
     assert "dim H2 = 4" in lines
+
+
+def test_h2_degree_cap_zero(capsys, inputs):
+    # at cap 0 only coboundaries of phi with phi(a star b) = 0 are truncated
+    # families; rank_one(1) has none, and no cocycle either
+    code, out, err = run(capsys, "h2", inputs["r1"], "--degree-cap", "0")
+    assert code == 0 and "Traceback" not in err
+    lines = out.splitlines()
+    assert ["dim Z2 = 0", "dim B2 = 0", "dim H2 = 0"] == [
+        ln for ln in lines if ln.startswith("dim ")]
+    code, out, _ = run(capsys, "h2", inputs["r1"], "--degree-cap", "1")
+    assert code == 0
+    assert ["dim Z2 = 1", "dim B2 = 1", "dim H2 = 0"] == [
+        ln for ln in out.splitlines() if ln.startswith("dim ")]
+
+
+def _full_coboundaries(alg, beta, degree_cap):
+    return nullspace([], ncols(degree_cap, alg.dim))
+
+
+def _wrong_ideal(alg, ops, trials, rng_seed):
+    return Subspace(alg.dim, [unit(alg.dim, 0)]), False
+
+
+# a defect planted at one call site: (module, attribute, fake, argv)
+@pytest.mark.parametrize("module, attr, fake, argv", [
+    (cohomology, "coboundary_space", _full_coboundaries, ["h2", "{r1}"]),
+    (ideals, "_search", _wrong_ideal, ["simple", "{degenerate}"]),
+], ids=["cohomology", "ideals"])
+def test_internal_defects_exit_70(capsys, monkeypatch, inputs, module, attr,
+                                  fake, argv):
+    monkeypatch.setattr(module, attr, fake)
+    code, _, err = run(capsys, *[a.format(**inputs) for a in argv])
+    assert code == 70
+    assert err.startswith("error: internal: ") and "Traceback" not in err
 
 
 def test_h2_json_is_byte_stable(capsys, inputs):

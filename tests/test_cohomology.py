@@ -8,14 +8,14 @@ from lsconf.cohomology import (CocycleFamily, CohomologyError, NoUnitFound,
                                coboundary_space, coord_index,
                                family_from_coords, family_to_coords,
                                find_right_unit, generate_cocycle_system, h2,
-                               hardcoded_cocycle_system, ncols,
-                               unital_vanishing_check)
+                               ncols, unital_vanishing_check)
 from lsconf.conformal import build_rank_one, check_conformal_left_symmetry
 from lsconf.linalg import nullspace
 from lsconf import constructions as cons
 
 from conftest import (dual_numbers_ls_poisson, two_dim_lw, unital_one_dim,
                       unital_two_dim)
+from oracles import hardcoded_cocycle_system
 
 F = Fraction
 

@@ -1,15 +1,18 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lsconf.linalg import (ContainmentError, DimensionMismatch, Subspace,
                            mat_vec, nullspace, quotient_dim,
                            quotient_representatives, rank, rref, solve, unit)
 
+import oracles
+
 F = Fraction
 
 fracs = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+sparse_fracs = st.one_of(st.just(F(0)), fracs)
 
 
 def matrices(max_rows=5, max_cols=5):
@@ -118,3 +121,72 @@ def test_sum_contains_both(ab, cd):
     total = s1.sum(s2)
     assert total.contains_subspace(s1) and total.contains_subspace(s2)
     assert total.dim <= s1.dim + s2.dim
+
+
+@st.composite
+def redundant_matrices(draw, max_rows=8, max_cols=5):
+    """Matrices with zero rows, repeated rows, 0 or 1 columns and more
+    rows than columns all likely."""
+    nc = draw(st.integers(0, max_cols))
+    rows = draw(st.lists(st.lists(sparse_fracs, min_size=nc, max_size=nc),
+                         max_size=max_rows))
+    if rows:
+        rows += [list(rows[i]) for i in
+                 draw(st.lists(st.integers(0, len(rows) - 1), max_size=3))]
+    return rows, nc
+
+
+@settings(max_examples=200, deadline=None)
+@given(redundant_matrices())
+@example(([], 0))
+@example(([[], []], 0))
+@example(([[F(0)], [F(-2, 3)], [F(-2, 3)], [F(5)]], 1))
+def test_rref_matches_dense_oracle(mnc):
+    rows, nc = mnc
+    assert rref(rows, nc) == oracles.rref(rows, nc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(redundant_matrices(), st.randoms(use_true_random=False))
+def test_add_in_any_order_equals_batch(mnc, rnd):
+    rows, nc = mnc
+    batch = Subspace(nc, rows)
+    shuffled = list(rows)
+    rnd.shuffle(shuffled)
+    grown = Subspace(nc)
+    for v in shuffled:
+        grown.add(v)
+    assert grown == batch
+    assert (grown.basis, grown.pivots) == (batch.basis, batch.pivots)
+
+
+@settings(max_examples=100, deadline=None)
+@given(redundant_matrices())
+def test_add_refuses_exactly_the_contained_vectors(mnc):
+    rows, nc = mnc
+    s = Subspace(nc)
+    for v in rows:
+        inside = s.contains(v)
+        assert s.add(v) is not inside
+        assert s.contains(v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(redundant_matrices().flatmap(lambda mnc: st.tuples(
+    st.just(mnc), st.lists(sparse_fracs, min_size=mnc[1], max_size=mnc[1]))))
+def test_reduce_matches_oracle_residual(case):
+    (rows, nc), v = case
+    red, pivots = oracles.rref(rows, nc)
+    assert Subspace(nc, rows).reduce(v) == oracles.reduce_against(red, pivots, v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(redundant_matrices().flatmap(lambda mnc: st.tuples(
+    st.just(mnc), st.lists(st.lists(st.integers(-2, 2), min_size=len(mnc[0]),
+                                    max_size=len(mnc[0])), max_size=4))))
+def test_quotient_representatives_match_oracle(case):
+    (big_rows, nc), combos = case
+    small_rows = [[sum((c * r[j] for c, r in zip(cs, big_rows)), F(0))
+                   for j in range(nc)] for cs in combos]
+    got = quotient_representatives(Subspace(nc, big_rows), Subspace(nc, small_rows))
+    assert got == oracles.quotient_representatives(big_rows, small_rows, nc)
