@@ -16,6 +16,11 @@ Derived (never stored, except bracket on GD output):
     star     a (*) b = a |> b + b <| a
     bracket  [a, b] = a o b - b o a   (when no bracket tensor is stored)
 
+`ops` is read-only.  `rows(op)` builds any op, derived ones included, once
+per algebra as sparse integer rows scaled by `den`, the lcm of all stored
+denominators.  Spans, kernels and ranks (ideal closures, envelopes, cocycle
+systems) read the integers; readers whose values reach an answer divide back.
+
 The identity catalog evaluates residuals on basis triples; by
 multilinearity that is exhaustive.
 """
@@ -23,13 +28,14 @@ multilinearity that is exhaustive.
 from __future__ import annotations
 
 import itertools
-from operator import itemgetter
 from dataclasses import dataclass, field
-
 from fractions import Fraction
+from math import lcm
+from operator import itemgetter
+from types import MappingProxyType
 
-from .linalg import (ZERO, DimensionMismatch, mat_mul, mat_vec, rank, unit, vadd,
-                     vsub, vzero)
+from .linalg import (ZERO, DimensionMismatch, mat_mul, mat_vec, rank, unit, vsub,
+                     vzero)
 
 
 class AlgebraError(Exception):
@@ -65,6 +71,10 @@ class IdentityError(AlgebraError):
 
 
 STORED_OPS = ("ld", "rd", "circ", "dot", "bracket")
+# derived op -> its signed parts (sign, stored op, arguments swapped?)
+DERIVED = {"ast": ((1, "ld", False), (1, "rd", False)),
+           "star": ((1, "rd", False), (1, "ld", True)),
+           "bracket": ((1, "circ", False), (-1, "circ", True))}
 
 
 def tensor(dim, entries=None):
@@ -76,29 +86,15 @@ def tensor(dim, entries=None):
 
 
 def _freeze_tensor(t, dim):
-    out = []
-    for i in range(dim):
-        plane = []
-        for j in range(dim):
-            row = t[i][j]
-            if len(row) != dim:
-                raise DimensionMismatch("tensor slice has wrong length")
-            plane.append(tuple(Fraction(x) for x in row))
-        if len(t[i]) != dim:
-            raise DimensionMismatch("tensor slice has wrong length")
-        out.append(tuple(plane))
-    if len(t) != dim:
-        raise DimensionMismatch("tensor has wrong first dimension")
-    return tuple(out)
-
-
-def _tensor_is_zero(t):
-    return all(not x for plane in t for row in plane for x in row)
+    if len(t) != dim or any(len(p) != dim or any(len(r) != dim for r in p) for p in t):
+        raise DimensionMismatch(f"tensor is not {dim} x {dim} x {dim}")
+    return tuple(tuple(tuple(Fraction(x) for x in row) for row in plane) for plane in t)
 
 
 @dataclass(frozen=True)
 class AlgebraSpec:
-    """Immutable algebra: basis labels plus structure tensors per op."""
+    """Immutable algebra: basis labels plus a read-only mapping of
+    structure tensors per op; `den` and `rows` give the integer form."""
 
     name: str
     dim: int
@@ -116,10 +112,22 @@ class AlgebraSpec:
             if op not in STORED_OPS:
                 raise UnknownOp(f"cannot store op {op!r}")
             ft = _freeze_tensor(t, self.dim)
-            if not _tensor_is_zero(ft):
+            if any(x for plane in ft for row in plane for x in row):
                 clean[op] = ft
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "ops", clean)
+        object.__setattr__(self, "ops", MappingProxyType(clean))
+        object.__setattr__(self, "den", lcm(*(x.denominator for t in clean.values()
+                                              for plane in t for row in plane
+                                              for x in row)))
+        object.__setattr__(self, "_rows", {})
+
+    def rows(self, op):
+        """e_i op e_j scaled by den, as rows[i][j] = ((k, int), ...) over
+        its nonzero coordinates k; built on first use and kept."""
+        rows = self._rows.get(op)
+        if rows is None:
+            rows = self._rows[op] = _int_rows(self, op)
+        return rows
 
     def index(self, label):
         try:
@@ -186,41 +194,50 @@ class IdentityReport:
 # ---------------------------------------------------------------------------
 # products
 
+def _int_rows(alg, op):
+    """The rows of AlgebraSpec.rows, computed."""
+    n = range(alg.dim)
+    if op in alg.ops:
+        t = alg.ops[op]
+        return tuple(tuple(tuple((k, int(x * alg.den)) for k, x in enumerate(t[i][j]) if x)
+                           for j in n) for i in n)
+    if op not in STORED_OPS and op not in DERIVED:
+        raise UnknownOp(f"unknown op {op!r}")
+    # an absent stored op has no parts: it is zero
+    parts = [(sign, alg.rows(base), swap) for sign, base, swap in DERIVED.get(op, ())]
+    return tuple(tuple(tuple(sorted(_lincomb((sign, r[j][i] if swap else r[i][j])
+                                             for sign, r, swap in parts)))
+                       for j in n) for i in n)
+
+
+def _dense(alg, row):
+    """A sparse integer row of alg.rows divided back to exact coordinates."""
+    out = vzero(alg.dim)
+    for k, c in row:
+        out[k] = Fraction(c, alg.den)
+    return out
+
+
 def prod_basis(alg, op, i, j):
     """e_i op e_j as a coordinate vector (derived ops included)."""
-    ops = alg.ops
-    if op in ("ld", "rd", "circ", "dot"):
-        t = ops.get(op)
-        return vzero(alg.dim) if t is None else list(t[i][j])
-    if op == "ast":
-        return vadd(prod_basis(alg, "ld", i, j), prod_basis(alg, "rd", i, j))
-    if op == "star":
-        return vadd(prod_basis(alg, "rd", i, j), prod_basis(alg, "ld", j, i))
-    if op == "bracket":
-        t = ops.get("bracket")
-        if t is not None:
-            return list(t[i][j])
-        return vsub(prod_basis(alg, "circ", i, j), prod_basis(alg, "circ", j, i))
-    raise UnknownOp(f"unknown op {op!r}")
+    return _dense(alg, alg.rows(op)[i][j])
 
 
 def eval_product(alg, op, x, y):
     """Bilinear extension of op to coordinate vectors."""
     if len(x) != alg.dim or len(y) != alg.dim:
         raise DimensionMismatch("operand length does not match algebra dim")
-    out = vzero(alg.dim)
+    rows = alg.rows(op)
+    out = [0] * alg.dim
     for i, xi in enumerate(x):
         if not xi:
             continue
         for j, yj in enumerate(y):
-            if not yj:
-                continue
-            p = prod_basis(alg, op, i, j)
-            c = xi * yj
-            for k in range(alg.dim):
-                if p[k]:
-                    out[k] += c * p[k]
-    return out
+            if yj:
+                c = xi * yj
+                for k, v in rows[i][j]:
+                    out[k] += c * v
+    return [Fraction(v, alg.den) for v in out]
 
 
 def novikov_star(alg):
@@ -232,12 +249,13 @@ def novikov_star(alg):
 
 def op_tensor(alg, op):
     """Dense tensor of any op (derived ones materialized)."""
-    return [[prod_basis(alg, op, i, j) for j in range(alg.dim)] for i in range(alg.dim)]
+    return [[_dense(alg, row) for row in plane] for plane in alg.rows(op)]
 
 
 def products_span(alg, op):
     """Do the products e_i op e_j span the whole space?"""
-    return rank([v for row in op_tensor(alg, op) for v in row], alg.dim) == alg.dim
+    return rank([dict(row) for plane in alg.rows(op) for row in plane],
+                alg.dim) == alg.dim
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +381,7 @@ def _lincomb(pairs):
     acc = {}
     for c, vec in pairs:
         for k, x in vec:
-            acc[k] = acc.get(k, ZERO) + c * x
+            acc[k] = acc.get(k, 0) + c * x
     return tuple((k, x) for k, x in acc.items() if x)
 
 
@@ -376,23 +394,27 @@ def _shape(tree):
             sum((letters for _, letters in parts), ()))
 
 
+def _products(shape):
+    """How many op nodes, aux excluded, a shape nests."""
+    return 0 if shape is None else (shape[0] != "aux") + sum(map(_products, shape[1:]))
+
+
 def _residuals(alg, laws, aux, leaves, domain):
     """Yield (label, idx, residual) per law and per index tuple of
     domain(arity); idx picks the law's arguments a, b, c from leaves.
 
-    Every op tensor is materialized once (sparse), and every distinct nested
-    product is tabulated once over all tuples of leaves; a term is then a
-    signed lookup under the permutation its letters spell.
+    Every distinct nested product is tabulated once over all tuples of
+    leaves, from the integer rows (scaled by alg.den per op node); a term is
+    then a signed lookup under the permutation its letters spell, and a
+    nonzero residual is divided back once.
     """
     tensors = {} if aux is None else {"aux": [_sparse(col) for col in zip(*aux.matrix)]}
     tables = {None: {(x,): _sparse(v) for x, v in enumerate(leaves)}}
 
     def op_table(op):
         if op not in tensors:
-            t = op_tensor(alg, {"nov": novikov_star(alg), "s1": "ld"}.get(op, op))
-            if op == "s1":
-                t = list(zip(*t))
-            tensors[op] = [[_sparse(v) for v in row] for row in t]
+            t = alg.rows({"nov": novikov_star(alg), "s1": "ld"}.get(op, op))
+            tensors[op] = list(zip(*t)) if op == "s1" else t
         return tensors[op]
 
     def table(shape):
@@ -412,14 +434,16 @@ def _residuals(alg, laws, aux, leaves, domain):
               for label, terms in laws]
     last_use = {shape: n for n, (_, law) in enumerate(shaped) for _, shape, _ in law}
     for n, (label, law) in enumerate(shaped):
-        terms = [(coef, table(shape), itemgetter(*letters))
+        top = max(_products(shape) for _, shape, _ in law)
+        terms = [(coef * alg.den ** (top - _products(shape)), table(shape), itemgetter(*letters))
                  for coef, shape, letters in law]
+        zero, scale = (ZERO,) * alg.dim, alg.den ** top
         for idx in domain(len(law[0][2])):
-            acc = [ZERO] * alg.dim
+            acc = [0] * alg.dim
             for coef, tab, pick in terms:
                 for k, x in tab[pick(idx)]:
                     acc[k] += coef * x
-            yield label, tuple(idx), tuple(acc)
+            yield label, tuple(idx), tuple(Fraction(x, scale) for x in acc) if any(acc) else zero
         # drop what no later law reads, which bounds the peak memory
         for shape, last in last_use.items():
             if last == n:
@@ -452,7 +476,7 @@ def check_identity(alg, identity_id, aux=None, triples=None, pairs=None):
         given = pairs if arity == 2 else triples
         return given if given is not None else itertools.product(range(dim), repeat=arity)
 
-    units = [unit(dim, i) for i in range(dim)]
+    units = [[int(i == k) for k in range(dim)] for i in range(dim)]
     violations = tuple(v for v in _residuals(alg, laws, aux, units, domain) if any(v[2]))
     return IdentityReport(key, not violations, violations)
 
@@ -481,47 +505,34 @@ def require_identity(alg, identity_id, aux=None, triples=None, pairs=None):
 # ---------------------------------------------------------------------------
 # representations
 
-def _mat(alg, fill):
-    return [[fill(k, j) for j in range(alg.dim)] for k in range(alg.dim)]
+def mult_columns(alg, op, i, side):
+    """The columns of v -> e_i op v (side "l") or v -> v op e_i (side "r"),
+    as the sparse integer rows of alg.rows (scaled by alg.den)."""
+    rows = alg.rows(op)
+    return rows[i] if side == "l" else tuple(r[i] for r in rows)
 
 
-def left_mult_matrix(alg, op, a):
-    """Matrix of v -> e_a op v."""
-    t = op_tensor(alg, op)
-    return _mat(alg, lambda k, j: t[a][j][k])
-
-
-def right_mult_matrix(alg, op, a):
-    """Matrix of v -> v op e_a."""
-    t = op_tensor(alg, op)
-    return _mat(alg, lambda k, j: t[j][a][k])
+def _regular(alg, op, side):
+    """For every a, the exact matrix of the multiplication by e_a (see mult_columns)."""
+    return tuple(tuple(zip(*(_dense(alg, c) for c in mult_columns(alg, op, a, side))))
+                 for a in range(alg.dim))
 
 
 def regular_novikov_representation(alg):
-    l = tuple(left_mult_matrix(alg, "rd", a) for a in range(alg.dim))
-    r = tuple(right_mult_matrix(alg, "ld", a) for a in range(alg.dim))
-    return RepresentationSpec(alg.dim, {"l": l, "r": r})
+    return RepresentationSpec(alg.dim, {"l": _regular(alg, "rd", "l"),
+                                        "r": _regular(alg, "ld", "r")})
 
 
 def regular_gd_representation(alg):
     base = regular_novikov_representation(alg)
-    rho = tuple(left_mult_matrix(alg, "circ", a) for a in range(alg.dim))
-    return RepresentationSpec(alg.dim, {**base.maps, "rho": rho})
+    return RepresentationSpec(alg.dim, {**base.maps, "rho": _regular(alg, "circ", "l")})
 
 
 def _map_of(rep, key, vec):
-    n = rep.module_dim
-    out = [[ZERO] * n for _ in range(n)]
-    for a, c in enumerate(vec):
-        if not c:
-            continue
-        m = rep.maps[key][a]
-        for i in range(n):
-            row = m[i]
-            for j in range(n):
-                if row[j]:
-                    out[i][j] += c * row[j]
-    return out
+    """sum_a vec[a] * (the matrix of map `key` at e_a)."""
+    n = range(rep.module_dim)
+    return [[sum((c * m[i][j] for c, m in zip(vec, rep.maps[key]) if c), ZERO) for j in n]
+            for i in n]
 
 
 def check_representation(alg, rep, kind):
@@ -575,7 +586,8 @@ def check_representation(alg, rep, kind):
                 record("rep_lie", a, b,
                        msub(M("rho", br), msub(mat_mul(pa, pb), mat_mul(pb, pa))))
                 # rho(a)l(b) + rho(b*a) + l([b,a]) = r(a)rho(b) + l(b)rho(a)
-                lhs = madd(madd(mat_mul(pa, lb), M("rho", ba)), M("l", vsub(ba, ab)))
+                lhs = madd(madd(mat_mul(pa, lb), M("rho", ba)),
+                           M("l", eval_product(alg, "bracket", eb, ea)))
                 rhs = madd(mat_mul(ra, pb), mat_mul(lb, pa))
                 record("rep_g1", a, b, msub(lhs, rhs))
                 # rho(a)r(b) - rho(b)r(a) - r(b)rho(a) + r(a)rho(b) = r([a,b])

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .algebras import IdentityError, prod_basis, products_span, require_identity
+from .algebras import IdentityError, op_tensor, products_span, require_identity
 from .linalg import (ZERO, ONE, Subspace, identity_matrix, mat_vec, nullspace,
                      quotient_representatives, solve, vadd, vscale)
 
@@ -103,62 +103,56 @@ def family_to_coords(fam, cap, dim):
 # ---------------------------------------------------------------------------
 # the generated system
 
-def _add(acc, key, col, coeff):
-    if not coeff:
-        return
-    row = acc.setdefault(key, {})
-    row[col] = row.get(col, ZERO) + coeff
-
-
 def generate_cocycle_system(alg, beta, degree_cap):
-    """Constraint matrix of the extension identity, one row per basis
-    triple and lam^i mu^j monomial (zero rows dropped; duplicates are
-    dependent, so elimination drops them)."""
+    """Constraint rows {col: int} of the extension identity, one per basis
+    triple and lam^i mu^j monomial, scaled by alg.den * beta.denominator
+    (zero rows dropped; duplicates are dependent, and elimination drops them)."""
     require_identity(alg, "PRE_GD")
     beta = Fraction(beta)
     cap, dim = degree_cap, alg.dim
-    width = ncols(cap, dim)
+    bn, bd = beta.numerator, beta.denominator
+    ld, rd, circ, star = (alg.rows(op) for op in ("ld", "rd", "circ", "star"))
 
-    def alpha_lm(acc, uvec, cidx, sign, dl, dm):
+    def alpha_lm(acc, u, cidx, sign, dl, dm):
         # sign * lam^dl mu^dm * alpha_{lam+mu}(u, e_c)
         for i in range(cap + 1):
             for p in range(i + 1):
                 co = sign * comb(i, p)
-                for a2, cu in enumerate(uvec):
-                    if cu:
-                        _add(acc, (p + dl, i - p + dm),
-                             coord_index(cap, dim, i, a2, cidx), co * cu)
+                row = acc.setdefault((p + dl, i - p + dm), {})
+                for a2, cu in u:
+                    col = coord_index(cap, dim, i, a2, cidx)
+                    row[col] = row.get(col, 0) + co * cu
 
-    def alpha_one(acc, fidx, vvec, sign, dl, dm, var):
+    def alpha_one(acc, fidx, v, sign, dl, dm, var):
         # sign * lam^dl mu^dm * alpha_v(e_f, v), v = lam (var 0) or mu (var 1)
         for i in range(cap + 1):
-            key = (i + dl, dm) if var == 0 else (dl, i + dm)
-            for b2, cv in enumerate(vvec):
-                if cv:
-                    _add(acc, key, coord_index(cap, dim, i, fidx, b2), sign * cv)
+            row = acc.setdefault((i + dl, dm) if var == 0 else (dl, i + dm), {})
+            for b2, cv in v:
+                col = coord_index(cap, dim, i, fidx, b2)
+                row[col] = row.get(col, 0) + sign * cv
 
     rows = []
     for a, b, c in itertools.product(range(dim), repeat=3):
         acc = {}
-        alpha_lm(acc, prod_basis(alg, "ld", b, a), c, -ONE, 0, 1)
-        alpha_lm(acc, prod_basis(alg, "rd", a, b), c, ONE, 1, 0)
-        alpha_lm(acc, prod_basis(alg, "circ", a, b), c, ONE, 0, 0)
-        alpha_one(acc, a, prod_basis(alg, "ld", c, b), -ONE, 1, 0, 0)
-        alpha_one(acc, a, prod_basis(alg, "ld", c, b), -beta, 0, 0, 0)
-        alpha_one(acc, a, prod_basis(alg, "star", b, c), -ONE, 0, 1, 0)
-        alpha_one(acc, a, prod_basis(alg, "circ", b, c), -ONE, 0, 0, 0)
+        alpha_lm(acc, ld[b][a], c, -bd, 0, 1)
+        alpha_lm(acc, rd[a][b], c, bd, 1, 0)
+        alpha_lm(acc, circ[a][b], c, bd, 0, 0)
+        alpha_one(acc, a, ld[c][b], -bd, 1, 0, 0)
+        alpha_one(acc, a, ld[c][b], -bn, 0, 0, 0)
+        alpha_one(acc, a, star[b][c], -bd, 0, 1, 0)
+        alpha_one(acc, a, circ[b][c], -bd, 0, 0, 0)
         # minus the swapped side
-        alpha_lm(acc, prod_basis(alg, "ld", a, b), c, ONE, 1, 0)
-        alpha_lm(acc, prod_basis(alg, "rd", b, a), c, -ONE, 0, 1)
-        alpha_lm(acc, prod_basis(alg, "circ", b, a), c, -ONE, 0, 0)
-        alpha_one(acc, b, prod_basis(alg, "ld", c, a), ONE, 0, 1, 1)
-        alpha_one(acc, b, prod_basis(alg, "ld", c, a), beta, 0, 0, 1)
-        alpha_one(acc, b, prod_basis(alg, "star", a, c), ONE, 1, 0, 1)
-        alpha_one(acc, b, prod_basis(alg, "circ", a, c), ONE, 0, 0, 1)
+        alpha_lm(acc, ld[a][b], c, bd, 1, 0)
+        alpha_lm(acc, rd[b][a], c, -bd, 0, 1)
+        alpha_lm(acc, circ[b][a], c, -bd, 0, 0)
+        alpha_one(acc, b, ld[c][a], bd, 0, 1, 1)
+        alpha_one(acc, b, ld[c][a], bn, 0, 0, 1)
+        alpha_one(acc, b, star[a][c], bd, 1, 0, 1)
+        alpha_one(acc, b, circ[a][c], bd, 0, 0, 1)
         for key in sorted(acc):
-            form = acc[key]
-            if any(form.values()):
-                rows.append([form.get(col, ZERO) for col in range(width)])
+            row = {col: x for col, x in acc[key].items() if x}
+            if row:
+                rows.append(row)
     return rows
 
 
@@ -171,10 +165,10 @@ def coboundary_space(alg, beta, degree_cap):
     alpha_1, so phi ranges over the functionals with phi(a star b) = 0."""
     beta = Fraction(beta)
     cap, dim = degree_cap, alg.dim
+    ld, circ, star = (op_tensor(alg, op) for op in ("ld", "circ", "star"))
     pairs = list(itertools.product(range(dim), repeat=2))
-    alpha0 = [vadd(vscale(beta, prod_basis(alg, "ld", b, a)),
-                   prod_basis(alg, "circ", a, b)) for a, b in pairs]
-    alpha1 = [prod_basis(alg, "star", a, b) for a, b in pairs]
+    alpha0 = [vadd(vscale(beta, ld[b][a]), circ[a][b]) for a, b in pairs]
+    alpha1 = [star[a][b] for a, b in pairs]
     phis = identity_matrix(dim) if cap else nullspace(alpha1, dim).basis
     gens = []
     for phi in phis:
@@ -236,10 +230,10 @@ def find_right_unit(alg):
     dim = alg.dim
     rows, rhs = [], []
     for op in ("ast", "ld"):
+        prods = op_tensor(alg, op)
         for a in range(dim):
-            prods = [prod_basis(alg, op, a, j) for j in range(dim)]
             for k in range(dim):
-                rows.append([prods[j][k] for j in range(dim)])
+                rows.append([prods[a][j][k] for j in range(dim)])
                 rhs.append(ONE if k == a else ZERO)
     return solve(rows, rhs)
 

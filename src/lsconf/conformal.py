@@ -31,7 +31,7 @@ import itertools
 from fractions import Fraction
 from math import comb, prod
 
-from .algebras import (AlgebraSpec, IdentityReport, IdentityError, prod_basis,
+from .algebras import (AlgebraSpec, IdentityReport, IdentityError,
                        require_identity, tensor)
 from .linalg import ZERO, ONE
 
@@ -165,17 +165,13 @@ def _alpha(cocycle, i, a, b):
 def _base_product(alg, i, j, cocycle, beta):
     """lam-coefficients of e_i _lam e_j as {lam-degree: ModuleElement}."""
     out = {}
-    deg0 = {}
-    for k, v in enumerate(prod_basis(alg, "ld", j, i)):
-        if v:
-            deg0[(1, k)] = v
-    for k, v in enumerate(prod_basis(alg, "circ", i, j)):
-        if v:
-            deg0[(0, k)] = deg0.get((0, k), ZERO) + v
+    den = alg.den
+    deg0 = {(1, k): Fraction(v, den) for k, v in alg.rows("ld")[j][i]}
+    deg0.update({(0, k): Fraction(v, den) for k, v in alg.rows("circ")[i][j]})
     e0 = ModuleElement(deg0, _alpha(cocycle, 0, i, j))
     if not e0.is_zero():
         out[0] = e0
-    e1 = ModuleElement({(0, k): v for k, v in enumerate(prod_basis(alg, "star", i, j)) if v},
+    e1 = ModuleElement({(0, k): Fraction(v, den) for k, v in alg.rows("star")[i][j]},
                        _alpha(cocycle, 1, i, j))
     if not e1.is_zero():
         out[1] = e1
@@ -357,21 +353,22 @@ def coeff_product(alg, x, y, cocycle=None):
 
     def place(vec, exp, scale):
         target = terms if abs(exp) <= window else escapes
-        for k, v in enumerate(vec):
+        for k, v in vec:
             if v:
                 key = (k, exp)
                 target[key] = target.get(key, ZERO) + scale * v
 
+    ld, rd, circ = alg.rows("ld"), alg.rows("rd"), alg.rows("circ")
     for (i, m), cx in x.terms.items():
         for (j, n), cy in y.terms.items():
             s = cx * cy
-            drop = [m * r - n * l for r, l in
-                    zip(prod_basis(alg, "rd", i, j), prod_basis(alg, "ld", j, i))]
-            if any(drop):
-                place(drop, m + n - 1, s)
-            keep = prod_basis(alg, "circ", i, j)
-            if any(keep):
-                place(keep, m + n, s)
+            # the integer rows are scaled by alg.den; dividing s back is exact
+            scaled = s / alg.den
+            drop = {k: m * r for k, r in rd[i][j]}
+            for k, l in ld[j][i]:
+                drop[k] = drop.get(k, 0) - n * l
+            place(sorted(drop.items()), m + n - 1, scaled)
+            place(circ[i][j], m + n, scaled)
             central += s * _eta(cocycle, i, j, m, n)
     return WindowedElement(window, terms, central, escapes)
 

@@ -14,15 +14,12 @@ inside I for every listed op.  Simplicity certification is layered:
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebras import (AlgebraSpec, check_identity, eval_product, prod_basis,
-                       products_span)
-from .linalg import (ZERO, Subspace, identity_matrix, mat_mul, nullspace,
-                     rank, unit)
+from .algebras import AlgebraSpec, check_identity, mult_columns, products_span
+from .linalg import ZERO, Subspace, int_row, nullspace, rank, unit
 
 
 class TrivialAlgebra(Exception):
@@ -54,62 +51,57 @@ class SimplicityCertificate:
     details: tuple = ()
 
 
+def multiplication_operators(alg, ops=PRE_GD_OPS):
+    """Left and right multiplication by every basis element, per op, each
+    as its columns, scaled by alg.den (see mult_columns); scaling changes
+    no span."""
+    return [mult_columns(alg, op, i, side)
+            for op in sorted(set(ops)) for i in range(alg.dim) for side in "lr"]
+
+
+def _apply(cols, x):
+    """The operator with these columns at the sparse vector x, sparse."""
+    out = {}
+    for j, xj in x.items():
+        for k, c in cols[j]:
+            out[k] = out.get(k, 0) + xj * c
+    return out
+
+
 def ideal_closure(alg, seed, ops=PRE_GD_OPS):
     """Least subspace containing seed with x op v, v op x inside, for
     every basis v and listed op."""
     dim = alg.dim
-    ops = tuple(sorted(set(ops)))
+    gens = multiplication_operators(alg, ops)
     closure = seed.copy() if isinstance(seed, Subspace) else Subspace(dim, seed)
-    todo = list(closure.basis)
-    while todo:
+    todo = [int_row(b) for b in closure.basis]
+    while todo and not closure.is_full():
         x = todo.pop()
-        for i in range(dim):
-            e = unit(dim, i)
-            for op in ops:
-                for v in (eval_product(alg, op, e, x), eval_product(alg, op, x, e)):
-                    if closure.add(v):
-                        todo.append(v)
+        for g in gens:
+            v = _apply(g, x)
+            if closure.add(v):
+                todo.append(v)
     return IdealReport(closure=closure, is_proper=0 < closure.dim < dim)
-
-
-def _mult_matrix(alg, op, x, side):
-    """Matrix of v -> x op v (side 'l') or v -> v op x (side 'r')."""
-    dim = alg.dim
-    cols = []
-    for j in range(dim):
-        e = unit(dim, j)
-        cols.append(eval_product(alg, op, x, e) if side == "l"
-                    else eval_product(alg, op, e, x))
-    return [[cols[j][k] for j in range(dim)] for k in range(dim)]
-
-
-def multiplication_operators(alg, ops=PRE_GD_OPS):
-    """Left and right multiplication by every basis element, per op."""
-    out = []
-    for op in sorted(set(ops)):
-        for i in range(alg.dim):
-            e = unit(alg.dim, i)
-            out.append(_mult_matrix(alg, op, e, "l"))
-            out.append(_mult_matrix(alg, op, e, "r"))
-    return out
 
 
 def associative_envelope(alg, ops=PRE_GD_OPS):
     """Span of all words in the multiplication operators (with identity),
-    as a subspace of flattened dim x dim matrices."""
+    as a subspace of flattened dim x dim matrices; a word is kept as its
+    sparse columns."""
     dim = alg.dim
     gens = multiplication_operators(alg, ops)
 
     def flat(m):
-        return [x for row in m for x in row]
+        return {k * dim + j: x for j, col in enumerate(m) for k, x in col.items()}
 
-    span = Subspace(dim * dim, [flat(identity_matrix(dim))])
-    frontier = [identity_matrix(dim)]
+    one = [{j: 1} for j in range(dim)]
+    span = Subspace(dim * dim, [flat(one)])
+    frontier = [one]
     while frontier:
         fresh = []
         for m in frontier:
             for g in gens:
-                gm = mat_mul(g, m)
+                gm = [_apply(g, col) for col in m]
                 if span.add(flat(gm)):
                     if span.is_full():
                         return span
@@ -163,22 +155,18 @@ def find_proper_ideal(alg, ops=PRE_GD_OPS, trials=20, rng_seed=0):
 
 
 def _verify_ideal(alg, sub, ops):
-    dim = alg.dim
-    for x in sub.basis:
-        for i in range(dim):
-            e = unit(dim, i)
-            for op in sorted(set(ops)):
-                if not sub.contains(eval_product(alg, op, e, x)):
-                    raise IdealVerificationError("claimed ideal is not left-stable")
-                if not sub.contains(eval_product(alg, op, x, e)):
-                    raise IdealVerificationError("claimed ideal is not right-stable")
-    if not 0 < sub.dim < dim:
+    gens = multiplication_operators(alg, ops)
+    for x in map(int_row, sub.basis):
+        for n, g in enumerate(gens):
+            if not sub.contains(_apply(g, x)):
+                side = "right" if n % 2 else "left"
+                raise IdealVerificationError(f"claimed ideal is not {side}-stable")
+    if not 0 < sub.dim < alg.dim:
         raise IdealVerificationError("claimed ideal is not proper")
 
 
 def _all_products_zero(alg, ops):
-    return all(not any(prod_basis(alg, op, i, j))
-               for op in ops for i in range(alg.dim) for j in range(alg.dim))
+    return not any(row for op in ops for plane in alg.rows(op) for row in plane)
 
 
 def _simple_on_ops(alg, ops, trials, rng_seed):
@@ -217,9 +205,13 @@ def _regular_element(alg, trials, rng):
     dim = alg.dim
     candidates = [unit(dim, i) for i in range(dim)]
     candidates += [_random_vector(rng, dim) for _ in range(trials)]
+    gens = multiplication_operators(alg, ("ld",))
     for a in candidates:
-        stacked = _mult_matrix(alg, "ld", a, "l") + _mult_matrix(alg, "ld", a, "r")
-        if rank(stacked, dim) == dim:
+        x = int_row(a)
+        # row j: column j of L_a stacked on R_a, i.e. (a ld e_j, e_j ld a)
+        stacked = [{**_apply(right, x), **{dim + k: c for k, c in _apply(left, x).items()}}
+                   for left, right in zip(gens[::2], gens[1::2])]
+        if rank(stacked, 2 * dim) == dim:
             return a
     return None
 
@@ -278,5 +270,4 @@ def certify_conformal_simplicity(alg, trials=20, rng_seed=0):
 def check_star_nonzero(alg):
     """Some basis pair has a rd b != -(b ld a), i.e. a nonzero star
     product; holds for every simple pre-Novikov algebra."""
-    return any(any(prod_basis(alg, "star", i, j))
-               for i, j in itertools.product(range(alg.dim), repeat=2))
+    return any(row for plane in alg.rows("star") for row in plane)

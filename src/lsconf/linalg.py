@@ -1,14 +1,14 @@
 """Exact linear algebra over the rationals.
 
 Everything downstream reduces to ranks, nullspaces and membership tests of
-matrices with Fraction entries.  A matrix is a plain list of rows (lists of
-Fractions).  All elimination happens in Subspace.add, a streaming
-fraction-free echelon (Bareiss 1968 style) of sparse integer rows: each
-arriving vector is reduced against the stored pivots by cross
-multiplication and re-reduced by the gcd after every combination, so
-entries stay small without leaving exact arithmetic; a dependent vector
-(a duplicate, say) is dropped on arrival.  rref, rank, nullspace and solve
-read one Subspace build.
+matrices with Fraction entries.  A row is a dense list of Fractions or ints,
+or a sparse row {col: x} of either.  All elimination
+happens in Subspace.add, a streaming fraction-free echelon (Bareiss 1968
+style) of sparse integer rows: each arriving vector is reduced against the
+stored pivots by cross multiplication and re-reduced by the gcd after every
+combination, so entries stay small without leaving exact arithmetic; a
+dependent vector (a duplicate, say) is dropped on arrival.  rref, rank,
+nullspace, solve and Subspace.contains read the same echelon.
 """
 
 from __future__ import annotations
@@ -82,9 +82,10 @@ def _primitive(row):
     return {c: x // g for c, x in row.items()} if g > 1 else row
 
 
-def _sparse(v):
-    """v (ints or Fractions) as a gcd-primitive sparse integer row."""
-    nz = {j: x for j, x in enumerate(v) if x}
+def int_row(v):
+    """v, dense or sparse {col: x} (columns trusted to be in range), with
+    ints or Fractions, as a gcd-primitive sparse integer row."""
+    nz = {j: x for j, x in (v.items() if isinstance(v, dict) else enumerate(v)) if x}
     den = lcm(*(x.denominator for x in nz.values()))
     return _primitive({j: x.numerator * (den // x.denominator) for j, x in nz.items()})
 
@@ -105,7 +106,8 @@ def _clear(t, r, p):
 
 
 def rref(rows, ncols):
-    """Reduced row echelon form of `rows` (each of length `ncols`).
+    """Reduced row echelon form of `rows` (each of length `ncols`, or a
+    sparse row {col: x}).
 
     Returns (rref_rows, pivot_cols): rows with leading entry 1, zeros above
     and below every pivot, ordered by pivot column.
@@ -125,10 +127,8 @@ def nullspace(rows, ncols):
     free = [c for c in range(ncols) if c not in pivset]
     basis = []
     for f in free:
-        v = [ZERO] * ncols
-        v[f] = ONE
-        for row, pc in zip(red, pivots):
-            v[pc] = -row[f]
+        v = {f: ONE}
+        v.update((pc, -row[f]) for row, pc in zip(red, pivots) if row[f])
         basis.append(v)
     return Subspace(ncols, basis)
 
@@ -166,17 +166,23 @@ class Subspace:
         for v in vectors:
             self.add(v)
 
-    def add(self, v):
-        """Put v into the span; True iff it was not already there."""
-        if len(v) != self.ambient_dim:
-            raise DimensionMismatch(
-                f"vector of length {len(v)} in ambient dimension {self.ambient_dim}")
-        rows = self._rows
-        t = _sparse(v)
+    def _residual(self, v):
+        """v (dense or sparse) as a primitive integer row
+        with every stored pivot eliminated; empty iff v is in the span."""
+        n = self.ambient_dim
+        if not isinstance(v, dict) and len(v) != n:
+            raise DimensionMismatch(f"vector of length {len(v)} in ambient dimension {n}")
+        t, rows = int_row(v), self._rows
         for p in [c for c in t if c in rows]:
             t = _clear(t, rows[p], p)
+        return t
+
+    def add(self, v):
+        """Put v into the span; True iff it was not already there."""
+        t = self._residual(v)
         if not t:
             return False
+        rows = self._rows
         p = min(t)
         if t[p] < 0:
             t = {c: -x for c, x in t.items()}
@@ -227,7 +233,7 @@ class Subspace:
         return w
 
     def contains(self, v):
-        return not any(self.reduce(v))
+        return not self._residual(v)
 
     def coordinates(self, v):
         """Coefficients of v on the stored basis, or None if v is outside."""

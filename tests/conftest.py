@@ -87,14 +87,18 @@ def construction_pre_gd_family():
     return out
 
 
-@pytest.fixture(scope="session")
-def pre_gd_zoo():
+def pre_gd_zoo_specs():
     """Known-good pre-GD specs: worked examples plus construction outputs."""
     zoo = [build_rank_one(0), build_rank_one(1), build_rank_one(Fraction(-2)),
            two_dim_lw(), rank_two(1, 1), rank_two(0, 0),
            unital_one_dim(), unital_two_dim()]
     zoo.extend(construction_pre_gd_family())
     return zoo
+
+
+@pytest.fixture(scope="session")
+def pre_gd_zoo():
+    return pre_gd_zoo_specs()
 
 
 @pytest.fixture

@@ -4,6 +4,11 @@
   before its sparse echelon, with `reduce_against` and
   `quotient_representatives` rebuilding the echelon after every insertion
   as the library once did.
+* `prod_basis`/`eval_product`, `ideal_closure`, `associative_envelope`
+  and `generate_cocycle_system` are the Fraction kernels the library used
+  before its memoised integer structure rows: every product is read off
+  the stored tensors one basis pair at a time, and the cocycle system is
+  emitted as dense Fraction rows.
 * `hardcoded_cocycle_system` holds the explicitly listed cap-3 equation
   systems (general, pre-Novikov, pre-Novikov at beta = 0, LS-Poisson),
   written out by hand as a cross-check of the mechanical expansion in
@@ -12,12 +17,14 @@
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
-from lsconf.algebras import (AlgebraSpec, check_identity, prod_basis,
+from lsconf.algebras import (AlgebraSpec, UnknownOp, check_identity,
                              products_span, require_identity, tensor)
 from lsconf.cohomology import coord_index, ncols
-from lsconf.linalg import ONE, ZERO, DimensionMismatch, unit
+from lsconf.ideals import PRE_GD_OPS, IdealReport
+from lsconf.linalg import (ONE, ZERO, DimensionMismatch, Subspace,
+                           identity_matrix, mat_mul, unit, vadd, vsub, vzero)
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +120,169 @@ def quotient_representatives(big_rows, small_rows, ncols):
             reps.append(r)
             seen, seen_piv = rref(seen + [r], ncols)
     return reps
+
+
+# ---------------------------------------------------------------------------
+# Fraction kernels, one product at a time
+
+def prod_basis(alg, op, i, j):
+    """e_i op e_j as a coordinate vector (derived ops included)."""
+    ops = alg.ops
+    if op in ("ld", "rd", "circ", "dot"):
+        t = ops.get(op)
+        return vzero(alg.dim) if t is None else list(t[i][j])
+    if op == "ast":
+        return vadd(prod_basis(alg, "ld", i, j), prod_basis(alg, "rd", i, j))
+    if op == "star":
+        return vadd(prod_basis(alg, "rd", i, j), prod_basis(alg, "ld", j, i))
+    if op == "bracket":
+        t = ops.get("bracket")
+        if t is not None:
+            return list(t[i][j])
+        return vsub(prod_basis(alg, "circ", i, j), prod_basis(alg, "circ", j, i))
+    raise UnknownOp(f"unknown op {op!r}")
+
+
+def eval_product(alg, op, x, y):
+    """Bilinear extension of op to coordinate vectors."""
+    if len(x) != alg.dim or len(y) != alg.dim:
+        raise DimensionMismatch("operand length does not match algebra dim")
+    out = vzero(alg.dim)
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        for j, yj in enumerate(y):
+            if not yj:
+                continue
+            p = prod_basis(alg, op, i, j)
+            c = xi * yj
+            for k in range(alg.dim):
+                if p[k]:
+                    out[k] += c * p[k]
+    return out
+
+
+def ideal_closure(alg, seed, ops=PRE_GD_OPS):
+    """Least subspace containing seed with x op v, v op x inside, for
+    every basis v and listed op."""
+    dim = alg.dim
+    ops = tuple(sorted(set(ops)))
+    closure = seed.copy() if isinstance(seed, Subspace) else Subspace(dim, seed)
+    todo = list(closure.basis)
+    while todo:
+        x = todo.pop()
+        for i in range(dim):
+            e = unit(dim, i)
+            for op in ops:
+                for v in (eval_product(alg, op, e, x), eval_product(alg, op, x, e)):
+                    if closure.add(v):
+                        todo.append(v)
+    return IdealReport(closure=closure, is_proper=0 < closure.dim < dim)
+
+
+def _mult_matrix(alg, op, x, side):
+    """Matrix of v -> x op v (side 'l') or v -> v op x (side 'r')."""
+    dim = alg.dim
+    cols = []
+    for j in range(dim):
+        e = unit(dim, j)
+        cols.append(eval_product(alg, op, x, e) if side == "l"
+                    else eval_product(alg, op, e, x))
+    return [[cols[j][k] for j in range(dim)] for k in range(dim)]
+
+
+def multiplication_operators(alg, ops=PRE_GD_OPS):
+    """Left and right multiplication by every basis element, per op."""
+    out = []
+    for op in sorted(set(ops)):
+        for i in range(alg.dim):
+            e = unit(alg.dim, i)
+            out.append(_mult_matrix(alg, op, e, "l"))
+            out.append(_mult_matrix(alg, op, e, "r"))
+    return out
+
+
+def associative_envelope(alg, ops=PRE_GD_OPS):
+    """Span of all words in the multiplication operators (with identity),
+    as a subspace of flattened dim x dim matrices."""
+    dim = alg.dim
+    gens = multiplication_operators(alg, ops)
+
+    def flat(m):
+        return [x for row in m for x in row]
+
+    span = Subspace(dim * dim, [flat(identity_matrix(dim))])
+    frontier = [identity_matrix(dim)]
+    while frontier:
+        fresh = []
+        for m in frontier:
+            for g in gens:
+                gm = mat_mul(g, m)
+                if span.add(flat(gm)):
+                    if span.is_full():
+                        return span
+                    fresh.append(gm)
+        frontier = fresh
+    return span
+
+
+def _add(acc, key, col, coeff):
+    if not coeff:
+        return
+    row = acc.setdefault(key, {})
+    row[col] = row.get(col, ZERO) + coeff
+
+
+def generate_cocycle_system(alg, beta, degree_cap):
+    """Constraint matrix of the extension identity, one row per basis
+    triple and lam^i mu^j monomial (zero rows dropped; duplicates are
+    dependent, so elimination drops them)."""
+    require_identity(alg, "PRE_GD")
+    beta = Fraction(beta)
+    cap, dim = degree_cap, alg.dim
+    width = ncols(cap, dim)
+
+    def alpha_lm(acc, uvec, cidx, sign, dl, dm):
+        # sign * lam^dl mu^dm * alpha_{lam+mu}(u, e_c)
+        for i in range(cap + 1):
+            for p in range(i + 1):
+                co = sign * comb(i, p)
+                for a2, cu in enumerate(uvec):
+                    if cu:
+                        _add(acc, (p + dl, i - p + dm),
+                             coord_index(cap, dim, i, a2, cidx), co * cu)
+
+    def alpha_one(acc, fidx, vvec, sign, dl, dm, var):
+        # sign * lam^dl mu^dm * alpha_v(e_f, v), v = lam (var 0) or mu (var 1)
+        for i in range(cap + 1):
+            key = (i + dl, dm) if var == 0 else (dl, i + dm)
+            for b2, cv in enumerate(vvec):
+                if cv:
+                    _add(acc, key, coord_index(cap, dim, i, fidx, b2), sign * cv)
+
+    rows = []
+    for a, b, c in itertools.product(range(dim), repeat=3):
+        acc = {}
+        alpha_lm(acc, prod_basis(alg, "ld", b, a), c, -ONE, 0, 1)
+        alpha_lm(acc, prod_basis(alg, "rd", a, b), c, ONE, 1, 0)
+        alpha_lm(acc, prod_basis(alg, "circ", a, b), c, ONE, 0, 0)
+        alpha_one(acc, a, prod_basis(alg, "ld", c, b), -ONE, 1, 0, 0)
+        alpha_one(acc, a, prod_basis(alg, "ld", c, b), -beta, 0, 0, 0)
+        alpha_one(acc, a, prod_basis(alg, "star", b, c), -ONE, 0, 1, 0)
+        alpha_one(acc, a, prod_basis(alg, "circ", b, c), -ONE, 0, 0, 0)
+        # minus the swapped side
+        alpha_lm(acc, prod_basis(alg, "ld", a, b), c, ONE, 1, 0)
+        alpha_lm(acc, prod_basis(alg, "rd", b, a), c, -ONE, 0, 1)
+        alpha_lm(acc, prod_basis(alg, "circ", b, a), c, -ONE, 0, 0)
+        alpha_one(acc, b, prod_basis(alg, "ld", c, a), ONE, 0, 1, 1)
+        alpha_one(acc, b, prod_basis(alg, "ld", c, a), beta, 0, 0, 1)
+        alpha_one(acc, b, prod_basis(alg, "star", a, c), ONE, 1, 0, 1)
+        alpha_one(acc, b, prod_basis(alg, "circ", a, c), ONE, 0, 0, 1)
+        for key in sorted(acc):
+            form = acc[key]
+            if any(form.values()):
+                rows.append([form.get(col, ZERO) for col in range(width)])
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ from lsconf.algebras import (AlgebraSpec, CATALOG, DimensionMismatch,
 from lsconf.conformal import build_rank_one
 from lsconf import constructions as cons
 
-from conftest import random_algebra, rank_two, two_dim_lw, unital_two_dim
+from conftest import (construction_pre_gd_family, random_algebra, rank_two,
+                      two_dim_lw, unital_two_dim)
 
 F = Fraction
 
@@ -203,6 +204,30 @@ def test_corrupted_representation_fails():
     from lsconf.algebras import RepresentationSpec
     broken = RepresentationSpec(2, {"l": rep.maps["l"], "r": bad})
     assert not check_representation(alg, broken, "novikov").passed
+
+
+def test_regular_gd_representation_passes_on_constructions():
+    # rep_g1 takes l([b, a]) with the GD bracket; the commutator of the
+    # Novikov product agrees with it only on the small worked examples
+    from lsconf.algebras import RepresentationSpec
+    for alg in construction_pre_gd_family():
+        rep = regular_gd_representation(alg)
+        assert check_representation(alg, rep, "gd").passed, alg.name
+        bad = {key: [[list(row) for row in m] for m in mats]
+               for key, mats in rep.maps.items()}
+        bad["r"][0][0][0] += 1
+        broken = RepresentationSpec(alg.dim, bad)
+        assert not check_representation(alg, broken, "gd").passed, alg.name
+
+
+def test_ops_are_read_only():
+    alg = two_dim_lw()
+    with pytest.raises(TypeError):
+        alg.ops["ld"] = tensor(2)
+    with pytest.raises(TypeError):
+        del alg.ops["rd"]
+    assert sorted(alg.ops) == ["ld", "rd"]
+    assert AlgebraSpec(alg.name, 2, alg.basis, dict(alg.ops)) == alg
 
 
 def test_check_representation_missing_maps():

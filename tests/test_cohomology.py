@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lsconf.algebras import AlgebraSpec, IdentityError, tensor
 from lsconf.cohomology import (CocycleFamily, CohomologyError, NoUnitFound,
@@ -10,11 +11,12 @@ from lsconf.cohomology import (CocycleFamily, CohomologyError, NoUnitFound,
                                find_right_unit, generate_cocycle_system, h2,
                                ncols, unital_vanishing_check)
 from lsconf.conformal import build_rank_one, check_conformal_left_symmetry
-from lsconf.linalg import nullspace
+from lsconf.linalg import Subspace, nullspace
 from lsconf import constructions as cons
 
-from conftest import (dual_numbers_ls_poisson, two_dim_lw, unital_one_dim,
-                      unital_two_dim)
+from conftest import (dual_numbers_ls_poisson, pre_gd_zoo_specs, two_dim_lw,
+                      unital_one_dim, unital_two_dim)
+import oracles
 from oracles import hardcoded_cocycle_system
 
 F = Fraction
@@ -141,3 +143,41 @@ def test_family_coordinate_roundtrip():
     assert vec[coord_index(3, 1, 1, 0, 0)] == F(-2, 3)
     with pytest.raises(ValueError):
         family_to_coords(fam, 0, 1)  # alpha_1 would be dropped
+
+
+def test_z2_basis_keeps_lambda_product_left_symmetric_on_zoo(pre_gd_zoo):
+    # the cocycle system and the conformal lambda-product are independent
+    # routes to the same extension identity
+    small = [alg for alg in pre_gd_zoo if alg.dim <= 3]
+    checked = 0
+    for alg in small:
+        for beta in (F(0), F(1, 2)):
+            for fam in h2(alg, beta, 3).cocycle_basis:
+                assert check_conformal_left_symmetry(alg, cocycle=fam, beta=beta).passed, \
+                    (alg.name, beta)
+                checked += 1
+    assert (len(small), checked) == (23, 225)
+
+
+def _scaled(alg, t):
+    """alg with every structure constant times t; every catalog identity is
+    homogeneous of degree 2, so the scaled spec is pre-GD when alg is."""
+    return AlgebraSpec(f"{alg.name}*{t}", alg.dim, alg.basis,
+                       {op: [[[t * x for x in row] for row in plane] for plane in tensor_]
+                        for op, tensor_ in alg.ops.items()})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(pre_gd_zoo_specs()),
+       st.sampled_from([F(1), F(1, 2), F(-2, 3), F(3, 2)]),
+       st.sampled_from([F(0), F(1), F(-1, 2), F(2, 3)]),
+       st.integers(0, 4))
+def test_cocycle_system_matches_fraction_oracle(alg, t, beta, cap):
+    alg = _scaled(alg, t)
+    width = ncols(cap, alg.dim)
+    got = generate_cocycle_system(alg, beta, cap)
+    want = oracles.generate_cocycle_system(alg, beta, cap)
+    assert Subspace(width, got) == Subspace(width, want)
+    # row by row: the same rows, scaled by alg.den * beta.denominator
+    scale = alg.den * beta.denominator
+    assert [[F(row.get(col, 0), scale) for col in range(width)] for row in got] == want

@@ -1,7 +1,9 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from lsconf.algebras import AlgebraSpec, eval_product, tensor
 from lsconf.conformal import build_rank_one
@@ -14,6 +16,7 @@ from lsconf.linalg import Subspace, unit
 from lsconf import constructions as cons
 
 from conftest import random_algebra, rank_two, two_dim_lw, unital_one_dim
+import oracles
 
 F = Fraction
 
@@ -126,3 +129,83 @@ def test_star_detector():
                          {"ld": tensor(2, {(0, 0, 1): 1}),
                           "rd": tensor(2, {(0, 0, 1): -1})})
     assert not check_star_nonzero(killed)
+
+
+# --- integer kernels against the Fraction oracles ----------------------------
+
+# nonzero structure constants with denominators 2 and 3
+ENTRIES = (F(1), F(-1), F(2), F(1, 2), F(-3, 2), F(1, 3), F(-2, 3), F(5, 6))
+OP_SETS = st.sampled_from([("ld", "rd", "circ"), ("ld", "rd"), ("ld", "circ"),
+                           ("rd",), ("circ",)])
+
+
+@st.composite
+def algebras_with_ideal(draw, max_dim=4):
+    """A random algebra, from sparse to dense, in which I = span(e_k, ...)
+    is an ideal for a drawn 0 < k < dim, rewritten in the basis
+    f_a = e_a + sum_{i<a} n_ai e_i so that I is not a coordinate subspace.
+    Returns it with the new coordinates of e_k, ..., a basis of I."""
+    rng = draw(st.randoms(use_true_random=False))
+    dim = draw(st.integers(2, max_dim))
+    k = draw(st.integers(1, dim - 1))
+    density = draw(st.sampled_from([0.1, 0.2, 0.35, 0.6]))
+    n = range(dim)
+    cells = [(i, j, m) for i, j, m in itertools.product(n, repeat=3)
+             if m >= k or (i < k and j < k)]
+    low = [[rng.choice((0, 1, -1, F(1, 2))) if i < a else 0 for i in n] for a in n]
+    p = [[int(a == i) + low[a][i] for i in n] for a in n]
+    # q = p^-1 = sum_t (-low)^t, low being nilpotent
+    q = power = [[F(int(a == i)) for i in n] for a in n]
+    for _ in range(dim):
+        power = [[-sum(power[a][t] * low[t][i] for t in n) for i in n] for a in n]
+        q = [[q[a][i] + power[a][i] for i in n] for a in n]
+    ops = {}
+    for op in ("ld", "rd", "circ"):
+        c = tensor(dim, {cell: rng.choice(ENTRIES) for cell in cells if rng.random() < density})
+        # f_a op f_b = sum p_ai p_bj c_ij^t e_t with e_t = sum_m q_tm f_m
+        c = [[[sum(c[i][j][t] * q[t][m] for t in n) for m in n] for j in n] for i in n]
+        c = [[[sum(p[b][j] * c[i][j][m] for j in n) for m in n] for b in n] for i in n]
+        ops[op] = [[[sum(p[a][i] * c[i][b][m] for i in n) for m in n] for b in n] for a in n]
+    return AlgebraSpec(f"h({dim})", dim, tuple(f"f{i}" for i in n), ops), q[k:]
+
+
+def fraction_algebras():
+    return algebras_with_ideal().map(lambda pair: pair[0])
+
+
+@st.composite
+def algebras_with_seed(draw):
+    """An algebra and a seed: a unit vector, a random Fraction vector, or a
+    random element of the built-in ideal."""
+    alg, ideal = draw(algebras_with_ideal())
+    dim = alg.dim
+    coeffs = draw(st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=6),
+                           min_size=dim, max_size=dim))
+    kind = draw(st.sampled_from(["unit", "random", "ideal", "ideal"]))
+    if kind == "unit":
+        return alg, unit(dim, draw(st.integers(0, dim - 1)))
+    if kind == "random":
+        return alg, coeffs
+    return alg, [sum(c * v[m] for c, v in zip(coeffs, ideal)) for m in range(dim)]
+
+
+# e_i ld e_i = 2 e_{i+1}: the closure of e_0 grows by one vector per round
+CHAIN = AlgebraSpec("chain", 4, ("e0", "e1", "e2", "e3"),
+                    {"ld": tensor(4, {(i, i, i + 1): 2 for i in range(3)})})
+
+
+@settings(max_examples=100, deadline=None)
+@given(algebras_with_seed(), OP_SETS)
+@example((CHAIN, unit(4, 0)), ("ld",))
+def test_ideal_closure_matches_fraction_oracle(case, ops):
+    alg, seed = case
+    got = ideal_closure(alg, [seed], ops)
+    want = oracles.ideal_closure(alg, [seed], ops)
+    assert got.closure == want.closure
+    assert got.is_proper == want.is_proper
+
+
+@settings(max_examples=60, deadline=None)
+@given(fraction_algebras(), OP_SETS)
+def test_associative_envelope_matches_fraction_oracle(alg, ops):
+    assert associative_envelope(alg, ops) == oracles.associative_envelope(alg, ops)
