@@ -21,7 +21,7 @@ from .constructions import (comm_assoc_derivation_to_novikov_poisson,
                             ls_poisson_to_pre_gd, pre_novikov_to_pre_gd,
                             truncated_binomial_zinbiel, zinbiel_to_pre_gd,
                             zinbiel_to_pre_novikov)
-from .files import (FileFormatError, dump_json, file_sha256, load_algebra,
+from .files import (FileFormatError, _write_json, dump_json, file_sha256, load_algebra,
                     load_cocycle, load_matrix, save_algebra, cocycle_to_json)
 from .ideals import IdealVerificationError, TrivialAlgebra, certify_conformal_simplicity
 from .linalg import LinalgError
@@ -218,9 +218,8 @@ def cmd_construct(args):
         return FAIL
     save_algebra(alg, args.output)
     if D is not None and args.derivation_out:
-        with open(args.derivation_out, "w", encoding="utf-8") as fh:
-            fh.write(dump_json(
-                {"matrix": [[str(x) for x in row] for row in D.matrix]}))
+        _write_json({"matrix": [[str(x) for x in row] for row in D.matrix]},
+                    args.derivation_out)
     doc = {"command": "construct", "kind": args.kind, "output": args.output,
            "output_sha256": file_sha256(args.output),
            "name": alg.name, "dim": alg.dim}

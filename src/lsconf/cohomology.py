@@ -62,14 +62,6 @@ class CocycleFamily:
     def dim(self):
         return len(self.forms[0])
 
-    def entry(self, i, a, b):
-        if i > self.degree_cap:
-            return ZERO
-        return self.forms[i][a][b]
-
-    def is_zero(self):
-        return all(not x for f in self.forms for row in f for x in row)
-
 
 def ncols(cap, dim):
     return (cap + 1) * dim * dim

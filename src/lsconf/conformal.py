@@ -100,9 +100,6 @@ class ModuleElement:
         return (isinstance(other, ModuleElement)
                 and self.terms == other.terms and self.central == other.central)
 
-    def __hash__(self):
-        return hash((frozenset(self.terms.items()), self.central))
-
     def __repr__(self):
         return f"ModuleElement({self.terms!r}, central={self.central!r})"
 

@@ -69,6 +69,8 @@ def load_algebra(path):
         if key not in doc:
             raise FileFormatError(f"missing field {key!r}", path)
     name, dim, basis = doc["name"], doc["dim"], doc["basis"]
+    if not isinstance(name, str):
+        raise FileFormatError("name must be a string", "name")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise FileFormatError("dim must be a positive integer", "dim")
     if (not isinstance(basis, list) or len(basis) != dim
@@ -129,9 +131,18 @@ def dump_json(doc):
     return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
+def _write_json(doc, path):
+    """Write dump_json(doc) to path; a path that cannot be written is an
+    input error located at the path."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(dump_json(doc))
+    except OSError as exc:
+        raise FileFormatError(str(exc), path) from exc
+
+
 def save_algebra(alg, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_json(algebra_to_json(alg)))
+    _write_json(algebra_to_json(alg), path)
 
 
 def load_matrix(path, expect_dim=None):

@@ -9,6 +9,9 @@
   before its memoised integer structure rows: every product is read off
   the stored tensors one basis pair at a time, and the cocycle system is
   emitted as dense Fraction rows.
+* `check_representation` checks the module axioms as the library did
+  before it read them off the catalog on the split null extension: seven
+  matrix laws over basis pairs, written out by hand.
 * `hardcoded_cocycle_system` holds the explicitly listed cap-3 equation
   systems (general, pre-Novikov, pre-Novikov at beta = 0, LS-Poisson),
   written out by hand as a cross-check of the mechanical expansion in
@@ -19,8 +22,9 @@ import itertools
 from fractions import Fraction
 from math import comb, gcd
 
-from lsconf.algebras import (AlgebraSpec, UnknownOp, check_identity,
-                             products_span, require_identity, tensor)
+from lsconf.algebras import (AlgebraSpec, IdentityReport, MissingMaps, UnknownOp,
+                             check_identity, novikov_star, products_span,
+                             require_identity, tensor)
 from lsconf.cohomology import coord_index, ncols
 from lsconf.ideals import PRE_GD_OPS, IdealReport
 from lsconf.linalg import (ONE, ZERO, DimensionMismatch, Subspace,
@@ -447,3 +451,76 @@ def hardcoded_cocycle_system(alg, beta, variant="auto"):
     if variant in ("pre_novikov", "pre_novikov_beta0") and alg.has("circ"):
         raise ValueError("pre-Novikov equation lists require circ = 0")
     return _hardcoded_rows(alg, beta, variant)
+
+
+# ---------------------------------------------------------------------------
+# representation axioms, written out as matrix laws
+
+def _map_of(rep, key, vec):
+    """sum_a vec[a] * (the matrix of map `key` at e_a)."""
+    n = range(rep.module_dim)
+    return [[sum((c * m[i][j] for c, m in zip(vec, rep.maps[key]) if c), ZERO) for j in n]
+            for i in n]
+
+
+def check_representation(alg, rep, kind):
+    """Representation axioms over basis pairs; matrices compared exactly."""
+    need = {"novikov": ("l", "r"), "gd": ("l", "r", "rho")}.get(kind)
+    if need is None:
+        raise ValueError(f"kind must be novikov or gd, got {kind!r}")
+    for key in need:
+        if key not in rep.maps or len(rep.maps[key]) != alg.dim:
+            raise MissingMaps(f"representation lacks map family {key!r}")
+    st = novikov_star(alg)
+    dim = alg.dim
+
+    def M(key, vec):
+        return _map_of(rep, key, vec)
+
+    def msub(a, b):
+        return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+    def madd(a, b):
+        return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+    violations = []
+
+    def record(label, i, j, mat):
+        flat = tuple(x for row in mat for x in row)
+        if any(flat):
+            violations.append((label, (i, j), flat))
+
+    for a in range(dim):
+        for b in range(dim):
+            ea, eb = unit(dim, a), unit(dim, b)
+            ab = eval_product(alg, st, ea, eb)
+            ba = eval_product(alg, st, eb, ea)
+            la, lb = M("l", ea), M("l", eb)
+            ra, rb = M("r", ea), M("r", eb)
+            # l([a,b]_ast) = [l(a), l(b)]
+            record("rep_n1", a, b,
+                   msub(M("l", vsub(ab, ba)), msub(mat_mul(la, lb), mat_mul(lb, la))))
+            # l(a)r(b) - r(b)l(a) = r(a*b) - r(b)r(a)
+            record("rep_n2", a, b,
+                   msub(msub(mat_mul(la, rb), mat_mul(rb, la)),
+                        msub(M("r", ab), mat_mul(rb, ra))))
+            # l(a*b) = r(b)l(a)
+            record("rep_n3", a, b, msub(M("l", ab), mat_mul(rb, la)))
+            # r(a)r(b) = r(b)r(a)
+            record("rep_n4", a, b, msub(mat_mul(ra, rb), mat_mul(rb, ra)))
+            if kind == "gd":
+                br = eval_product(alg, "bracket", ea, eb)
+                pa, pb = M("rho", ea), M("rho", eb)
+                record("rep_lie", a, b,
+                       msub(M("rho", br), msub(mat_mul(pa, pb), mat_mul(pb, pa))))
+                # rho(a)l(b) + rho(b*a) + l([b,a]) = r(a)rho(b) + l(b)rho(a)
+                lhs = madd(madd(mat_mul(pa, lb), M("rho", ba)),
+                           M("l", eval_product(alg, "bracket", eb, ea)))
+                rhs = madd(mat_mul(ra, pb), mat_mul(lb, pa))
+                record("rep_g1", a, b, msub(lhs, rhs))
+                # rho(a)r(b) - rho(b)r(a) - r(b)rho(a) + r(a)rho(b) = r([a,b])
+                lhs = madd(msub(msub(mat_mul(pa, rb), mat_mul(pb, ra)),
+                                mat_mul(rb, pa)), mat_mul(ra, pb))
+                record("rep_g2", a, b, msub(lhs, M("r", br)))
+    kindkey = "REPRESENTATION_" + kind.upper()
+    return IdentityReport(kindkey, not violations, tuple(violations))

@@ -7,17 +7,18 @@ from hypothesis import given, settings, strategies as st
 
 from lsconf.algebras import (AlgebraSpec, CATALOG, DimensionMismatch,
                              IdentityError, LinearMapSpec, MissingAuxMap,
-                             MissingOps, UnknownIdentity, associated,
+                             MissingOps, RepresentationSpec, UnknownIdentity, associated,
                              check_identity, check_representation,
                              eval_product, identity_residuals, normalize_identity_id, prod_basis,
                              regular_gd_representation,
                              regular_novikov_representation, require_identity,
-                             tensor)
+                             semidirect, tensor)
 from lsconf.conformal import build_rank_one
 from lsconf import constructions as cons
 
 from conftest import (construction_pre_gd_family, random_algebra, rank_two,
                       two_dim_lw, unital_two_dim)
+import oracles
 
 F = Fraction
 
@@ -236,6 +237,65 @@ def test_check_representation_missing_maps():
     rep = RepresentationSpec(2, {"l": regular_novikov_representation(alg).maps["l"]})
     with pytest.raises(MissingMaps):
         check_representation(alg, rep, "novikov")
+
+
+def _zero_module(alg, dim):
+    zero = [[0] * dim for _ in range(dim)]
+    return {key: [zero] * alg.dim for key in ("l", "r", "rho")}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_check_representation_matches_matrix_law_oracle(pre_gd_zoo, data):
+    """The catalog on A + M and the hand-written matrix laws agree on
+    regular representations, zero modules of other dimensions, and single
+    entries of either moved."""
+    alg = data.draw(st.sampled_from(pre_gd_zoo), label="alg")
+    kind = data.draw(st.sampled_from(["novikov", "gd"]), label="kind")
+    dim = data.draw(st.sampled_from([None, 1, 2, 3]), label="module dim")
+    if dim is None:
+        dim, maps = alg.dim, regular_gd_representation(alg).maps
+    else:
+        maps = _zero_module(alg, dim)
+    maps = {key: [[list(row) for row in m] for m in mats] for key, mats in maps.items()}
+    if data.draw(st.booleans(), label="perturb"):
+        key = data.draw(st.sampled_from(["l", "r", "rho"] if kind == "gd" else ["l", "r"]))
+        a = data.draw(st.integers(0, alg.dim - 1))
+        i, j = data.draw(st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1)))
+        maps[key][a][i][j] += data.draw(st.sampled_from([F(1), F(-1), F(1, 2), F(-2, 3)]))
+    rep = RepresentationSpec(dim, maps)
+    assert (check_representation(alg, rep, kind).passed
+            == oracles.check_representation(alg, rep, kind).passed)
+
+
+@pytest.mark.parametrize("kind", ["novikov", "gd"])
+def test_module_dimension_may_differ_from_algebra(kind):
+    alg = two_dim_lw()
+    zero = RepresentationSpec(3, _zero_module(alg, 3))
+    # l(L) = 1 breaks l(a * b) = r(b) l(a) at a = b = L
+    line = RepresentationSpec(1, {**_zero_module(alg, 1), "l": [[[1]], [[0]]]})
+    for check in (check_representation, oracles.check_representation):
+        assert check(alg, zero, kind).passed
+        assert not check(alg, line, kind).passed
+
+
+def test_semidirect_extends_products_by_the_module_maps():
+    alg = rank_two(1, 1)
+    rep = regular_gd_representation(alg)
+    semi = semidirect(alg, rep)
+    n = alg.dim
+    assert semi.dim == 2 * n and semi.basis[n] == ("m", 0)
+    for a in range(n):
+        for p in range(n):
+            for q in range(n):
+                assert semi.ops["circ"][a][n + p][n + q] == rep.maps["l"][a][q][p]
+                assert semi.ops["circ"][n + p][a][n + q] == rep.maps["r"][a][q][p]
+                assert semi.ops["bracket"][a][n + p][n + q] == rep.maps["rho"][a][q][p]
+                assert semi.ops["bracket"][n + p][a][n + q] == -rep.maps["rho"][a][q][p]
+                # M . M = 0, and A . A stays in A
+                assert not any(semi.ops["circ"][n + p][n + q])
+                assert not semi.ops["circ"][a][p][n + q]
+    assert check_identity(semi, "GD_COMPAT").passed
 
 
 def test_associated_novikov_passes_catalog():

@@ -206,6 +206,18 @@ def test_construct_failures(capsys, inputs):
     assert code == 2 and "--c" in err
 
 
+@pytest.mark.parametrize("argv, unwritable", [
+    (["rank-one", "--c", "1", "-o", "{missing}/out.json"], "{missing}/out.json"),
+    (["binomial-zinbiel", "--n", "3", "-o", "{dir}/zin3.json",
+      "--derivation-out", "{missing}/d.json"], "{missing}/d.json"),
+])
+def test_construct_unwritable_output_exits_2(capsys, tmp_path, argv, unwritable):
+    paths = {"dir": str(tmp_path), "missing": str(tmp_path / "missing")}
+    code, _, err = run(capsys, "construct", *(a.format(**paths) for a in argv))
+    assert code == 2
+    assert "Traceback" not in err and f"(at {unwritable.format(**paths)})" in err
+
+
 def test_lambda_command(capsys, inputs):
     code, out, _ = run(capsys, "lambda", inputs["r1"], "--left", "L",
                        "--right", "L")
@@ -243,6 +255,7 @@ R1 = {"name": "r1", "dim": 1, "basis": ["L"], "ops": {"ld": {"L,L": {"L": "1"}}}
     ("cocycle", {"degree_cap": 0, "forms": [5]}),
     ("cocycle", {"degree_cap": 0, "forms": [[5]]}),
     ("cocycle", {"degree_cap": 1, "forms": [[["1"]], [["1", "0"]]]}),
+    ("algebra", {**R1, "name": 5}),
 ])
 def test_malformed_files_exit_2_with_location(capsys, tmp_path, kind, content):
     paths = {}
