@@ -21,8 +21,8 @@ from .constructions import (comm_assoc_derivation_to_novikov_poisson,
                             ls_poisson_to_pre_gd, pre_novikov_to_pre_gd,
                             truncated_binomial_zinbiel, zinbiel_to_pre_gd,
                             zinbiel_to_pre_novikov)
-from .files import (FileFormatError, _write_json, dump_json, file_sha256, load_algebra,
-                    load_cocycle, load_matrix, save_algebra, cocycle_to_json)
+from .files import (FileFormatError, _write_json, algebra_to_json, dump_json, file_sha256,
+                    load_algebra, load_cocycle, load_matrix, cocycle_to_json)
 from .ideals import IdealVerificationError, TrivialAlgebra, certify_conformal_simplicity
 from .linalg import LinalgError
 
@@ -216,10 +216,11 @@ def cmd_construct(args):
     except IdentityError as exc:
         _err(str(exc))
         return FAIL
-    save_algebra(alg, args.output)
+    outputs = [(algebra_to_json(alg), args.output)]
     if D is not None and args.derivation_out:
-        _write_json({"matrix": [[str(x) for x in row] for row in D.matrix]},
-                    args.derivation_out)
+        outputs.append(({"matrix": [[str(x) for x in row] for row in D.matrix]},
+                        args.derivation_out))
+    _write_json(*outputs)
     doc = {"command": "construct", "kind": args.kind, "output": args.output,
            "output_sha256": file_sha256(args.output),
            "name": alg.name, "dim": alg.dim}

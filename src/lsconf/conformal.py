@@ -22,7 +22,10 @@ a (x) t^m with |m| bounded, product
                              - n (b ld a) (x) t^{m+n-1}
                              + (a circ b) (x) t^{m+n}
 
-with products leaving the window tracked separately, never dropped.
+with products leaving the window tracked separately, never dropped.  Each
+basis-pair product is tabulated once per call as sparse integers scaled by
+alg.den (in-window part, escaped part, central part from the cocycle); every
+product is an integer combination of table entries, divided back at the end.
 """
 
 from __future__ import annotations
@@ -329,13 +332,43 @@ class WindowedElement:
                 f"central={self.central!r}, escapes={self.escapes!r})")
 
 
-def _eta(cocycle, i, j, m, n):
-    """Central coefficient of (e_i (x) t^m)(e_j (x) t^n) from a cocycle:
-    alpha_d contributes m(m-1)...(m-d+1) when m + n + 1 = d."""
-    d = m + n + 1
-    if cocycle is None or not 0 <= d <= cocycle.degree_cap:
-        return ZERO
-    return prod(range(m, m - d, -1)) * cocycle.forms[d][i][j]
+def _pair_table(alg, window, cocycle, pairs):
+    """(e_i (x) t^m)(e_j (x) t^n) for each pair ((i, m), (j, n)), as
+    [terms], [escapes], central, all scaled by alg.den: terms and escapes
+    are ((k, exponent), int) pairs inside and outside the window."""
+    ld, rd, circ = alg.rows("ld"), alg.rows("rd"), alg.rows("circ")
+    table = {}
+    for (i, m), (j, n) in pairs:
+        drop = {k: m * r for k, r in rd[i][j]}
+        for k, l in ld[j][i]:
+            drop[k] = drop.get(k, 0) - n * l
+        parts = ([], [])
+        for vec, exp in ((sorted(drop.items()), m + n - 1), (circ[i][j], m + n)):
+            parts[abs(exp) > window].extend(((k, exp), v) for k, v in vec if v)
+        # central part: m(m-1)...(m-d+1) alpha_d(e_i, e_j) when m + n + 1 = d
+        d = m + n + 1
+        eta = (prod(range(m, m - d, -1)) * cocycle.forms[d][i][j]
+               if cocycle is not None and 0 <= d <= cocycle.degree_cap else 0)
+        table[(i, m), (j, n)] = (*parts, alg.den * eta)
+    return table
+
+
+def _accumulate(table, xs, ys, terms, escapes):
+    """Add the product of the (basis key, coefficient) sums xs and ys, read
+    off the pair table, into terms and escapes; return its central part.
+    Escaped terms are summed before anyone looks at them: they can cancel."""
+    central = 0
+    for kx, cx in xs:
+        for ky, cy in ys:
+            s = cx * cy
+            inside, outside, c = table[kx, ky]
+            for key, v in inside:
+                terms[key] = terms.get(key, 0) + s * v
+            for key, v in outside:
+                escapes[key] = escapes.get(key, 0) + s * v
+            if c:
+                central += s * c
+    return central
 
 
 def coeff_product(alg, x, y, cocycle=None):
@@ -343,73 +376,52 @@ def coeff_product(alg, x, y, cocycle=None):
         raise WindowMismatch(f"windows differ: {x.window} vs {y.window}")
     if x.escapes or y.escapes:
         raise WindowMismatch("operand carries escaped terms; result undefined")
-    window = x.window
-    terms = {}
-    escapes = {}
-    central = ZERO
-
-    def place(vec, exp, scale):
-        target = terms if abs(exp) <= window else escapes
-        for k, v in vec:
-            if v:
-                key = (k, exp)
-                target[key] = target.get(key, ZERO) + scale * v
-
-    ld, rd, circ = alg.rows("ld"), alg.rows("rd"), alg.rows("circ")
-    for (i, m), cx in x.terms.items():
-        for (j, n), cy in y.terms.items():
-            s = cx * cy
-            # the integer rows are scaled by alg.den; dividing s back is exact
-            scaled = s / alg.den
-            drop = {k: m * r for k, r in rd[i][j]}
-            for k, l in ld[j][i]:
-                drop[k] = drop.get(k, 0) - n * l
-            place(sorted(drop.items()), m + n - 1, scaled)
-            place(circ[i][j], m + n, scaled)
-            central += s * _eta(cocycle, i, j, m, n)
-    return WindowedElement(window, terms, central, escapes)
+    table = _pair_table(alg, x.window, cocycle, itertools.product(x.terms, y.terms))
+    terms, escapes = {}, {}
+    central = _accumulate(table, x.terms.items(), y.terms.items(), terms, escapes)
+    den = alg.den
+    # the table is scaled by alg.den; dividing back is exact
+    return WindowedElement(x.window, {k: Fraction(v, den) for k, v in terms.items()},
+                           Fraction(central, den),
+                           {k: Fraction(v, den) for k, v in escapes.items()})
 
 
 def check_coeff_left_symmetry(alg, window, cocycle=None):
     """Left-symmetry of the windowed coefficient algebra.
 
     Exponent triples whose intermediate or final products leave the window
-    are skipped (and counted), never truncated.
+    are skipped (and counted), never truncated.  The products are integer
+    combinations of pair-table entries, scaled by alg.den ** 2.
     """
-    dim = alg.dim
+    exps = range(-window, window + 1)
+    basis = list(itertools.product(range(alg.dim), exps))
+    table = _pair_table(alg, window, cocycle, itertools.product(basis, repeat=2))
+    scale = alg.den ** 2
     violations = []
     skipped = 0
-    exps = range(-window, window + 1)
-    for i, j, k in itertools.product(range(dim), repeat=3):
+    for i, j, k in itertools.product(range(alg.dim), repeat=3):
         for m, n, p in itertools.product(exps, repeat=3):
-            x = WindowedElement.basis(window, i, m)
-            y = WindowedElement.basis(window, j, n)
-            z = WindowedElement.basis(window, k, p)
-            xy = coeff_product(alg, x, y, cocycle)
-            yx = coeff_product(alg, y, x, cocycle)
-            yz = coeff_product(alg, y, z, cocycle)
-            xz = coeff_product(alg, x, z, cocycle)
-            if xy.escapes or yx.escapes or yz.escapes or xz.escapes:
+            x, y, z = (i, m), (j, n), (k, p)
+            xy, yx, yz, xz = table[x, y], table[y, x], table[y, z], table[x, z]
+            if xy[1] or yx[1] or yz[1] or xz[1]:
                 skipped += 1
                 continue
-            t1 = coeff_product(alg, xy.v_part(), z, cocycle)
-            t2 = coeff_product(alg, x, yz.v_part(), cocycle)
-            t3 = coeff_product(alg, yx.v_part(), z, cocycle)
-            t4 = coeff_product(alg, y, xz.v_part(), cocycle)
-            if t1.escapes or t2.escapes or t3.escapes or t4.escapes:
-                skipped += 1
-                continue
-            res = {}
-            for sign, t in ((1, t1), (-1, t2), (-1, t3), (1, t4)):
-                for key, v in t.terms.items():
-                    res[key] = res.get(key, ZERO) + sign * v
-            res = {k2: v for k2, v in res.items() if v}
-            rc = t1.central - t2.central - t3.central + t4.central
-            if res or rc:
-                residual = tuple(sorted(res.items()))
+            # (xy)z - x(yz) - (yx)z + y(xz), the signs carried by the basis factor
+            res, rc = {}, 0
+            for xs, ys in ((xy[0], ((z, 1),)), (((x, -1),), yz[0]),
+                           (yx[0], ((z, -1),)), (((y, 1),), xz[0])):
+                escapes = {}
+                rc += _accumulate(table, xs, ys, res, escapes)
+                if any(escapes.values()):
+                    skipped += 1
+                    break
+            else:
+                residual = tuple(sorted((key, Fraction(v, scale))
+                                        for key, v in res.items() if v))
                 if rc:
-                    residual += ((("central",), rc),)
-                violations.append(((i, j, k), (m, n, p), residual))
+                    residual += ((("central",), Fraction(rc, scale)),)
+                if residual:
+                    violations.append(((i, j, k), (m, n, p), residual))
     return IdentityReport("COEFF_LEFT_SYMMETRIC", not violations,
                           tuple(violations), skipped)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 from fractions import Fraction
 
@@ -131,18 +132,28 @@ def dump_json(doc):
     return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
-def _write_json(doc, path):
-    """Write dump_json(doc) to path; a path that cannot be written is an
-    input error located at the path."""
+def _write_json(*outputs):
+    """Write dump_json(doc) for each (doc, path) pair, opening every path
+    (without truncating) before writing any; on failure, remove the files
+    this call created and report the path as an input error."""
+    opened = []
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(dump_json(doc))
+        for _, path in outputs:
+            opened.append((not os.path.exists(path), open(path, "a", encoding="utf-8")))
+        for (doc, path), (_, fh) in zip(outputs, opened):
+            with fh:
+                fh.truncate(0)
+                fh.write(dump_json(doc))
     except OSError as exc:
+        for fresh, fh in opened:
+            fh.close()
+            if fresh:
+                os.remove(fh.name)
         raise FileFormatError(str(exc), path) from exc
 
 
 def save_algebra(alg, path):
-    _write_json(algebra_to_json(alg), path)
+    _write_json((algebra_to_json(alg), path))
 
 
 def load_matrix(path, expect_dim=None):

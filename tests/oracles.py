@@ -12,6 +12,10 @@
 * `check_representation` checks the module axioms as the library did
   before it read them off the catalog on the split null extension: seven
   matrix laws over basis pairs, written out by hand.
+* `coeff_product`/`check_coeff_left_symmetry` are the windowed coefficient
+  algebra as the library ran it before its basis-pair table: four Fraction
+  products per basis triple and exponent triple, each rebuilt from the
+  integer rows, with `_eta` copied alongside.
 * `hardcoded_cocycle_system` holds the explicitly listed cap-3 equation
   systems (general, pre-Novikov, pre-Novikov at beta = 0, LS-Poisson),
   written out by hand as a cross-check of the mechanical expansion in
@@ -20,12 +24,13 @@
 
 import itertools
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, prod
 
 from lsconf.algebras import (AlgebraSpec, IdentityReport, MissingMaps, UnknownOp,
                              check_identity, novikov_star, products_span,
                              require_identity, tensor)
 from lsconf.cohomology import coord_index, ncols
+from lsconf.conformal import WindowedElement, WindowMismatch
 from lsconf.ideals import PRE_GD_OPS, IdealReport
 from lsconf.linalg import (ONE, ZERO, DimensionMismatch, Subspace,
                            identity_matrix, mat_mul, unit, vadd, vsub, vzero)
@@ -287,6 +292,94 @@ def generate_cocycle_system(alg, beta, degree_cap):
             if any(form.values()):
                 rows.append([form.get(col, ZERO) for col in range(width)])
     return rows
+
+
+# ---------------------------------------------------------------------------
+# windowed coefficient algebra, four Fraction products per exponent triple
+
+def _eta(cocycle, i, j, m, n):
+    """Central coefficient of (e_i (x) t^m)(e_j (x) t^n) from a cocycle:
+    alpha_d contributes m(m-1)...(m-d+1) when m + n + 1 = d."""
+    d = m + n + 1
+    if cocycle is None or not 0 <= d <= cocycle.degree_cap:
+        return ZERO
+    return prod(range(m, m - d, -1)) * cocycle.forms[d][i][j]
+
+
+def coeff_product(alg, x, y, cocycle=None):
+    if x.window != y.window:
+        raise WindowMismatch(f"windows differ: {x.window} vs {y.window}")
+    if x.escapes or y.escapes:
+        raise WindowMismatch("operand carries escaped terms; result undefined")
+    window = x.window
+    terms = {}
+    escapes = {}
+    central = ZERO
+
+    def place(vec, exp, scale):
+        target = terms if abs(exp) <= window else escapes
+        for k, v in vec:
+            if v:
+                key = (k, exp)
+                target[key] = target.get(key, ZERO) + scale * v
+
+    ld, rd, circ = alg.rows("ld"), alg.rows("rd"), alg.rows("circ")
+    for (i, m), cx in x.terms.items():
+        for (j, n), cy in y.terms.items():
+            s = cx * cy
+            # the integer rows are scaled by alg.den; dividing s back is exact
+            scaled = s / alg.den
+            drop = {k: m * r for k, r in rd[i][j]}
+            for k, l in ld[j][i]:
+                drop[k] = drop.get(k, 0) - n * l
+            place(sorted(drop.items()), m + n - 1, scaled)
+            place(circ[i][j], m + n, scaled)
+            central += s * _eta(cocycle, i, j, m, n)
+    return WindowedElement(window, terms, central, escapes)
+
+
+def check_coeff_left_symmetry(alg, window, cocycle=None):
+    """Left-symmetry of the windowed coefficient algebra.
+
+    Exponent triples whose intermediate or final products leave the window
+    are skipped (and counted), never truncated.
+    """
+    dim = alg.dim
+    violations = []
+    skipped = 0
+    exps = range(-window, window + 1)
+    for i, j, k in itertools.product(range(dim), repeat=3):
+        for m, n, p in itertools.product(exps, repeat=3):
+            x = WindowedElement.basis(window, i, m)
+            y = WindowedElement.basis(window, j, n)
+            z = WindowedElement.basis(window, k, p)
+            xy = coeff_product(alg, x, y, cocycle)
+            yx = coeff_product(alg, y, x, cocycle)
+            yz = coeff_product(alg, y, z, cocycle)
+            xz = coeff_product(alg, x, z, cocycle)
+            if xy.escapes or yx.escapes or yz.escapes or xz.escapes:
+                skipped += 1
+                continue
+            t1 = coeff_product(alg, xy.v_part(), z, cocycle)
+            t2 = coeff_product(alg, x, yz.v_part(), cocycle)
+            t3 = coeff_product(alg, yx.v_part(), z, cocycle)
+            t4 = coeff_product(alg, y, xz.v_part(), cocycle)
+            if t1.escapes or t2.escapes or t3.escapes or t4.escapes:
+                skipped += 1
+                continue
+            res = {}
+            for sign, t in ((1, t1), (-1, t2), (-1, t3), (1, t4)):
+                for key, v in t.terms.items():
+                    res[key] = res.get(key, ZERO) + sign * v
+            res = {k2: v for k2, v in res.items() if v}
+            rc = t1.central - t2.central - t3.central + t4.central
+            if res or rc:
+                residual = tuple(sorted(res.items()))
+                if rc:
+                    residual += ((("central",), rc),)
+                violations.append(((i, j, k), (m, n, p), residual))
+    return IdentityReport("COEFF_LEFT_SYMMETRIC", not violations,
+                          tuple(violations), skipped)
 
 
 # ---------------------------------------------------------------------------

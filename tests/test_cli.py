@@ -216,6 +216,15 @@ def test_construct_unwritable_output_exits_2(capsys, tmp_path, argv, unwritable)
     code, _, err = run(capsys, "construct", *(a.format(**paths) for a in argv))
     assert code == 2
     assert "Traceback" not in err and f"(at {unwritable.format(**paths)})" in err
+    assert not any(tmp_path.iterdir())  # the refusal writes nothing
+
+
+def test_construct_refusal_leaves_existing_output_unchanged(capsys, tmp_path):
+    out = tmp_path / "zin3.json"
+    out.write_text("old\n")
+    code, _, _ = run(capsys, "construct", "binomial-zinbiel", "--n", "3", "-o", str(out),
+                     "--derivation-out", str(tmp_path / "missing" / "d.json"))
+    assert code == 2 and out.read_text() == "old\n"
 
 
 def test_lambda_command(capsys, inputs):

@@ -2,11 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lsconf.algebras import AlgebraSpec, IdentityError, check_identity, tensor
-from lsconf.cohomology import CocycleFamily
+from lsconf.cohomology import CocycleFamily, h2
 from lsconf.conformal import (CentralInputError, LambdaPoly, ModuleElement,
                               WindowMismatch, WindowedElement, build_current,
                               build_rank_one, check_coeff_left_symmetry,
@@ -14,7 +14,8 @@ from lsconf.conformal import (CentralInputError, LambdaPoly, ModuleElement,
                               conformal_associator_defect, format_lambda_poly,
                               lambda_product)
 
-from conftest import random_algebra, two_dim_lw
+from conftest import pre_gd_zoo_specs, random_algebra, two_dim_lw
+import oracles
 
 F = Fraction
 ME = ModuleElement
@@ -197,4 +198,104 @@ def test_coeff_and_conformal_verdicts_agree_on_single_forms(cap):
     fam = CocycleFamily(cap, tuple(((int(d == cap),),) for d in range(cap + 1)))
     alg = build_rank_one(0)
     assert (check_coeff_left_symmetry(alg, 7, cocycle=fam).passed
+            == check_conformal_left_symmetry(alg, cocycle=fam).passed)
+
+
+# entries with denominators 2 and 3, zero half the time
+NONZERO = [F(1), F(-1), F(1, 2), F(-3, 2), F(2, 3), F(-1, 3)]
+ENTRIES = st.sampled_from([F(0)] * 6 + NONZERO)
+
+
+def cocycle_families(dim):
+    """Families of caps 0-5 with random forms."""
+    return st.integers(0, 5).flatmap(lambda cap: st.builds(
+        CocycleFamily, st.just(cap),
+        st.tuples(*[st.tuples(*[st.tuples(*[ENTRIES] * dim)] * dim)] * (cap + 1))))
+
+
+@st.composite
+def windowed_algebras(draw):
+    """A random (ld, rd, circ) spec of dim 1-3 with an optional cocycle."""
+    dim = draw(st.integers(1, 3), label="dim")
+    planes = st.lists(st.lists(st.lists(ENTRIES, min_size=dim, max_size=dim),
+                               min_size=dim, max_size=dim), min_size=dim, max_size=dim)
+    ops = {op: draw(planes, label=op) for op in ("ld", "rd", "circ")
+           if draw(st.booleans(), label=f"has {op}")}
+    alg = AlgebraSpec(f"random({dim})", dim, tuple(f"e{i}" for i in range(dim)), ops)
+    return alg, draw(st.none() | cocycle_families(dim), label="cocycle")
+
+
+# rd alone: at window 2 the escaped terms of a second-level product cancel
+# in two exponent triples, which are then checked rather than skipped
+ESCAPES_CANCEL = AlgebraSpec("escapes_cancel", 2, ("e0", "e1"), {"rd": tensor(
+    2, {(0, 0, 0): F(-3, 2), (0, 0, 1): -1, (0, 1, 1): F(2, 3), (1, 1, 1): -1})})
+
+
+@settings(max_examples=30, deadline=None)
+@given(windowed_algebras(), st.integers(0, 3))
+@example((ESCAPES_CANCEL, None), 2)
+def test_check_coeff_left_symmetry_matches_fraction_oracle(case, window):
+    alg, fam = case
+    assert (check_coeff_left_symmetry(alg, window, cocycle=fam)
+            == oracles.check_coeff_left_symmetry(alg, window, cocycle=fam))
+
+
+def windowed_elements(dim, window):
+    """One to four in-window terms; one escaped term one time in ten."""
+    keys = st.tuples(st.integers(0, dim - 1), st.integers(-window, window))
+    far = st.tuples(st.integers(0, dim - 1), st.sampled_from([-window - 1, window + 1]))
+    escapes = st.sampled_from([0] * 9 + [1]).flatmap(
+        lambda size: st.dictionaries(far, st.sampled_from(NONZERO), min_size=size, max_size=size))
+    return st.builds(WindowedElement, st.just(window),
+                     st.dictionaries(keys, st.sampled_from(NONZERO), min_size=1, max_size=4),
+                     ENTRIES, escapes)
+
+
+def _outcome(product, alg, x, y, fam):
+    try:
+        return product(alg, x, y, cocycle=fam)
+    except WindowMismatch as exc:
+        return str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_coeff_product_matches_fraction_oracle(data):
+    """Equal products on random windowed elements, and the same refusals
+    for mismatched windows and escaped operands."""
+    alg, fam = data.draw(windowed_algebras(), label="case")
+    window = data.draw(st.integers(0, 3), label="window")
+    x = data.draw(windowed_elements(alg.dim, window), label="x")
+    other = data.draw(st.sampled_from([window] * 9 + [window + 1]), label="y window")
+    y = data.draw(windowed_elements(alg.dim, other), label="y")
+    assert (_outcome(coeff_product, alg, x, y, fam)
+            == _outcome(oracles.coeff_product, alg, x, y, fam))
+
+
+SMALL_ZOO = [alg for alg in pre_gd_zoo_specs() if alg.dim <= 2]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_coeff_and_conformal_verdicts_agree_on_random_cocycles(data):
+    """At window max(2, top nonzero degree) the coefficient algebra sees
+    every form of the family, so both routes give the same verdict.  Half
+    the families are integer combinations of an h2 cocycle basis, so both
+    verdicts occur."""
+    alg = data.draw(st.sampled_from(SMALL_ZOO), label="alg")
+    if data.draw(st.booleans(), label="from h2"):
+        cap = data.draw(st.integers(0, 5), label="cap")
+        basis = h2(alg, F(0), cap).cocycle_basis
+        coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=len(basis),
+                                    max_size=len(basis)), label="coeffs")
+        fam = CocycleFamily(cap, tuple(
+            tuple(tuple(sum(c * b.forms[d][a][e] for c, b in zip(coeffs, basis))
+                        for e in range(alg.dim)) for a in range(alg.dim))
+            for d in range(cap + 1)))
+    else:
+        fam = data.draw(cocycle_families(alg.dim), label="cocycle")
+    top = max((d for d, form in enumerate(fam.forms) if any(any(row) for row in form)),
+              default=0)
+    window = max(2, top)
+    assert (check_coeff_left_symmetry(alg, window, cocycle=fam).passed
             == check_conformal_left_symmetry(alg, cocycle=fam).passed)
