@@ -17,6 +17,12 @@ Cocycle coordinates are ordered highest-degree form first:
 
 so echelon reduction of Z2 against B2 normalizes the low-degree forms
 away and representatives keep their top-degree entries.
+
+The equations of generate_cocycle_system and the B2 generators of
+coboundary_space are sparse integer rows {col: int} read off the integer
+structure rows and scaled by alg.den * beta.denominator.  h2 drops every
+equation that is a scalar multiple of an earlier one before elimination.
+beta and cocycle forms must be int or Fraction, never a binary float.
 """
 
 from __future__ import annotations
@@ -24,11 +30,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 from .algebras import IdentityError, op_tensor, products_span, require_identity
-from .linalg import (ZERO, ONE, Subspace, identity_matrix, mat_vec, nullspace,
-                     quotient_representatives, solve, vadd, vscale)
+from .linalg import (ZERO, ONE, Subspace, nullspace, quotient_representatives,
+                     solve)
 
 
 class SpanningConditionError(Exception):
@@ -44,6 +50,15 @@ class CohomologyError(Exception):
     system); indicates a defect, not bad input."""
 
 
+def _exact(x):
+    """x as a Fraction; a float or a bool is refused, not read as exact."""
+    if isinstance(x, Fraction):
+        return x
+    if type(x) is int:
+        return Fraction(x)
+    raise TypeError(f"expected an int or Fraction, got {type(x).__name__} {x!r}")
+
+
 @dataclass(frozen=True)
 class CocycleFamily:
     """alpha_lam = sum_{i<=degree_cap} lam^i alpha_i; forms[i][a][b]."""
@@ -52,7 +67,7 @@ class CocycleFamily:
     forms: tuple
 
     def __post_init__(self):
-        forms = tuple(tuple(tuple(Fraction(x) for x in row) for row in f)
+        forms = tuple(tuple(tuple(map(_exact, row)) for row in f)
                       for f in self.forms)
         if len(forms) != self.degree_cap + 1:
             raise ValueError("need degree_cap + 1 forms")
@@ -72,7 +87,7 @@ def coord_index(cap, dim, i, a, b):
 
 
 def family_from_coords(cap, dim, vec):
-    forms = [[[vec[coord_index(cap, dim, i, a, b)] for b in range(dim)]
+    forms = [[vec[coord_index(cap, dim, i, a, 0):coord_index(cap, dim, i, a, dim)]
               for a in range(dim)] for i in range(cap + 1)]
     return CocycleFamily(cap, tuple(forms))
 
@@ -98,9 +113,10 @@ def family_to_coords(fam, cap, dim):
 def generate_cocycle_system(alg, beta, degree_cap):
     """Constraint rows {col: int} of the extension identity, one per basis
     triple and lam^i mu^j monomial, scaled by alg.den * beta.denominator
-    (zero rows dropped; duplicates are dependent, and elimination drops them)."""
+    (zero rows dropped; rows that repeat an earlier one up to scale are
+    kept, and h2 drops them before elimination)."""
+    beta = _exact(beta)
     require_identity(alg, "PRE_GD")
-    beta = Fraction(beta)
     cap, dim = degree_cap, alg.dim
     bn, bd = beta.numerator, beta.denominator
     ld, rd, circ, star = (alg.rows(op) for op in ("ld", "rd", "circ", "star"))
@@ -154,19 +170,33 @@ def generate_cocycle_system(alg, beta, degree_cap):
 def coboundary_space(alg, beta, degree_cap):
     """Image of phi -> (alpha_0 = beta phi(b ld a) + phi(a circ b),
     alpha_1 = phi(a star b), higher forms zero).  At cap 0 there is no
-    alpha_1, so phi ranges over the functionals with phi(a star b) = 0."""
-    beta = Fraction(beta)
+    alpha_1, so phi ranges over the functionals with phi(a star b) = 0.
+    Generators are integer rows scaled by alg.den * beta.denominator."""
+    beta = _exact(beta)
     cap, dim = degree_cap, alg.dim
-    ld, circ, star = (op_tensor(alg, op) for op in ("ld", "circ", "star"))
+    bn, bd = beta.numerator, beta.denominator
+    ld, circ, star = (alg.rows(op) for op in ("ld", "circ", "star"))
     pairs = list(itertools.product(range(dim), repeat=2))
-    alpha0 = [vadd(vscale(beta, ld[b][a]), circ[a][b]) for a, b in pairs]
-    alpha1 = [star[a][b] for a, b in pairs]
-    phis = identity_matrix(dim) if cap else nullspace(alpha1, dim).basis
+    # images[k]: the generator of phi = e_k
+    images = [{} for _ in range(dim)]
+    for a, b in pairs:
+        terms = [(0, bn, ld[b][a]), (0, bd, circ[a][b])]
+        if cap:
+            terms.append((1, bd, star[a][b]))
+        for i, co, prods in terms:
+            col = coord_index(cap, dim, i, a, b)
+            for k, x in prods:
+                images[k][col] = images[k].get(col, 0) + co * x
+    if cap:
+        return Subspace(ncols(cap, dim), images)
+    # cap 0: the combinations sum_k phi_k images[k] with phi(a star b) = 0
     gens = []
-    for phi in phis:
-        # one dim*dim block per form, highest degree first (coord_index)
-        head = [ZERO] * ((cap - 1) * dim * dim) + mat_vec(alpha1, phi) if cap else []
-        gens.append(head + mat_vec(alpha0, phi))
+    for phi in nullspace([dict(star[a][b]) for a, b in pairs], dim).basis:
+        gen = {}
+        for c, image in zip(phi, images):
+            for col, x in image.items():
+                gen[col] = gen.get(col, 0) + c * x
+        gens.append(gen)
     return Subspace(ncols(cap, dim), gens)
 
 
@@ -191,9 +221,26 @@ class ExtensionResult:
     representatives: tuple
 
 
+def _distinct_up_to_scale(rows):
+    """Integer rows without those that are a scalar multiple of an earlier
+    one, compared by their gcd-primitive form with a positive lead."""
+    seen, out = set(), []
+    for row in rows:
+        g = gcd(*row.values())
+        if row[min(row)] < 0:
+            g = -g
+        key = frozenset({c: x // g for c, x in row.items()}.items())
+        if key not in seen:
+            seen.add(key)
+            out.append(row)
+    return out
+
+
 def h2(alg, beta, degree_cap=None):
     """Cocycles modulo coboundaries at the given (or justified) cap."""
-    beta = Fraction(beta)
+    beta = _exact(beta)
+    if degree_cap is not None and (type(degree_cap) is not int or degree_cap < 0):
+        raise ValueError(f"degree_cap must be a non-negative int, got {degree_cap!r}")
     spanning = check_spanning(alg)
     if degree_cap is None:
         if not spanning:
@@ -203,7 +250,7 @@ def h2(alg, beta, degree_cap=None):
     else:
         cap, cap_limited = degree_cap, not spanning
     dim = alg.dim
-    rows = generate_cocycle_system(alg, beta, cap)
+    rows = _distinct_up_to_scale(generate_cocycle_system(alg, beta, cap))
     z2 = nullspace(rows, ncols(cap, dim))
     b2 = coboundary_space(alg, beta, cap)
     if not z2.contains_subspace(b2):
@@ -233,7 +280,7 @@ def find_right_unit(alg):
 def unital_vanishing_check(alg, beta):
     """For a pre-Novikov algebra with a right unit, H2 vanishes at
     beta != 0; returns the computed verdict dim_H2 == 0."""
-    beta = Fraction(beta)
+    beta = _exact(beta)
     if beta == 0:
         raise ValueError("the unital vanishing statement needs beta != 0")
     if alg.has("circ"):

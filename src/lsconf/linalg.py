@@ -8,7 +8,10 @@ style) of sparse integer rows: each arriving vector is reduced against the
 stored pivots by cross multiplication and re-reduced by the gcd after every
 combination, so entries stay small without leaving exact arithmetic; a
 dependent vector (a duplicate, say) is dropped on arrival.  rref, rank,
-nullspace, solve and Subspace.contains read the same echelon.
+nullspace, solve and Subspace.contains read the same echelon.  nullspace
+builds its kernel vectors straight from the integer echelon rows, and
+Subspace.reduce walks them sparsely; neither goes through the dense
+Fraction `basis`.
 """
 
 from __future__ import annotations
@@ -70,10 +73,6 @@ def mat_mul(a, b):
     return [[sum(row[k] * b[k][j] for k in range(len(b))) for j in range(n)] for row in a]
 
 
-def identity_matrix(n):
-    return [unit(n, i) for i in range(n)]
-
-
 # ---------------------------------------------------------------------------
 # elimination on sparse integer rows {col: int}
 
@@ -86,6 +85,8 @@ def int_row(v):
     """v, dense or sparse {col: x} (columns trusted to be in range), with
     ints or Fractions, as a gcd-primitive sparse integer row."""
     nz = {j: x for j, x in (v.items() if isinstance(v, dict) else enumerate(v)) if x}
+    if all(type(x) is int for x in nz.values()):
+        return _primitive(nz)
     den = lcm(*(x.denominator for x in nz.values()))
     return _primitive({j: x.numerator * (den // x.denominator) for j, x in nz.items()})
 
@@ -121,15 +122,18 @@ def rank(rows, ncols):
 
 
 def nullspace(rows, ncols):
-    """Kernel of the matrix as a canonical Subspace of Q^ncols."""
-    red, pivots = rref(rows, ncols)
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
+    """Kernel of the matrix as a canonical Subspace of Q^ncols: for each
+    free column f, the integer vector with f scaled to the lcm of the
+    pivot entries of the echelon rows that reach f."""
+    echelon = Subspace(ncols, rows)._rows
     basis = []
-    for f in free:
-        v = {f: ONE}
-        v.update((pc, -row[f]) for row, pc in zip(red, pivots) if row[f])
-        basis.append(v)
+    for f in range(ncols):
+        if f not in echelon:
+            ps = [p for p, row in echelon.items() if f in row]
+            den = lcm(*(echelon[p][p] for p in ps))
+            v = {f: den}
+            v.update((p, -echelon[p][f] * (den // echelon[p][p])) for p in ps)
+            basis.append(v)
     return Subspace(ncols, basis)
 
 
@@ -221,15 +225,17 @@ class Subspace:
         return len(self._rows) == self.ambient_dim
 
     def reduce(self, v):
-        """Residual of v after eliminating all pivot coordinates."""
+        """Residual of v after eliminating all pivot coordinates.  The rows
+        are RREF, so no row touches another's pivot: the coefficient of
+        the row at pivot p is v[p] over its pivot entry."""
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector/ambient mismatch")
         w = list(v)
-        for row, pc in zip(self.basis, self.pivots):
-            c = w[pc]
-            if c:
-                for j in range(self.ambient_dim):
-                    w[j] -= c * row[j]
+        for p, row in self._rows.items():
+            if v[p]:
+                c = Fraction(v[p], row[p])
+                for j, x in row.items():
+                    w[j] -= c * x
         return w
 
     def contains(self, v):
@@ -244,14 +250,14 @@ class Subspace:
     def contains_subspace(self, other):
         if other.ambient_dim != self.ambient_dim:
             raise DimensionMismatch("ambient dimensions differ")
-        return all(self.contains(b) for b in other.basis)
+        return all(self.contains(r) for r in other._rows.values())
 
     def sum(self, other):
         if other.ambient_dim != self.ambient_dim:
             raise DimensionMismatch("ambient dimensions differ")
         total = self.copy()
-        for b in other.basis:
-            total.add(b)
+        for r in other._rows.values():
+            total.add(r)
         return total
 
     def __eq__(self, other):

@@ -9,6 +9,10 @@
   before its memoised integer structure rows: every product is read off
   the stored tensors one basis pair at a time, and the cocycle system is
   emitted as dense Fraction rows.
+* `nullspace`, `coboundary_space` and `h2` are Z2, B2 and H2 as the
+  library computed them before it kept them on integer rows: the kernel
+  read off the dense `rref`, coboundaries as dense Fraction matrix-vector
+  products, and representatives from `quotient_representatives`.
 * `check_representation` checks the module axioms as the library did
   before it read them off the catalog on the split null extension: seven
   matrix laws over basis pairs, written out by hand.
@@ -29,11 +33,15 @@ from math import comb, gcd, prod
 from lsconf.algebras import (AlgebraSpec, IdentityReport, MissingMaps, UnknownOp,
                              check_identity, novikov_star, products_span,
                              require_identity, tensor)
-from lsconf.cohomology import coord_index, ncols
+from lsconf.cohomology import CohomologyError, coord_index, ncols
 from lsconf.conformal import WindowedElement, WindowMismatch
 from lsconf.ideals import PRE_GD_OPS, IdealReport
-from lsconf.linalg import (ONE, ZERO, DimensionMismatch, Subspace,
-                           identity_matrix, mat_mul, unit, vadd, vsub, vzero)
+from lsconf.linalg import (ONE, ZERO, DimensionMismatch, Subspace, mat_mul,
+                           mat_vec, unit, vadd, vscale, vsub, vzero)
+
+
+def identity_matrix(n):
+    return [unit(n, i) for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +300,62 @@ def generate_cocycle_system(alg, beta, degree_cap):
             if any(form.values()):
                 rows.append([form.get(col, ZERO) for col in range(width)])
     return rows
+
+
+# ---------------------------------------------------------------------------
+# Z2, B2 and H2 on dense Fraction vectors
+
+def nullspace(rows, ncols):
+    """Kernel of the matrix as a canonical Subspace of Q^ncols."""
+    red, pivots = rref(rows, ncols)
+    pivset = set(pivots)
+    free = [c for c in range(ncols) if c not in pivset]
+    basis = []
+    for f in free:
+        v = {f: ONE}
+        v.update((pc, -row[f]) for row, pc in zip(red, pivots) if row[f])
+        basis.append(v)
+    return Subspace(ncols, basis)
+
+
+def coboundary_space(alg, beta, degree_cap):
+    """Image of phi -> (alpha_0 = beta phi(b ld a) + phi(a circ b),
+    alpha_1 = phi(a star b), higher forms zero).  At cap 0 there is no
+    alpha_1, so phi ranges over the functionals with phi(a star b) = 0."""
+    beta = Fraction(beta)
+    cap, dim = degree_cap, alg.dim
+    ld, circ, star = ([[prod_basis(alg, op, i, j) for j in range(dim)] for i in range(dim)]
+                      for op in ("ld", "circ", "star"))
+    pairs = list(itertools.product(range(dim), repeat=2))
+    alpha0 = [vadd(vscale(beta, ld[b][a]), circ[a][b]) for a, b in pairs]
+    alpha1 = [star[a][b] for a, b in pairs]
+    phis = identity_matrix(dim) if cap else nullspace(alpha1, dim).basis
+    gens = []
+    for phi in phis:
+        # one dim*dim block per form, highest degree first (coord_index)
+        head = [ZERO] * ((cap - 1) * dim * dim) + mat_vec(alpha1, phi) if cap else []
+        gens.append(head + mat_vec(alpha0, phi))
+    return Subspace(ncols(cap, dim), gens)
+
+
+def h2(alg, beta, degree_cap):
+    """(dim Z2, dim B2, cocycle basis, representatives) at an explicit cap,
+    each family as its forms[i][a][b]: Z2 is the kernel of the dense
+    cocycle system, B2 is spanned by dense coboundaries, and the
+    representatives are reduced by `quotient_representatives`."""
+    cap, dim = degree_cap, alg.dim
+    width = ncols(cap, dim)
+    z2 = nullspace(generate_cocycle_system(alg, beta, cap), width)
+    b2 = coboundary_space(alg, beta, cap)
+    if not z2.contains_subspace(b2):
+        raise CohomologyError("coboundary outside the cocycle space")
+    reps = quotient_representatives(z2.basis, b2.basis, width)
+
+    def forms(vec):
+        return tuple(tuple(tuple(vec[coord_index(cap, dim, i, a, b)] for b in range(dim))
+                           for a in range(dim)) for i in range(cap + 1))
+
+    return z2.dim, b2.dim, [forms(v) for v in z2.basis], [forms(v) for v in reps]
 
 
 # ---------------------------------------------------------------------------

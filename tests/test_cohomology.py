@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lsconf.algebras import AlgebraSpec, IdentityError, tensor
 from lsconf.cohomology import (CocycleFamily, CohomologyError, NoUnitFound,
@@ -181,3 +181,58 @@ def test_cocycle_system_matches_fraction_oracle(alg, t, beta, cap):
     # row by row: the same rows, scaled by alg.den * beta.denominator
     scale = alg.den * beta.denominator
     assert [[F(row.get(col, 0), scale) for col in range(width)] for row in got] == want
+
+
+# a star b = 0, so at cap 0 every functional phi is a coboundary functional,
+# and B2 = {beta phi(b ld a) + phi(a circ b)} moves with beta
+STAR_FREE = AlgebraSpec("star_free", 3, ("x", "y", "z"),
+                        {"ld": tensor(3, {(2, 2, 1): -1}),
+                         "rd": tensor(3, {(2, 2, 1): 1}),
+                         "circ": tensor(3, {(0, 2, 1): 1})})
+
+
+def _forms(families):
+    out = [fam.forms for fam in families]
+    assert all(type(x) is F for forms in out for f in forms for row in f for x in row)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(pre_gd_zoo_specs()),
+       st.sampled_from([F(1), F(1, 2), F(-2, 3), F(3, 2)]),
+       st.sampled_from([F(0), F(1), F(-1, 2), F(2, 3)]),
+       st.integers(0, 4))
+@example(two_dim_lw(), F(1, 2), F(2, 3), 2)
+@example(STAR_FREE, F(1), F(-1, 2), 0)
+@example(STAR_FREE, F(-2, 3), F(2, 3), 0)
+@example(cons.zinbiel_to_pre_gd(*cons.truncated_binomial_zinbiel(3), F(0), F(1)),
+         F(3, 2), F(-1, 2), 0)
+def test_h2_matches_fraction_oracle(alg, t, beta, cap):
+    alg = _scaled(alg, t)
+    got = h2(alg, beta, cap)
+    dim_z2, dim_b2, basis, reps = oracles.h2(alg, beta, cap)
+    assert (got.dim_Z2, got.dim_B2, got.dim_H2) == (dim_z2, dim_b2, dim_z2 - dim_b2)
+    assert _forms(got.cocycle_basis) == basis
+    assert _forms(got.representatives) == reps
+
+
+def test_float_and_bool_are_not_exact_inputs():
+    r1 = build_rank_one(1)
+    for bad in (0.1, 0.5, True):
+        for call in (lambda: h2(r1, bad, 1),
+                     lambda: generate_cocycle_system(r1, bad, 1),
+                     lambda: coboundary_space(r1, bad, 1),
+                     lambda: CocycleFamily(0, (((bad,),),))):
+            with pytest.raises(TypeError):
+                call()
+    assert h2(r1, F(1, 10), 1).beta == F(1, 10)
+    assert h2(r1, 2, 1).beta == 2
+    assert CocycleFamily(0, (((F(1, 10),),),)).forms == (((F(1, 10),),),)
+    assert CocycleFamily(0, (((3,),),)).forms == (((F(3),),),)
+    assert type(CocycleFamily(0, (((3,),),)).forms[0][0][0]) is F
+
+
+def test_degree_cap_must_be_a_non_negative_int():
+    for bad in (-1, True, 2.0):
+        with pytest.raises(ValueError, match="degree_cap"):
+            h2(build_rank_one(1), 0, degree_cap=bad)
