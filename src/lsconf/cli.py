@@ -186,7 +186,8 @@ def _construct_algebra(args):
         _require(args, ["n"])
         alg, D = truncated_binomial_zinbiel(args.n)
         return alg, D
-    _require(args, ["file"])
+    if args.file is None:
+        raise FileFormatError(f"construct kind {kind!r} needs the positional file argument")
     alg = load_algebra(args.file)
     if kind == "current":
         return build_current(alg), None

@@ -5,7 +5,9 @@ inside I for every listed op.  Simplicity certification is layered:
 
 * a found proper ideal is re-verified and is a proof of non-simplicity;
 * a full associative envelope (dimension dim^2) proves there is no
-  invariant subspace at all, hence simplicity, over any field;
+  invariant subspace at all, hence simplicity, over any field; it is
+  computed after the unit-vector closures and before any random trial,
+  which it makes unnecessary (see _search);
 * otherwise the positive conformal criteria (simple two-operation part
   with spanning star product, trivial rd with a regular element,
   Novikov-Poisson shape) are tried in order, and failing everything the
@@ -80,6 +82,8 @@ def ideal_closure(alg, seed, ops=PRE_GD_OPS):
         for g in gens:
             v = _apply(g, x)
             if closure.add(v):
+                if closure.is_full():
+                    break
                 todo.append(v)
     return IdealReport(closure=closure, is_proper=0 < closure.dim < dim)
 
@@ -120,20 +124,24 @@ def _proper_or_none(alg, seed_vecs, ops):
 
 
 def _search(alg, ops, trials, rng_seed):
-    """(proper ideal or None, envelope_full flag)."""
+    """(proper ideal or None, envelope_full flag).  Tries the closures of
+    the unit vectors, then the envelope, then the closures of `trials`
+    random vectors and of kernel vectors of `trials` random envelope
+    elements.  A full envelope is all of M_dim, under which every nonzero
+    vector closes to V, so no random trial could find an ideal."""
     dim = alg.dim
     for i in range(dim):
         found = _proper_or_none(alg, [unit(dim, i)], ops)
         if found is not None:
             return found, False
+    env = associative_envelope(alg, ops)
+    if env.dim == dim * dim:
+        return None, True
     rng = random.Random(rng_seed)
     for _ in range(trials):
         found = _proper_or_none(alg, [_random_vector(rng, dim)], ops)
         if found is not None:
             return found, False
-    env = associative_envelope(alg, ops)
-    if env.dim == dim * dim:
-        return None, True
     for _ in range(trials):
         coeffs = [Fraction(rng.randint(-4, 4)) for _ in env.basis]
         mat = [[sum((c * b[r * dim + s] for c, b in zip(coeffs, env.basis)),
@@ -203,10 +211,9 @@ def _pre_novikov_part_certificate(alg, trials, rng_seed, log):
 def _regular_element(alg, trials, rng):
     """Some a with ker(L_a) and ker(R_a) for ld intersecting trivially."""
     dim = alg.dim
-    candidates = [unit(dim, i) for i in range(dim)]
-    candidates += [_random_vector(rng, dim) for _ in range(trials)]
     gens = multiplication_operators(alg, ("ld",))
-    for a in candidates:
+    for n in range(dim + trials):
+        a = unit(dim, n) if n < dim else _random_vector(rng, dim)
         x = int_row(a)
         # row j: column j of L_a stacked on R_a, i.e. (a ld e_j, e_j ld a)
         stacked = [{**_apply(right, x), **{dim + k: c for k, c in _apply(left, x).items()}}

@@ -9,6 +9,10 @@
   before its memoised integer structure rows: every product is read off
   the stored tensors one basis pair at a time, and the cocycle system is
   emitted as dense Fraction rows.
+* `search` is the simplicity search with its stages in the order the
+  library ran them before it computed the envelope ahead of the random
+  trials: unit-vector closures, random trials, envelope, envelope-kernel
+  probes.
 * `nullspace`, `coboundary_space` and `h2` are Z2, B2 and H2 as the
   library computed them before it kept them on integer rows: the kernel
   read off the dense `rref`, coboundaries as dense Fraction matrix-vector
@@ -27,6 +31,7 @@
 """
 
 import itertools
+import random
 from fractions import Fraction
 from math import comb, gcd, prod
 
@@ -35,6 +40,7 @@ from lsconf.algebras import (AlgebraSpec, IdentityReport, MissingMaps, UnknownOp
                              require_identity, tensor)
 from lsconf.cohomology import CohomologyError, coord_index, ncols
 from lsconf.conformal import WindowedElement, WindowMismatch
+from lsconf import ideals, linalg
 from lsconf.ideals import PRE_GD_OPS, IdealReport
 from lsconf.linalg import (ONE, ZERO, DimensionMismatch, Subspace, mat_mul,
                            mat_vec, unit, vadd, vscale, vsub, vzero)
@@ -241,6 +247,42 @@ def associative_envelope(alg, ops=PRE_GD_OPS):
                     fresh.append(gm)
         frontier = fresh
     return span
+
+
+def _random_vector(rng, dim):
+    return [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(dim)]
+
+
+def search(alg, ops, trials, rng_seed):
+    """`lsconf.ideals._search` with the random trials ahead of the
+    envelope.  Closures, envelope and kernels are the library's, each
+    checked against its own oracle, so this isolates the stage order."""
+    def proper(seed):
+        rep = ideals.ideal_closure(alg, [seed], ops)
+        return rep.closure if rep.is_proper else None
+
+    dim = alg.dim
+    for i in range(dim):
+        found = proper(unit(dim, i))
+        if found is not None:
+            return found, False
+    rng = random.Random(rng_seed)
+    for _ in range(trials):
+        found = proper(_random_vector(rng, dim))
+        if found is not None:
+            return found, False
+    env = ideals.associative_envelope(alg, ops)
+    if env.dim == dim * dim:
+        return None, True
+    for _ in range(trials):
+        coeffs = [Fraction(rng.randint(-4, 4)) for _ in env.basis]
+        mat = [[sum((c * b[r * dim + s] for c, b in zip(coeffs, env.basis)), ZERO)
+                for s in range(dim)] for r in range(dim)]
+        for v in linalg.nullspace(mat, dim).basis:
+            found = proper(v)
+            if found is not None:
+                return found, False
+    return None, False
 
 
 def _add(acc, key, col, coeff):

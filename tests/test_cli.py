@@ -204,6 +204,8 @@ def test_construct_failures(capsys, inputs):
     code, _, err = run(capsys, "construct", "rank-one",
                        "-o", inputs["dir"] + "/x.json")
     assert code == 2 and "--c" in err
+    code, _, err = run(capsys, "construct", "current", "-o", inputs["dir"] + "/x.json")
+    assert code == 2 and "positional file argument" in err and "--file" not in err
 
 
 @pytest.mark.parametrize("argv, unwritable", [

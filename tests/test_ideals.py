@@ -1,13 +1,15 @@
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from lsconf import ideals
 from lsconf.algebras import AlgebraSpec, eval_product, tensor
 from lsconf.conformal import build_rank_one
-from lsconf.ideals import (TrivialAlgebra, associative_envelope,
+from lsconf.ideals import (SimplicityCertificate, TrivialAlgebra, associative_envelope,
                            certify_conformal_simplicity, check_star_nonzero,
                            find_proper_ideal, ideal_closure, is_simple_pre_gd,
                            multiplication_operators)
@@ -19,6 +21,12 @@ from conftest import random_algebra, rank_two, two_dim_lw, unital_one_dim
 import oracles
 
 F = Fraction
+
+
+# e1 ld e0 = 3 e0 + 2 e1: no unit vector closes to a proper ideal and the
+# envelope has dim 3 < 4; random trial 0 at rng_seed 7 finds span(3 e0 + 2 e1)
+LD_PAIR = AlgebraSpec("ld_pair", 2, ("e0", "e1"),
+                      {"ld": tensor(2, {(1, 0, 0): 3, (1, 0, 1): 2})})
 
 
 def test_ideal_closure_examples():
@@ -57,6 +65,26 @@ def test_find_proper_ideal():
     # restricting the ops can surface ideals the full op set closes up
     assert find_proper_ideal(rank_two(1, 1)) is None
     assert find_proper_ideal(rank_two(1, 1), ops=("ld", "rd")) is not None
+    # only a random trial finds this one (see LD_PAIR)
+    assert find_proper_ideal(LD_PAIR, ("ld",), trials=0, rng_seed=7) is None
+    assert find_proper_ideal(LD_PAIR, ("ld",), trials=1, rng_seed=7) == Subspace(2, [[3, 2]])
+
+
+def test_trials_cost_no_closures_once_envelopes_are_full(monkeypatch):
+    """Each op set searched is settled by a unit-vector closure or a full
+    envelope, so only the unit-vector closures run, however many trials
+    are allowed."""
+    real = ideals.ideal_closure
+    for alg in (rank_two(1, 1), random_algebra(random.Random(1), 5)):
+        budget = [2 * alg.dim]   # two op sets: ld-rd-circ, then ld-rd
+
+        def counted(*args, **kwargs):
+            budget[0] -= 1
+            assert budget[0] >= 0, "a closure beyond the unit vectors"
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ideals, "ideal_closure", counted)
+        assert certify_conformal_simplicity(alg, trials=10**6).verdict == "simple"
 
 
 def test_trivial_algebra_is_refused():
@@ -209,3 +237,39 @@ def test_ideal_closure_matches_fraction_oracle(case, ops):
 @given(fraction_algebras(), OP_SETS)
 def test_associative_envelope_matches_fraction_oracle(alg, ops):
     assert associative_envelope(alg, ops) == oracles.associative_envelope(alg, ops)
+
+
+@st.composite
+def random_algebras(draw):
+    """conftest.random_algebra of dim 1-5 on a drawn op set and density."""
+    rng = draw(st.randoms(use_true_random=False))
+    return random_algebra(rng, draw(st.integers(1, 5)), draw(OP_SETS),
+                          draw(st.sampled_from([0.1, 0.35, 0.6])))
+
+
+def _answer(x):
+    """A comparable form: a Subspace as its canonical rows."""
+    if isinstance(x, Subspace):
+        return x._rows
+    if isinstance(x, SimplicityCertificate):
+        return x.verdict, x.criterion, _answer(x.witness), x.details
+    return x
+
+
+def _search_answers(alg, ops, trials, rng_seed):
+    try:
+        cert = _answer(certify_conformal_simplicity(alg, trials, rng_seed))
+    except TrivialAlgebra as exc:
+        cert = str(exc)
+    return cert, _answer(find_proper_ideal(alg, ops, trials, rng_seed))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(algebras_with_ideal(max_dim=5).map(lambda pair: pair[0]), random_algebras()),
+       OP_SETS, st.sampled_from([0, 3, 20]), st.integers(0, 9))
+@example(LD_PAIR, ("ld",), 3, 7)
+def test_search_order_matches_oracle(alg, ops, trials, rng_seed):
+    got = _search_answers(alg, ops, trials, rng_seed)
+    with mock.patch.object(ideals, "_search", oracles.search):
+        want = _search_answers(alg, ops, trials, rng_seed)
+    assert got == want
