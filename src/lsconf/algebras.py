@@ -22,8 +22,11 @@ denominators.  Spans, kernels and ranks (ideal closures, envelopes, cocycle
 systems) read the integers; readers whose values reach an answer divide back.
 
 The identity catalog evaluates residuals on basis triples; by
-multilinearity that is exhaustive.  A module M of an algebra A is checked
-through the same catalog, as the split null extension A + M (`semidirect`).
+multilinearity that is exhaustive.  Its product tables hold only their
+nonzero entries (an absent entry is zero), so the work follows the nonzero
+structure constants rather than dim^3 index tuples per term.  A module M
+of an algebra A is checked through the same catalog, as the split null
+extension A + M (`semidirect`).
 """
 
 from __future__ import annotations
@@ -399,17 +402,23 @@ def _products(shape):
     return 0 if shape is None else (shape[0] != "aux") + sum(map(_products, shape[1:]))
 
 
-def _residuals(alg, laws, aux, leaves, domain):
-    """Yield (label, idx, residual) per law and per index tuple of
-    domain(arity); idx picks the law's arguments a, b, c from leaves.
+def _residuals(alg, laws, aux, leaves, domains):
+    """Yield (label, idx, residual) per law, where idx picks the law's
+    arguments a, b, c from leaves.  domains maps an arity to the index
+    tuples to visit, in their order and zero residuals included; None
+    stands for every tuple, of which only the nonzero residuals are
+    yielded, in sorted (= itertools.product) order.
 
     Every distinct nested product is tabulated once over all tuples of
-    leaves, from the integer rows (scaled by alg.den per op node); a term is
-    then a signed lookup under the permutation its letters spell, and a
+    leaves, from the integer rows (scaled by alg.den per op node).  A table
+    holds its nonzero entries only, so an absent key means zero, and an
+    entry is built only from two nonzero operands.  A law's residuals are
+    summed by walking each term's table, every key mapped back to its idx
+    through the inverse of the permutation the term's letters spell; a
     nonzero residual is divided back once.
     """
     tensors = {} if aux is None else {"aux": [_sparse(col) for col in zip(*aux.matrix)]}
-    tables = {None: {(x,): _sparse(v) for x, v in enumerate(leaves)}}
+    tables = {None: {(x,): v for x, v in enumerate(map(_sparse, leaves)) if v}}
 
     def op_table(op):
         if op not in tensors:
@@ -421,29 +430,41 @@ def _residuals(alg, laws, aux, leaves, domain):
         if shape not in tables:
             t = op_table(shape[0])
             if len(shape) == 2:
-                tables[shape] = {key: _lincomb((x, t[j]) for j, x in v)
-                                 for key, v in table(shape[1]).items()}
+                tables[shape] = {key: w for key, v in table(shape[1]).items()
+                                 if (w := _lincomb((x, t[j]) for j, x in v))}
             else:
                 tables[shape] = {
-                    kl + kr: _lincomb((x * y, t[i][j]) for i, x in u for j, y in v)
+                    kl + kr: w
                     for kl, u in table(shape[1]).items()
-                    for kr, v in table(shape[2]).items()}
+                    for kr, v in table(shape[2]).items()
+                    if (w := _lincomb((x * y, t[i][j]) for i, x in u for j, y in v))}
         return tables[shape]
 
     shaped = [(label, [(coef, *_shape(tree)) for coef, tree in terms])
               for label, terms in laws]
     last_use = {shape: n for n, (_, law) in enumerate(shaped) for _, shape, _ in law}
+    dim = alg.dim
     for n, (label, law) in enumerate(shaped):
         top = max(_products(shape) for _, shape, _ in law)
-        terms = [(coef * alg.den ** (top - _products(shape)), table(shape), itemgetter(*letters))
-                 for coef, shape, letters in law]
-        zero, scale = (ZERO,) * alg.dim, alg.den ** top
-        for idx in domain(len(law[0][2])):
-            acc = [0] * alg.dim
-            for coef, tab, pick in terms:
-                for k, x in tab[pick(idx)]:
-                    acc[k] += coef * x
-            yield label, tuple(idx), tuple(Fraction(x, scale) for x in acc) if any(acc) else zero
+        acc = {}
+        for coef, shape, letters in law:
+            coef *= alg.den ** (top - _products(shape))
+            back = itemgetter(*sorted(range(len(letters)), key=letters.__getitem__))
+            for key, vec in table(shape).items():
+                idx = back(key)
+                row = acc.get(idx)
+                if row is None:
+                    row = acc[idx] = [0] * dim
+                for k, x in vec:
+                    row[k] += coef * x
+        zero, scale = (ZERO,) * dim, alg.den ** top
+        given = domains[len(law[0][2])]
+        for idx in sorted(acc) if given is None else map(tuple, given):
+            row = acc.get(idx)
+            if row and any(row):
+                yield label, idx, tuple(Fraction(x, scale) for x in row)
+            elif given is not None:
+                yield label, idx, zero
         # drop what no later law reads, which bounds the peak memory
         for shape, last in last_use.items():
             if last == n:
@@ -470,14 +491,9 @@ def check_identity(alg, identity_id, aux=None, triples=None, pairs=None):
     multilinearity.
     """
     key, laws = _laws(alg, identity_id, aux)
-    dim = alg.dim
-
-    def domain(arity):
-        given = pairs if arity == 2 else triples
-        return given if given is not None else itertools.product(range(dim), repeat=arity)
-
-    units = [[int(i == k) for k in range(dim)] for i in range(dim)]
-    violations = tuple(v for v in _residuals(alg, laws, aux, units, domain) if any(v[2]))
+    units = [[int(i == k) for k in range(alg.dim)] for i in range(alg.dim)]
+    violations = tuple(v for v in _residuals(alg, laws, aux, units, {2: pairs, 3: triples})
+                       if any(v[2]))
     return IdentityReport(key, not violations, violations)
 
 
@@ -489,7 +505,7 @@ def identity_residuals(alg, identity_id, vectors, aux=None):
     if any(len(v) != alg.dim for v in vectors):
         raise DimensionMismatch("operand length does not match algebra dim")
     return [(label, res) for label, _, res in
-            _residuals(alg, laws, aux, vectors, lambda arity: [tuple(range(arity))])]
+            _residuals(alg, laws, aux, vectors, {2: [(0, 1)], 3: [(0, 1, 2)]})]
 
 
 def require_identity(alg, identity_id, aux=None, triples=None, pairs=None):

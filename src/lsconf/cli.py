@@ -9,6 +9,7 @@ never a finding about the input).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -47,11 +48,17 @@ def _cli_count(text):
 
 
 def _emit(args, doc, text_lines):
-    if getattr(args, "json", False):
-        sys.stdout.write(dump_json(doc))
-    else:
-        for line in text_lines:
-            print(line)
+    text = (dump_json(doc) if getattr(args, "json", False)
+            else "".join(line + "\n" for line in text_lines))
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone; the exit code still carries the verdict.  Point
+        # stdout at devnull so that the interpreter's last flush cannot fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _labels(alg, idx):

@@ -9,7 +9,10 @@ bilinear forms on the algebra.  The extension identity
 expands, for the quadratic lam-product, into one linear equation per
 basis triple and lam^i mu^j monomial; generate_cocycle_system performs
 that expansion mechanically and is the source of truth.  (The tests
-cross-check it against hand-written cap-3 equation lists.)
+cross-check it against hand-written cap-3 equation lists.)  The identity
+is antisymmetric under (a, lam) <-> (b, mu): the equation at (b, a, c) and
+lam^j mu^i is minus the one at (a, b, c) and lam^i mu^j, so only the
+triples with a <= b are expanded.
 
 Cocycle coordinates are ordered highest-degree form first:
 
@@ -112,9 +115,11 @@ def family_to_coords(fam, cap, dim):
 
 def generate_cocycle_system(alg, beta, degree_cap):
     """Constraint rows {col: int} of the extension identity, one per basis
-    triple and lam^i mu^j monomial, scaled by alg.den * beta.denominator
-    (zero rows dropped; rows that repeat an earlier one up to scale are
-    kept, and h2 drops them before elimination)."""
+    triple (a, b, c) with a <= b and lam^i mu^j monomial, scaled by
+    alg.den * beta.denominator.  A triple with a > b would only repeat, up
+    to sign, the rows of (b, a, c) (see the module docstring).  Zero rows
+    are dropped; rows that repeat an earlier one up to scale are kept, and
+    h2 drops them before elimination."""
     beta = _exact(beta)
     require_identity(alg, "PRE_GD")
     cap, dim = degree_cap, alg.dim
@@ -140,7 +145,8 @@ def generate_cocycle_system(alg, beta, degree_cap):
                 row[col] = row.get(col, 0) + sign * cv
 
     rows = []
-    for a, b, c in itertools.product(range(dim), repeat=3):
+    for (a, b), c in itertools.product(itertools.combinations_with_replacement(range(dim), 2),
+                                       range(dim)):
         acc = {}
         alpha_lm(acc, ld[b][a], c, -bd, 0, 1)
         alpha_lm(acc, rd[a][b], c, bd, 1, 0)

@@ -17,6 +17,10 @@
   library computed them before it kept them on integer rows: the kernel
   read off the dense `rref`, coboundaries as dense Fraction matrix-vector
   products, and representatives from `quotient_representatives`.
+* `check_identity` evaluates the identity catalog as the library did before
+  its tables kept only their nonzero entries: every law is summed at every
+  index tuple of the domain, each term a lookup in a table that holds every
+  tuple of leaves, zero products included.
 * `check_representation` checks the module axioms as the library did
   before it read them off the catalog on the split null extension: seven
   matrix laws over basis pairs, written out by hand.
@@ -34,10 +38,11 @@ import itertools
 import random
 from fractions import Fraction
 from math import comb, gcd, prod
+from operator import itemgetter
 
 from lsconf.algebras import (AlgebraSpec, IdentityReport, MissingMaps, UnknownOp,
-                             check_identity, novikov_star, products_span,
-                             require_identity, tensor)
+                             _laws, _lincomb, _products, _shape, _sparse,
+                             novikov_star, products_span, require_identity, tensor)
 from lsconf.cohomology import CohomologyError, coord_index, ncols
 from lsconf.conformal import WindowedElement, WindowMismatch
 from lsconf import ideals, linalg
@@ -342,6 +347,80 @@ def generate_cocycle_system(alg, beta, degree_cap):
             if any(form.values()):
                 rows.append([form.get(col, ZERO) for col in range(width)])
     return rows
+
+
+# ---------------------------------------------------------------------------
+# the identity catalog on every index tuple
+
+def _residuals(alg, laws, aux, leaves, domain):
+    """Yield (label, idx, residual) per law and per index tuple of
+    domain(arity); idx picks the law's arguments a, b, c from leaves.
+
+    Every distinct nested product is tabulated once over all tuples of
+    leaves, from the integer rows (scaled by alg.den per op node); a term is
+    then a signed lookup under the permutation its letters spell, and a
+    nonzero residual is divided back once.
+    """
+    tensors = {} if aux is None else {"aux": [_sparse(col) for col in zip(*aux.matrix)]}
+    tables = {None: {(x,): _sparse(v) for x, v in enumerate(leaves)}}
+
+    def op_table(op):
+        if op not in tensors:
+            t = alg.rows({"nov": novikov_star(alg), "s1": "ld"}.get(op, op))
+            tensors[op] = list(zip(*t)) if op == "s1" else t
+        return tensors[op]
+
+    def table(shape):
+        if shape not in tables:
+            t = op_table(shape[0])
+            if len(shape) == 2:
+                tables[shape] = {key: _lincomb((x, t[j]) for j, x in v)
+                                 for key, v in table(shape[1]).items()}
+            else:
+                tables[shape] = {
+                    kl + kr: _lincomb((x * y, t[i][j]) for i, x in u for j, y in v)
+                    for kl, u in table(shape[1]).items()
+                    for kr, v in table(shape[2]).items()}
+        return tables[shape]
+
+    shaped = [(label, [(coef, *_shape(tree)) for coef, tree in terms])
+              for label, terms in laws]
+    last_use = {shape: n for n, (_, law) in enumerate(shaped) for _, shape, _ in law}
+    for n, (label, law) in enumerate(shaped):
+        top = max(_products(shape) for _, shape, _ in law)
+        terms = [(coef * alg.den ** (top - _products(shape)), table(shape), itemgetter(*letters))
+                 for coef, shape, letters in law]
+        zero, scale = (ZERO,) * alg.dim, alg.den ** top
+        for idx in domain(len(law[0][2])):
+            acc = [0] * alg.dim
+            for coef, tab, pick in terms:
+                for k, x in tab[pick(idx)]:
+                    acc[k] += coef * x
+            yield label, tuple(idx), tuple(Fraction(x, scale) for x in acc) if any(acc) else zero
+        # drop what no later law reads, which bounds the peak memory
+        for shape, last in last_use.items():
+            if last == n:
+                del tables[shape]
+
+
+def check_identity(alg, identity_id, aux=None, triples=None, pairs=None):
+    """Evaluate an identity system on basis tuples.
+
+    triples / pairs restrict the checked index tuples (used for truncated
+    instances whose products are only faithful on a sub-domain); by default
+    everything over basis^arity is checked, which is complete by
+    multilinearity.
+    """
+    key, laws = _laws(alg, identity_id, aux)
+    dim = alg.dim
+
+    def domain(arity):
+        given = pairs if arity == 2 else triples
+        return given if given is not None else itertools.product(range(dim), repeat=arity)
+
+    units = [[int(i == k) for k in range(dim)] for i in range(dim)]
+    violations = tuple(v for v in _residuals(alg, laws, aux, units, domain) if any(v[2]))
+    return IdentityReport(key, not violations, violations)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from lsconf.conformal import build_rank_one
 from lsconf import constructions as cons
 
 from conftest import (construction_pre_gd_family, random_algebra, rank_two,
-                      two_dim_lw, unital_two_dim)
+                      small_fraction, two_dim_lw, unital_two_dim)
 import oracles
 
 F = Fraction
@@ -133,6 +133,28 @@ def test_residuals_at_vectors_match_basis_residuals():
            identity_residuals(alg, "PRE_GD", (units[0], units[1], units[0]))
            if any(res)]
     assert got == [v for v in rep.violations if v[1] == (0, 1, 0)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(1, 4), st.floats(0.05, 0.6), st.data())
+def test_catalog_matches_dense_oracle(seed, dim, density, data):
+    """The sparse tables give the dense evaluator's reports exactly: the
+    same labels, index tuples in the same order and the same Fractions, on
+    the full domain, on restricted triples / pairs and at vectors."""
+    rng = random.Random(seed)
+    alg = random_algebra(rng, dim, ("ld", "rd", "circ", "dot", "bracket"), density)
+    aux = LinearMapSpec([[small_fraction(rng) for _ in range(dim)] for _ in range(dim)])
+    vectors = [[small_fraction(rng) for _ in range(dim)] for _ in range(3)]
+    index = st.integers(0, dim - 1)
+    triples = data.draw(st.lists(st.tuples(index, index, index), max_size=8))
+    pairs = data.draw(st.none() | st.lists(st.tuples(index, index), max_size=5))
+    for key, laws in CATALOG.items():
+        for domain in ({}, {"triples": triples, "pairs": pairs}):
+            assert (check_identity(alg, key, aux=aux, **domain)
+                    == oracles.check_identity(alg, key, aux=aux, **domain)), (key, domain)
+        want = oracles._residuals(alg, laws, aux, vectors, lambda arity: [tuple(range(arity))])
+        assert identity_residuals(alg, key, vectors, aux=aux) == [(label, res)
+                                                                  for label, _, res in want]
 
 
 def _golden_algebra():

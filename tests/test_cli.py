@@ -340,6 +340,23 @@ def test_console_script_entry_point(inputs, tmp_path):
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("fmt", [(), ("--json",)])
+@pytest.mark.parametrize("spec, identity, code", [("r1", "pre-gd", 0),
+                                                  ("rdonly", "pre-novikov", 1)])
+def test_closed_stdout_keeps_the_verdict(inputs, spec, identity, code, fmt):
+    """A reader that leaves before anything is written costs neither the
+    exit code nor a traceback."""
+    src = Path(lsconf.__file__).resolve().parents[1]
+    with subprocess.Popen([sys.executable, "-m", "lsconf.cli", "check", inputs[spec],
+                           "--identity", identity, *fmt],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src))) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == code
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+
+
 @pytest.mark.skipif(shutil.which("lsconf") is None,
                     reason="no lsconf executable on PATH (package not installed)")
 def test_installed_console_script(inputs):
