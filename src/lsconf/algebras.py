@@ -38,7 +38,7 @@ from math import lcm
 from operator import itemgetter
 from types import MappingProxyType
 
-from .linalg import ZERO, DimensionMismatch, mat_vec, rank, vzero
+from .linalg import ZERO, DimensionMismatch, exact, mat_vec, rank, vzero
 
 
 class AlgebraError(Exception):
@@ -81,23 +81,25 @@ DERIVED = {"ast": ((1, "ld", False), (1, "rd", False)),
 
 
 def tensor(dim, entries=None):
-    """Dense mutable dim^3 tensor from a {(i, j, k): scalar} dict."""
+    """Dense mutable dim^3 tensor from a {(i, j, k): int or Fraction} dict."""
     t = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
     for (i, j, k), v in (entries or {}).items():
-        t[i][j][k] = Fraction(v)
+        t[i][j][k] = exact(v)
     return t
 
 
 def _freeze_tensor(t, dim):
+    """t as nested tuples; Fraction entries are kept, ints converted."""
     if len(t) != dim or any(len(p) != dim or any(len(r) != dim for r in p) for p in t):
         raise DimensionMismatch(f"tensor is not {dim} x {dim} x {dim}")
-    return tuple(tuple(tuple(Fraction(x) for x in row) for row in plane) for plane in t)
+    return tuple(tuple(tuple(map(exact, row)) for row in plane) for plane in t)
 
 
 @dataclass(frozen=True)
 class AlgebraSpec:
     """Immutable algebra: basis labels plus a read-only mapping of
-    structure tensors per op; `den` and `rows` give the integer form."""
+    structure tensors per op; `den` and `rows` give the integer form.
+    Entries are ints or Fractions; a float or a bool raises TypeError."""
 
     name: str
     dim: int
@@ -149,7 +151,7 @@ class LinearMapSpec:
     matrix: tuple
 
     def __post_init__(self):
-        m = tuple(tuple(Fraction(x) for x in row) for row in self.matrix)
+        m = tuple(tuple(map(exact, row)) for row in self.matrix)
         n = len(m)
         for row in m:
             if len(row) != n:
@@ -174,8 +176,7 @@ class RepresentationSpec:
     def __post_init__(self):
         clean = {}
         for key, mats in self.maps.items():
-            fam = tuple(tuple(tuple(Fraction(x) for x in row) for row in m)
-                        for m in mats)
+            fam = tuple(tuple(tuple(map(exact, row)) for row in m) for m in mats)
             for m in fam:
                 if len(m) != self.module_dim or any(len(r) != self.module_dim for r in m):
                     raise DimensionMismatch("representation matrix shape mismatch")
@@ -402,6 +403,19 @@ def _products(shape):
     return 0 if shape is None else (shape[0] != "aux") + sum(map(_products, shape[1:]))
 
 
+class _Scaled(dict):
+    """x -> Fraction(x, scale) for integers x, each built on first use and
+    then shared; 0 maps to ZERO."""
+
+    def __init__(self, scale):
+        super().__init__({0: ZERO})
+        self.scale = scale
+
+    def __missing__(self, x):
+        value = self[x] = Fraction(x, self.scale)
+        return value
+
+
 def _residuals(alg, laws, aux, leaves, domains):
     """Yield (label, idx, residual) per law, where idx picks the law's
     arguments a, b, c from leaves.  domains maps an arity to the index
@@ -415,7 +429,9 @@ def _residuals(alg, laws, aux, leaves, domains):
     entry is built only from two nonzero operands.  A law's residuals are
     summed by walking each term's table, every key mapped back to its idx
     through the inverse of the permutation the term's letters spell; a
-    nonzero residual is divided back once.
+    nonzero residual is divided back once, its entries read from one
+    `_Scaled` table per law, so residuals share their Fractions: a report
+    holds only a few distinct values.
     """
     tensors = {} if aux is None else {"aux": [_sparse(col) for col in zip(*aux.matrix)]}
     tables = {None: {(x,): v for x, v in enumerate(map(_sparse, leaves)) if v}}
@@ -457,12 +473,12 @@ def _residuals(alg, laws, aux, leaves, domains):
                     row = acc[idx] = [0] * dim
                 for k, x in vec:
                     row[k] += coef * x
-        zero, scale = (ZERO,) * dim, alg.den ** top
+        zero, scaled = (ZERO,) * dim, _Scaled(alg.den ** top).__getitem__
         given = domains[len(law[0][2])]
         for idx in sorted(acc) if given is None else map(tuple, given):
             row = acc.get(idx)
             if row and any(row):
-                yield label, idx, tuple(Fraction(x, scale) for x in row)
+                yield label, idx, tuple(map(scaled, row))
             elif given is not None:
                 yield label, idx, zero
         # drop what no later law reads, which bounds the peak memory

@@ -12,7 +12,9 @@ that expansion mechanically and is the source of truth.  (The tests
 cross-check it against hand-written cap-3 equation lists.)  The identity
 is antisymmetric under (a, lam) <-> (b, mu): the equation at (b, a, c) and
 lam^j mu^i is minus the one at (a, b, c) and lam^i mu^j, so only the
-triples with a <= b are expanded.
+triples with a <= b are expanded, and on a diagonal triple (a, a, c) only
+the monomials lam^i mu^j with i < j (the one at lam^j mu^i is its negative,
+and at i = j it is zero).
 
 Cocycle coordinates are ordered highest-degree form first:
 
@@ -36,7 +38,7 @@ from fractions import Fraction
 from math import comb, gcd
 
 from .algebras import IdentityError, op_tensor, products_span, require_identity
-from .linalg import (ZERO, ONE, Subspace, nullspace, quotient_representatives,
+from .linalg import (ZERO, ONE, Subspace, exact, nullspace, quotient_representatives,
                      solve)
 
 
@@ -53,15 +55,6 @@ class CohomologyError(Exception):
     system); indicates a defect, not bad input."""
 
 
-def _exact(x):
-    """x as a Fraction; a float or a bool is refused, not read as exact."""
-    if isinstance(x, Fraction):
-        return x
-    if type(x) is int:
-        return Fraction(x)
-    raise TypeError(f"expected an int or Fraction, got {type(x).__name__} {x!r}")
-
-
 @dataclass(frozen=True)
 class CocycleFamily:
     """alpha_lam = sum_{i<=degree_cap} lam^i alpha_i; forms[i][a][b]."""
@@ -70,7 +63,7 @@ class CocycleFamily:
     forms: tuple
 
     def __post_init__(self):
-        forms = tuple(tuple(tuple(map(_exact, row)) for row in f)
+        forms = tuple(tuple(tuple(map(exact, row)) for row in f)
                       for f in self.forms)
         if len(forms) != self.degree_cap + 1:
             raise ValueError("need degree_cap + 1 forms")
@@ -115,12 +108,13 @@ def family_to_coords(fam, cap, dim):
 
 def generate_cocycle_system(alg, beta, degree_cap):
     """Constraint rows {col: int} of the extension identity, one per basis
-    triple (a, b, c) with a <= b and lam^i mu^j monomial, scaled by
-    alg.den * beta.denominator.  A triple with a > b would only repeat, up
-    to sign, the rows of (b, a, c) (see the module docstring).  Zero rows
-    are dropped; rows that repeat an earlier one up to scale are kept, and
-    h2 drops them before elimination."""
-    beta = _exact(beta)
+    triple (a, b, c) with a <= b and lam^i mu^j monomial (i < j when
+    a = b), scaled by alg.den * beta.denominator.  A triple with a > b, or
+    a diagonal monomial with i >= j, would only repeat an emitted row up to
+    sign or give zero (see the module docstring).  Zero rows are dropped;
+    rows that repeat an earlier one up to scale are kept, and h2 drops them
+    before elimination."""
+    beta = exact(beta)
     require_identity(alg, "PRE_GD")
     cap, dim = degree_cap, alg.dim
     bn, bd = beta.numerator, beta.denominator
@@ -164,6 +158,8 @@ def generate_cocycle_system(alg, beta, degree_cap):
         alpha_one(acc, b, star[a][c], bd, 1, 0, 1)
         alpha_one(acc, b, circ[a][c], bd, 0, 0, 1)
         for key in sorted(acc):
+            if a == b and key[0] >= key[1]:
+                continue
             row = {col: x for col, x in acc[key].items() if x}
             if row:
                 rows.append(row)
@@ -178,7 +174,7 @@ def coboundary_space(alg, beta, degree_cap):
     alpha_1 = phi(a star b), higher forms zero).  At cap 0 there is no
     alpha_1, so phi ranges over the functionals with phi(a star b) = 0.
     Generators are integer rows scaled by alg.den * beta.denominator."""
-    beta = _exact(beta)
+    beta = exact(beta)
     cap, dim = degree_cap, alg.dim
     bn, bd = beta.numerator, beta.denominator
     ld, circ, star = (alg.rows(op) for op in ("ld", "circ", "star"))
@@ -244,7 +240,7 @@ def _distinct_up_to_scale(rows):
 
 def h2(alg, beta, degree_cap=None):
     """Cocycles modulo coboundaries at the given (or justified) cap."""
-    beta = _exact(beta)
+    beta = exact(beta)
     if degree_cap is not None and (type(degree_cap) is not int or degree_cap < 0):
         raise ValueError(f"degree_cap must be a non-negative int, got {degree_cap!r}")
     spanning = check_spanning(alg)
@@ -286,7 +282,7 @@ def find_right_unit(alg):
 def unital_vanishing_check(alg, beta):
     """For a pre-Novikov algebra with a right unit, H2 vanishes at
     beta != 0; returns the computed verdict dim_H2 == 0."""
-    beta = _exact(beta)
+    beta = exact(beta)
     if beta == 0:
         raise ValueError("the unital vanishing statement needs beta != 0")
     if alg.has("circ"):

@@ -34,7 +34,7 @@ import itertools
 from fractions import Fraction
 from math import comb, prod
 
-from .algebras import (AlgebraSpec, IdentityReport, IdentityError,
+from .algebras import (AlgebraError, AlgebraSpec, IdentityReport,
                        require_identity, tensor)
 from .linalg import ZERO, ONE
 
@@ -279,10 +279,12 @@ def build_rank_one(c):
 
 
 def build_current(alg):
-    """Current-type conformal algebra of a left-symmetric product."""
+    """Current-type conformal algebra of a left-symmetric product.  An input
+    with any other product is the wrong kind of algebra (AlgebraError); a
+    circ that is not left-symmetric fails an identity (IdentityError)."""
     for op in ("ld", "rd", "dot"):
         if alg.has(op):
-            raise IdentityError("current construction expects a single product (circ)")
+            raise AlgebraError("current construction expects a single product (circ)")
     require_identity(alg, "LEFT_SYMMETRIC")
     ops = {}
     if alg.has("circ"):

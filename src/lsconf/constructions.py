@@ -35,12 +35,12 @@ def zinbiel_to_pre_novikov(zin, D, xi, triples=None, pairs=None):
     require_identity(zin, "ZINBIEL", triples=triples)
     require_identity(zin, "DERIVATION", aux=D, pairs=pairs)
     dim = zin.dim
+    dcols = [D.apply(unit(dim, j)) for j in range(dim)]
     ld, rd = tensor(dim), tensor(dim)
     for i in range(dim):
         ei = unit(dim, i)
         for j in range(dim):
-            ej = unit(dim, j)
-            dj = D.apply(ej)
+            ej, dj = unit(dim, j), dcols[j]
             ld[i][j] = vadd(_dot(zin, dj, ei), vscale(xi, _dot(zin, ej, ei)))
             rd[i][j] = vadd(_dot(zin, ei, dj), vscale(xi, _dot(zin, ei, ej)))
     out = AlgebraSpec(f"{zin.name}~pn(xi={xi})", dim, zin.basis, {"ld": ld, "rd": rd})
@@ -77,14 +77,12 @@ def zinbiel_to_pre_gd(zin, D, xi, k, triples=None, pairs=None):
     pn = zinbiel_to_pre_novikov(zin, D, xi, triples=triples, pairs=pairs)
     out = pre_novikov_to_pre_gd(pn, k, triples=triples)
     dim = zin.dim
+    dcols = [D.apply(unit(dim, j)) for j in range(dim)]
     for i in range(dim):
         ei = unit(dim, i)
-        di = D.apply(ei)
         for j in range(dim):
-            ej = unit(dim, j)
-            dj = D.apply(ej)
             direct = [k * (t1 - t2) for t1, t2 in
-                      zip(_dot(zin, ei, dj), _dot(zin, di, ej))]
+                      zip(_dot(zin, ei, dcols[j]), _dot(zin, dcols[i], unit(dim, j)))]
             if direct != prod_basis(out, "circ", i, j):
                 raise IdentityError(
                     f"direct and composed circ tensors disagree at ({i}, {j})")
@@ -109,11 +107,12 @@ def comm_assoc_derivation_to_novikov_poisson(A, D, triples=None, pairs=None):
     require_identity(A, "COMM_ASSOC", triples=triples, pairs=pairs)
     require_identity(A, "DERIVATION", aux=D, pairs=pairs)
     dim = A.dim
+    dcols = [D.apply(unit(dim, j)) for j in range(dim)]
     circ = tensor(dim)
     for i in range(dim):
         ei = unit(dim, i)
         for j in range(dim):
-            circ[i][j] = _dot(A, ei, D.apply(unit(dim, j)))
+            circ[i][j] = _dot(A, ei, dcols[j])
     ops = {"circ": circ}
     if A.has("dot"):
         ops["dot"] = A.ops["dot"]

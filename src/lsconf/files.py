@@ -9,6 +9,13 @@ cleanly:
 Rationals travel as strings matching -?digits[/digits]; they are
 canonicalized on load, so load -> save -> load is identity on the
 canonical spec.
+
+Every JSON we write, files and --json reports alike, goes through one
+direct writer, `dump_json`, whose bytes equal those of
+json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) plus a
+newline.  It takes only str-keyed dicts, lists, tuples, strings, ints,
+bools and None; anything else (a float or a Fraction, say) is a defect
+and raises TypeError.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ import json
 import os
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring
 
 from .algebras import AlgebraSpec, LinearMapSpec
 from .cohomology import CocycleFamily
@@ -129,7 +137,50 @@ def algebra_to_json(alg):
 
 def dump_json(doc):
     """The byte-stable rendering used for every JSON we write."""
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    out = []
+    _dump(doc, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _dump(x, out, nl):
+    """Append the chunks of x to out; nl is a newline and x's indent."""
+    if isinstance(x, str):
+        out.append(encode_basestring(x))
+    elif x is None or x is True or x is False:
+        out.append("null" if x is None else "true" if x else "false")
+    elif isinstance(x, int):
+        out.append(int.__repr__(x))
+    elif isinstance(x, (list, tuple)):
+        inner = nl + "  "
+        if not x:
+            out.append("[]")
+            return
+        try:
+            # a list of strings in one join; encode_basestring refuses
+            # anything else, and then the items go one by one
+            out.append("[" + inner + ("," + inner).join(map(encode_basestring, x))
+                       + nl + "]")
+            return
+        except TypeError:
+            pass
+        sep = "[" + inner
+        for item in x:
+            out.append(sep)
+            _dump(item, out, inner)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(x, dict):
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(x):
+            # encode_basestring raises TypeError on a key that is not a str
+            out.append(sep + encode_basestring(key) + ": ")
+            _dump(x[key], out, inner)
+            sep = "," + inner
+        out.append(nl + "}" if x else "{}")
+    else:
+        raise TypeError(f"{type(x).__name__} {x!r} has no JSON form here")
 
 
 def _write_json(*outputs):

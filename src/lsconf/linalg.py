@@ -35,6 +35,16 @@ class ContainmentError(LinalgError):
     """Raised when a claimed subspace inclusion does not hold."""
 
 
+def exact(x):
+    """x as a Fraction, kept as is when it is one; a float or a bool is
+    refused, not read as exact."""
+    if isinstance(x, Fraction):
+        return x
+    if type(x) is int:
+        return Fraction(x)
+    raise TypeError(f"expected an int or Fraction, got {type(x).__name__} {x!r}")
+
+
 # ---------------------------------------------------------------------------
 # vectors
 

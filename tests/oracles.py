@@ -28,6 +28,8 @@
   algebra as the library ran it before its basis-pair table: four Fraction
   products per basis triple and exponent triple, each rebuilt from the
   integer rows, with `_eta` copied alongside.
+* `dump_json` is the stdlib rendering every written JSON had before the
+  library's direct writer: `json.dumps` with sorted keys and indent 2.
 * `hardcoded_cocycle_system` holds the explicitly listed cap-3 equation
   systems (general, pre-Novikov, pre-Novikov at beta = 0, LS-Poisson),
   written out by hand as a cross-check of the mechanical expansion in
@@ -35,6 +37,7 @@
 """
 
 import itertools
+import json
 import random
 from fractions import Fraction
 from math import comb, gcd, prod
@@ -53,6 +56,10 @@ from lsconf.linalg import (ONE, ZERO, DimensionMismatch, Subspace, mat_mul,
 
 def identity_matrix(n):
     return [unit(n, i) for i in range(n)]
+
+
+def dump_json(doc):
+    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
 # ---------------------------------------------------------------------------

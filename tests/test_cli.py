@@ -40,11 +40,11 @@ def inputs(tmp_path_factory):
     put("rdonly", AlgebraSpec("rdonly", 1, ("L",),
                               {"rd": tensor(1, {(0, 0, 0): 1})}))
     paths["cocycle"] = str(root / "cocycle.json")
-    with open(paths["cocycle"], "w") as fh:
+    with open(paths["cocycle"], "w", encoding="utf-8") as fh:
         fh.write(dump_json({"degree_cap": 2,
                             "forms": [[["0"]], [["0"]], [["1"]]]}))
     paths["bad"] = str(root / "bad.json")
-    with open(paths["bad"], "w") as fh:
+    with open(paths["bad"], "w", encoding="utf-8") as fh:
         fh.write('{"name": "x", "dim": 1, "basis": ["L"], '
                  '"ops": {"ld": {"L,L": {"L": "1/0"}}}}')
     paths["dir"] = str(root)
@@ -206,6 +206,11 @@ def test_construct_failures(capsys, inputs):
     assert code == 2 and "--c" in err
     code, _, err = run(capsys, "construct", "current", "-o", inputs["dir"] + "/x.json")
     assert code == 2 and "positional file argument" in err and "--file" not in err
+    # an input with ld/rd is the wrong kind of algebra: exit 2, not a finding
+    code, _, err = run(capsys, "construct", "current", inputs["lw"],
+                       "-o", inputs["dir"] + "/x.json")
+    assert code == 2 and "single product (circ)" in err
+    assert not os.path.exists(inputs["dir"] + "/x.json")
 
 
 @pytest.mark.parametrize("argv, unwritable", [
@@ -223,10 +228,10 @@ def test_construct_unwritable_output_exits_2(capsys, tmp_path, argv, unwritable)
 
 def test_construct_refusal_leaves_existing_output_unchanged(capsys, tmp_path):
     out = tmp_path / "zin3.json"
-    out.write_text("old\n")
+    out.write_text("old\n", encoding="utf-8")
     code, _, _ = run(capsys, "construct", "binomial-zinbiel", "--n", "3", "-o", str(out),
                      "--derivation-out", str(tmp_path / "missing" / "d.json"))
-    assert code == 2 and out.read_text() == "old\n"
+    assert code == 2 and out.read_text(encoding="utf-8") == "old\n"
 
 
 def test_lambda_command(capsys, inputs):
@@ -272,7 +277,7 @@ def test_malformed_files_exit_2_with_location(capsys, tmp_path, kind, content):
     paths = {}
     for name, doc in {"algebra": R1, kind: content}.items():
         paths[name] = str(tmp_path / f"{name}.json")
-        Path(paths[name]).write_text(json.dumps(doc))
+        Path(paths[name]).write_text(json.dumps(doc), encoding="utf-8")
     options = {"algebra": ["check", "--identity", "pre-gd"],
                "derivation": ["check", "--identity", "derivation",
                               "--derivation", paths.get("derivation")],
@@ -324,13 +329,13 @@ def declared_console_script():
 def test_console_script_entry_point(inputs, tmp_path):
     """The declared entry point, run as its own process, keeps the contract."""
     wrapper = tmp_path / "lsconf"
-    wrapper.write_text(declared_console_script())
+    wrapper.write_text(declared_console_script(), encoding="utf-8")
     src = Path(lsconf.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
 
     def lsconf_script(*argv):
         return subprocess.run([sys.executable, str(wrapper), *argv],
-                              capture_output=True, text=True, cwd=tmp_path,
+                              capture_output=True, encoding="utf-8", cwd=tmp_path,
                               env=env)
 
     proc = lsconf_script("check", inputs["r1"], "--identity", "pre-gd")
@@ -349,7 +354,7 @@ def test_closed_stdout_keeps_the_verdict(inputs, spec, identity, code, fmt):
     src = Path(lsconf.__file__).resolve().parents[1]
     with subprocess.Popen([sys.executable, "-m", "lsconf.cli", "check", inputs[spec],
                            "--identity", identity, *fmt],
-                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, encoding="utf-8",
                           env=dict(os.environ, PYTHONPATH=str(src))) as proc:
         proc.stdout.close()
         err = proc.stderr.read()
@@ -363,6 +368,6 @@ def test_installed_console_script(inputs):
     exe = shutil.which("lsconf")
     assert exe, "console script not installed"
     proc = subprocess.run([exe, "check", inputs["r1"], "--identity", "pre-gd"],
-                          capture_output=True, text=True)
+                          capture_output=True, encoding="utf-8")
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "PASS PRE_GD on rank_one(1)"

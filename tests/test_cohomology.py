@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lsconf.algebras import AlgebraSpec, IdentityError, tensor
+from lsconf.algebras import (AlgebraSpec, IdentityError, LinearMapSpec, RepresentationSpec,
+                             tensor)
 from lsconf.cohomology import (CocycleFamily, CohomologyError, NoUnitFound,
                                SpanningConditionError, _distinct_up_to_scale,
                                check_spanning, coboundary_space, coord_index,
@@ -178,9 +179,10 @@ def test_cocycle_system_matches_fraction_oracle(alg, t, beta, cap):
     got = generate_cocycle_system(alg, beta, cap)
     want = oracles.generate_cocycle_system(alg, beta, cap)
     assert Subspace(width, got) == Subspace(width, want)
-    # the oracle emits every triple, the library only a <= b: the rows left
-    # up to scale are the same, in the same order, scaled by
-    # alg.den * beta.denominator, so every a > b row repeats an earlier one
+    # the oracle emits every triple and monomial, the library only a <= b
+    # and, on a = b, lam^i mu^j with i < j: the rows left up to scale are
+    # the same, in the same order, scaled by alg.den * beta.denominator, so
+    # every row left out repeats an earlier one
     scale = alg.den * beta.denominator
     scaled = [{col: x * scale for col, x in enumerate(row) if x} for row in want]
     assert all(x.denominator == 1 for row in scaled for x in row.values())
@@ -223,13 +225,23 @@ def test_h2_matches_fraction_oracle(alg, t, beta, cap):
 
 def test_float_and_bool_are_not_exact_inputs():
     r1 = build_rank_one(1)
-    for bad in (0.1, 0.5, True):
+    for bad in (0.1, 0.5, True, False):
         for call in (lambda: h2(r1, bad, 1),
                      lambda: generate_cocycle_system(r1, bad, 1),
                      lambda: coboundary_space(r1, bad, 1),
-                     lambda: CocycleFamily(0, (((bad,),),))):
+                     lambda: CocycleFamily(0, (((bad,),),)),
+                     lambda: AlgebraSpec("x", 1, ("a",), {"ld": [[[bad]]]}),
+                     lambda: tensor(1, {(0, 0, 0): bad}),
+                     lambda: LinearMapSpec(((bad,),)),
+                     lambda: RepresentationSpec(1, {"l": (((bad,),),)})):
             with pytest.raises(TypeError):
                 call()
+    # int and Fraction entries are exact; a given Fraction is kept as it is
+    half = F(1, 2)
+    alg = AlgebraSpec("x", 1, ("a",), {"ld": [[[half]]], "rd": [[[3]]]})
+    assert alg.ops["ld"][0][0][0] is half and type(alg.ops["rd"][0][0][0]) is F
+    assert LinearMapSpec(((2,),)).matrix == ((F(2),),)
+    assert RepresentationSpec(1, {"l": (((half,),),)}).maps["l"][0][0][0] is half
     assert h2(r1, F(1, 10), 1).beta == F(1, 10)
     assert h2(r1, 2, 1).beta == 2
     assert CocycleFamily(0, (((F(1, 10),),),)).forms == (((F(1, 10),),),)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lsconf.algebras import AlgebraSpec, IdentityError, check_identity, tensor
+from lsconf.algebras import (AlgebraError, AlgebraSpec, IdentityError, check_identity,
+                             tensor)
 from lsconf.cohomology import CocycleFamily, h2
 from lsconf.conformal import (CentralInputError, LambdaPoly, ModuleElement,
                               WindowMismatch, WindowedElement, build_current,
@@ -90,8 +91,10 @@ def test_current_product_is_constant_in_lambda():
 
 
 def test_current_rejects_bad_inputs():
-    with pytest.raises(IdentityError):
-        build_current(two_dim_lw())  # carries ld/rd
+    # carrying ld/rd is a wrong-shaped input, not a failed identity
+    with pytest.raises(AlgebraError) as err:
+        build_current(two_dim_lw())
+    assert not isinstance(err.value, IdentityError)
     bad = AlgebraSpec("bad", 2, ("x", "y"),
                       {"circ": tensor(2, {(0, 0, 1): 1, (1, 0, 0): 1})})
     assert not check_identity(bad, "LEFT_SYMMETRIC").passed

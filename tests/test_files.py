@@ -1,17 +1,32 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from lsconf.algebras import AlgebraSpec, tensor
+from lsconf.cli import main
 from lsconf.cohomology import CocycleFamily
 from lsconf.files import (FileFormatError, algebra_to_json, cocycle_to_json,
                           dump_json, file_sha256, load_algebra, load_cocycle,
                           load_matrix, parse_rational, save_algebra)
 
 from conftest import rank_two, two_dim_lw
+import oracles
 
 F = Fraction
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# quotes, backslashes, control characters, U+2028/U+2029, non-ASCII letters
+# and an astral character, next to plain letters
+TEXT = st.text(st.sampled_from('ab"\\/\n\t\x00\x1f\x7f\u2028\u2029λ∂é😀 ,:'), max_size=8)
+JSON_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers() | TEXT,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(TEXT, max_size=4)
+                   | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(TEXT, inner, max_size=4)),
+    max_leaves=30)
 
 
 def test_parse_rational():
@@ -46,7 +61,7 @@ def test_sparse_table_format(tmp_path):
     # integer cells are accepted on input
     doc["ops"]["ld"]["L,L"]["L"] = 1
     path = tmp_path / "int.json"
-    path.write_text(dump_json(doc))
+    path.write_text(dump_json(doc), encoding="utf-8")
     assert load_algebra(path) == two_dim_lw()
 
 
@@ -57,7 +72,7 @@ def test_load_algebra_rejections(tmp_path):
         doc = json.loads(json.dumps(base))
         mutate(doc)
         path = tmp_path / "bad.json"
-        path.write_text(dump_json(doc))
+        path.write_text(dump_json(doc), encoding="utf-8")
         with pytest.raises(FileFormatError) as err:
             load_algebra(path)
         assert needle in str(err.value)
@@ -72,7 +87,7 @@ def test_load_algebra_rejections(tmp_path):
     reject(lambda d: d["ops"]["ld"]["L,L"].update(L="1/0"), "ops.ld.L,L.L")
 
     path = tmp_path / "syntax.json"
-    path.write_text("{nope")
+    path.write_text("{nope", encoding="utf-8")
     with pytest.raises(FileFormatError):
         load_algebra(path)
     with pytest.raises(FileFormatError):
@@ -87,12 +102,12 @@ def test_ops_without_file_form_are_refused():
 
 def test_load_matrix(tmp_path):
     path = tmp_path / "m.json"
-    path.write_text(dump_json({"matrix": [["1", "0"], ["-1/2", 3]]}))
+    path.write_text(dump_json({"matrix": [["1", "0"], ["-1/2", 3]]}), encoding="utf-8")
     m = load_matrix(path, expect_dim=2)
     assert m.apply([1, 1]) == [1, F(5, 2)]
     with pytest.raises(FileFormatError):
         load_matrix(path, expect_dim=3)
-    path.write_text(dump_json({"matrix": [["1", "0"]]}))
+    path.write_text(dump_json({"matrix": [["1", "0"]]}), encoding="utf-8")
     with pytest.raises(FileFormatError):
         load_matrix(path)
 
@@ -100,10 +115,36 @@ def test_load_matrix(tmp_path):
 def test_cocycle_round_trip(tmp_path):
     fam = CocycleFamily(2, (((0,),), ((F(1, 3),),), ((0,),)))
     path = tmp_path / "c.json"
-    path.write_text(dump_json(cocycle_to_json(fam)))
+    path.write_text(dump_json(cocycle_to_json(fam)), encoding="utf-8")
     assert load_cocycle(path, dim=1) == fam
     with pytest.raises(FileFormatError):
         load_cocycle(path, dim=2)
-    path.write_text(dump_json({"degree_cap": 2, "forms": [[["0"]]]}))
+    path.write_text(dump_json({"degree_cap": 2, "forms": [[["0"]]]}), encoding="utf-8")
     with pytest.raises(FileFormatError):
         load_cocycle(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_DOCS)
+@example({})
+@example([])
+@example({"a": [], "b": {}, "c": [[]], "d": [{}], "e": ["", "\u2028"]})
+@example({"k": [{"l": [[[{"m": ["x", 1, None, True]}]]]}]})
+def test_dump_json_matches_the_stdlib_rendering(doc):
+    assert dump_json(doc) == oracles.dump_json(doc)
+
+
+@pytest.mark.parametrize("bad", [0.5, F(1, 2), {"residual": [F(1, 2)]}, [1, 2.0],
+                                 {1: "int key"}, {"s": {"a", "b"}}])
+def test_dump_json_refuses_values_without_an_exact_json_form(bad):
+    with pytest.raises(TypeError):
+        dump_json(bad)
+
+
+def test_failing_check_report_is_byte_identical_to_the_golden(capsys, monkeypatch):
+    """check_fail.json is the --json report of a failing check, recorded
+    with the stdlib writer; its input has non-ASCII and escaped labels."""
+    monkeypatch.chdir(GOLDEN)
+    code = main(["check", "check_fail_input.json", "--identity", "quadratic-9", "--json"])
+    assert code == 1
+    assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / "check_fail.json").read_bytes()
