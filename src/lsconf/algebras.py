@@ -113,17 +113,20 @@ class AlgebraSpec:
         if len(set(basis)) != self.dim:
             raise ValueError("basis labels must be pairwise distinct")
         clean = {}
+        dens = set()
         for op, t in self.ops.items():
             if op not in STORED_OPS:
                 raise UnknownOp(f"cannot store op {op!r}")
             ft = _freeze_tensor(t, self.dim)
-            if any(x for plane in ft for row in plane for x in row):
+            # one walk for both: a zero has denominator 1, so only the
+            # nonzero entries can change den
+            op_dens = {x.denominator for plane in ft for row in plane for x in row if x}
+            if op_dens:
                 clean[op] = ft
+                dens |= op_dens
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "ops", MappingProxyType(clean))
-        object.__setattr__(self, "den", lcm(*(x.denominator for t in clean.values()
-                                              for plane in t for row in plane
-                                              for x in row)))
+        object.__setattr__(self, "den", lcm(*dens))
         object.__setattr__(self, "_rows", {})
 
     def rows(self, op):

@@ -9,6 +9,8 @@ never a finding about the input).
 from __future__ import annotations
 
 import argparse
+import functools
+import hashlib
 import os
 import sys
 from fractions import Fraction
@@ -61,6 +63,13 @@ def _emit(args, doc, text_lines):
         os.close(devnull)
 
 
+def _load_input(path):
+    """The algebra in path and the sha256 of the very bytes it was parsed
+    from, so a file rewritten during a long run cannot change the hash."""
+    digest = hashlib.sha256()
+    return load_algebra(path, digest=digest), digest.hexdigest()
+
+
 def _labels(alg, idx):
     return tuple(alg.basis[i] if isinstance(i, int) and 0 <= i < alg.dim else i
                  for i in idx)
@@ -79,14 +88,14 @@ def _violation_lines(alg, report, limit=5):
 
 
 def cmd_check(args):
-    alg = load_algebra(args.file)
+    alg, sha256 = _load_input(args.file)
     aux = None
     if args.derivation:
         aux = load_matrix(args.derivation, expect_dim=alg.dim)
     ident = normalize_identity_id(args.identity)
     report = check_identity(alg, ident, aux=aux)
     doc = {"command": "check", "input": args.file,
-           "input_sha256": file_sha256(args.file), "identity": ident,
+           "input_sha256": sha256, "identity": ident,
            "passed": report.passed, "skipped": report.skipped,
            "violations": [
                {"identity": label,
@@ -113,7 +122,7 @@ def family_text(alg, fam):
 
 
 def cmd_h2(args):
-    alg = load_algebra(args.file)
+    alg, sha256 = _load_input(args.file)
     result = h2(alg, args.beta, degree_cap=args.degree_cap)
     lines = [f"beta = {result.beta}",
              f"degree cap = {result.degree_cap}",
@@ -127,7 +136,7 @@ def cmd_h2(args):
     for k, fam in enumerate(result.representatives, 1):
         lines.append(f"representative {k}: {family_text(alg, fam)}")
     doc = {"command": "h2", "input": args.file,
-           "input_sha256": file_sha256(args.file), "beta": str(result.beta),
+           "input_sha256": sha256, "beta": str(result.beta),
            "degree_cap": result.degree_cap, "cap_limited": result.cap_limited,
            "spanning": list(result.spanning),
            "dim_Z2": result.dim_Z2, "dim_B2": result.dim_B2,
@@ -157,7 +166,7 @@ def _witness_text(alg, witness):
 
 
 def cmd_simple(args):
-    alg = load_algebra(args.file)
+    alg, sha256 = _load_input(args.file)
     cert = certify_conformal_simplicity(alg, trials=args.trials, rng_seed=args.seed)
     lines = [f"verdict: {cert.verdict}",
              f"criterion: {cert.criterion}",
@@ -165,7 +174,7 @@ def cmd_simple(args):
              f"seed = {args.seed}, trials = {args.trials}"]
     lines += [f"  {d}" for d in cert.details]
     doc = {"command": "simple", "input": args.file,
-           "input_sha256": file_sha256(args.file),
+           "input_sha256": sha256,
            "seed": args.seed, "trials": args.trials,
            "verdict": cert.verdict, "criterion": cert.criterion,
            "witness": _witness_doc(cert.witness),
@@ -237,7 +246,7 @@ def cmd_construct(args):
 
 
 def cmd_lambda(args):
-    alg = load_algebra(args.file)
+    alg, sha256 = _load_input(args.file)
     for label in (args.left, args.right):
         if label not in alg.basis:
             raise FileFormatError(f"unknown basis label {label!r}")
@@ -249,7 +258,7 @@ def cmd_lambda(args):
     poly = lambda_product(alg, x, y, cocycle=cocycle, beta=args.beta)
     rendered = format_lambda_poly(poly, alg.basis)
     doc = {"command": "lambda", "input": args.file,
-           "input_sha256": file_sha256(args.file),
+           "input_sha256": sha256,
            "left": args.left, "right": args.right, "beta": str(args.beta),
            "result": rendered}
     _emit(args, doc, [rendered])
@@ -257,13 +266,13 @@ def cmd_lambda(args):
 
 
 def cmd_coeff_check(args):
-    alg = load_algebra(args.file)
+    alg, sha256 = _load_input(args.file)
     cocycle = None
     if args.cocycle:
         cocycle = load_cocycle(args.cocycle, dim=alg.dim)
     report = check_coeff_left_symmetry(alg, args.window, cocycle=cocycle)
     doc = {"command": "coeff-check", "input": args.file,
-           "input_sha256": file_sha256(args.file), "window": args.window,
+           "input_sha256": sha256, "window": args.window,
            "passed": report.passed, "skipped": report.skipped,
            "violations": [
                {"basis": list(v[0]), "exponents": list(v[1]),
@@ -283,7 +292,16 @@ def cmd_coeff_check(args):
     return PASS if report.passed else FAIL
 
 
+@functools.cache
 def build_parser():
+    """The lsconf argument parser, built on the first call and shared by
+    every later call in the process: callers must not mutate it.
+
+    Sharing is safe because parse_args returns a fresh Namespace, prog is
+    fixed and every default is immutable.  The cmd_* handlers are bound
+    when the parser is built, but they look up the library functions they
+    call (h2, load_algebra, ...) when they run, so replacing one of those
+    module attributes still takes effect."""
     p = argparse.ArgumentParser(
         prog="lsconf",
         description="Exact checks for pre-Novikov, pre-Gelfand-Dorfman and "

@@ -49,7 +49,10 @@ def parse_rational(text, location=None):
         raise FileFormatError(f"not a rational string: {text!r}", location)
     if "/" in text and text.split("/")[1].lstrip("0") == "":
         raise FileFormatError(f"zero denominator: {text!r}", location)
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ValueError as exc:  # more digits than int() will convert
+        raise FileFormatError(str(exc), location) from exc
 
 
 def _rational_cell(value, location):
@@ -59,21 +62,30 @@ def _rational_cell(value, location):
     return parse_rational(value, location)
 
 
-def _load_json(path):
+def _load_json(path, digest=None):
+    """The JSON object in path, read once; digest (a hashlib object), when
+    given, is updated with exactly the bytes that were parsed."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise FileFormatError(str(exc), path) from exc
-    except json.JSONDecodeError as exc:
+    if digest is not None:
+        digest.update(data)
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"not UTF-8: {exc}", path) from exc
+    except ValueError as exc:  # a JSONDecodeError, or an over-long integer
         raise FileFormatError(f"invalid JSON: {exc}", path) from exc
     if not isinstance(doc, dict):
         raise FileFormatError("top-level JSON value must be an object", path)
     return doc
 
 
-def load_algebra(path):
-    doc = _load_json(path)
+def load_algebra(path, digest=None):
+    """The algebra in path; digest as in _load_json."""
+    doc = _load_json(path, digest)
     for key in ("name", "dim", "basis"):
         if key not in doc:
             raise FileFormatError(f"missing field {key!r}", path)

@@ -1,5 +1,8 @@
+import copy
+import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -7,13 +10,15 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import lsconf
-from lsconf import cohomology, ideals
+from lsconf import cli, cohomology, ideals
 from lsconf.algebras import AlgebraSpec, check_identity, tensor
-from lsconf.cli import main
+from lsconf.cli import build_parser, main
 from lsconf.cohomology import ncols
 from lsconf.conformal import build_rank_one
+from lsconf.constructions import truncated_binomial_zinbiel
 from lsconf.files import dump_json, file_sha256, load_algebra, save_algebra
 from lsconf.linalg import Subspace, nullspace, unit
 
@@ -39,6 +44,7 @@ def inputs(tmp_path_factory):
     put("zero", AlgebraSpec("zero", 1, ("e",), {}))
     put("rdonly", AlgebraSpec("rdonly", 1, ("L",),
                               {"rd": tensor(1, {(0, 0, 0): 1})}))
+    put("zin3", truncated_binomial_zinbiel(3)[0])
     paths["cocycle"] = str(root / "cocycle.json")
     with open(paths["cocycle"], "w", encoding="utf-8") as fh:
         fh.write(dump_json({"degree_cap": 2,
@@ -143,6 +149,44 @@ def test_h2_json_is_byte_stable(capsys, inputs):
     assert doc["dim_H2"] == 1
     assert doc["input_sha256"] == file_sha256(inputs["r0"])
     assert doc["representatives"][0]["forms"][2] == [["1"]]
+
+
+def test_input_sha256_hashes_the_bytes_parsed(capsys, monkeypatch, inputs, tmp_path):
+    path = tmp_path / "r0.json"
+    original = Path(inputs["r0"]).read_bytes()
+    path.write_bytes(original)
+    real_h2 = cli.h2
+
+    def h2_then_rewrite(*args, **kwargs):
+        result = real_h2(*args, **kwargs)
+        path.write_text(dump_json(R1), encoding="utf-8")
+        return result
+
+    monkeypatch.setattr(cli, "h2", h2_then_rewrite)
+    code, out, _ = run(capsys, "h2", str(path), "--json")
+    assert code == 0 and path.read_bytes() != original
+    assert json.loads(out)["input_sha256"] == hashlib.sha256(original).hexdigest()
+
+
+def test_parser_is_shared_and_keeps_no_state(capsys, inputs):
+    assert build_parser() is build_parser()
+
+    def report(*argv):
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0
+        return json.loads(out)
+
+    assert report("h2", inputs["r0"], "--beta", "1/2")["beta"] == "1/2"
+    assert report("h2", inputs["r0"])["beta"] == "0"
+    with pytest.raises(SystemExit) as exc:
+        main(["h2"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert report("h2", inputs["r0"])["dim_H2"] == 1
+    doc = report("simple", inputs["r1"], "--trials", "3", "--seed", "7")
+    assert (doc["seed"], doc["trials"]) == (7, 3)
+    doc = report("simple", inputs["r1"])
+    assert (doc["seed"], doc["trials"]) == (0, 20)
 
 
 def test_simple_verdicts(capsys, inputs):
@@ -260,7 +304,8 @@ def test_coeff_check_command(capsys, inputs):
 R1 = {"name": "r1", "dim": 1, "basis": ["L"], "ops": {"ld": {"L,L": {"L": "1"}}}}
 
 
-# (file kind, malformed content); the other files of the command are valid
+# (file kind, malformed content: a JSON value, or the file's bytes); the other
+# files of the command are valid
 @pytest.mark.parametrize("kind, content", [
     ("algebra", 5),
     ("algebra", [R1]),
@@ -272,12 +317,18 @@ R1 = {"name": "r1", "dim": 1, "basis": ["L"], "ops": {"ld": {"L,L": {"L": "1"}}}
     ("cocycle", {"degree_cap": 0, "forms": [[5]]}),
     ("cocycle", {"degree_cap": 1, "forms": [[["1"]], [["1", "0"]]]}),
     ("algebra", {**R1, "name": 5}),
+    pytest.param("algebra", {**R1, "ops": {"ld": {"L,L": {"L": "9" * 5000}}}},
+                 id="algebra-long-rational"),
+    pytest.param("algebra", b'{"name": "r1", "dim": ' + b"9" * 5000 + b"}",
+                 id="algebra-long-integer"),
+    pytest.param("algebra", b'{"name": "r\xff"}', id="algebra-not-utf8"),
 ])
 def test_malformed_files_exit_2_with_location(capsys, tmp_path, kind, content):
     paths = {}
     for name, doc in {"algebra": R1, kind: content}.items():
         paths[name] = str(tmp_path / f"{name}.json")
-        Path(paths[name]).write_text(json.dumps(doc), encoding="utf-8")
+        data = doc if isinstance(doc, bytes) else json.dumps(doc).encode("utf-8")
+        Path(paths[name]).write_bytes(data)
     options = {"algebra": ["check", "--identity", "pre-gd"],
                "derivation": ["check", "--identity", "derivation",
                               "--derivation", paths.get("derivation")],
@@ -299,6 +350,136 @@ def test_negative_counts_are_refused(capsys, inputs, argv):
         main([a.format(**inputs) for a in argv])
     assert exc.value.code == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+# Values that do not belong where the contract fuzz puts them: wrong types,
+# bad or huge rationals, labels and pairs out of place.
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 3), st.just(10 ** 40), st.floats(),
+    st.sampled_from(["1/0", "1.5", "-1/2", "3", "", "L", "L,L", "ld", "1/-2",
+                     "9" * 60 + "/7", "9" * 5000, "0x1", " 1"]),
+    st.lists(st.sampled_from(["1", "0", 1]), max_size=3),
+    st.dictionaries(st.sampled_from(["L", "W", "L,L", "ld", "x1"]), st.just("1"),
+                    max_size=2))
+
+
+def _json_paths(doc, prefix=()):
+    yield prefix
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from _json_paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated_json(draw, doc):
+    """doc as JSON text after at most one change: a value replaced by junk, a
+    key dropped or renamed, a list grown or cut, or the text truncated."""
+    doc = copy.deepcopy(doc)
+    how = draw(st.sampled_from(["keep", "replace", "drop", "rekey", "grow", "cut",
+                                "truncate"]))
+    paths = list(_json_paths(doc))
+
+    def at(path):
+        node = doc
+        for key in path:
+            node = node[key]
+        return node
+
+    if how == "truncate":
+        text = json.dumps(doc)
+        return text[:draw(st.integers(0, len(text) - 1))]
+    if how == "replace":
+        path = draw(st.sampled_from(paths))
+        if not path:
+            return json.dumps(draw(JUNK))
+        at(path[:-1])[path[-1]] = draw(JUNK)
+    elif how in ("drop", "rekey") and len(paths) > 1:
+        path = draw(st.sampled_from(paths[1:]))
+        parent = at(path[:-1])
+        value = parent.pop(path[-1])
+        if how == "rekey" and isinstance(parent, dict):
+            parent[draw(st.sampled_from(["L", "Q", "L,Q", "L,L,L", " L , L ",
+                                         "dot", "bracket", ""]))] = value
+    elif how in ("grow", "cut"):
+        lists = [p for p in paths if isinstance(at(p), list) and at(p)]
+        if lists:
+            target = at(draw(st.sampled_from(lists)))
+            if how == "grow":
+                target.append(copy.deepcopy(target[-1]))
+            else:
+                target.pop()
+    return json.dumps(doc)
+
+
+# subcommand -> its arguments, filled in from the drawn fields
+FUZZ_COMMANDS = {
+    "check": ["{algebra}", "--identity", "{identity}", "--derivation", "{derivation}"],
+    "h2": ["{algebra}", "--beta", "{beta}"],  # and --degree-cap 0..3 or none
+    "simple": ["{algebra}", "--trials", "{trials}", "--seed", "{seed}"],
+    "lambda": ["{algebra}", "--left", "{left}", "--right", "{right}",
+               "--cocycle", "{cocycle}", "--beta", "{beta}"],
+    "coeff-check": ["{algebra}", "--window", "{window}", "--cocycle", "{cocycle}"],
+    "construct": ["{kind}", "{algebra}", "--derivation", "{derivation}",
+                  "--xi", "1/2", "--k", "-3", "-o", "{output}"],
+}
+# subcommand -> whether its output states the finding behind an exit 1;
+# h2 and lambda have no finding to report
+FINDINGS = {
+    "check": lambda out, err: out.startswith("FAIL "),
+    "coeff-check": lambda out, err: out.startswith("FAIL "),
+    "simple": lambda out, err: "verdict: not_simple" in out.splitlines(),
+    "construct": lambda out, err: re.match(r"error: .* fails [A-Z_]+/", err),
+}
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_exit_code_contract_under_malformed_files(capsys, inputs, data):
+    """Every subcommand on mutated input files keeps the exit-code contract:
+    a known code, no traceback, and exit 1 only with its finding."""
+    base = data.draw(st.sampled_from(["r0", "r1", "lw", "rank_two", "degenerate",
+                                      "zero", "rdonly", "zin3"]))
+    with open(inputs[base], encoding="utf-8") as fh:
+        algebra = json.load(fh)
+    n = algebra["dim"]
+    zero = [["0"] * n for _ in range(n)]
+    originals = {
+        "algebra": algebra,
+        "derivation": {"matrix": [[str(i + 1) if i == j else "0" for j in range(n)]
+                                  for i in range(n)]},
+        "cocycle": {"degree_cap": 2,
+                    "forms": [zero, zero, [["1"] + row[1:] for row in zero]]}}
+    fuzz_dir = Path(inputs["dir"]) / "fuzz"
+    fuzz_dir.mkdir(exist_ok=True)
+    fields = {"output": str(fuzz_dir / "out.json")}
+    target = data.draw(st.sampled_from(sorted(originals)))
+    for name, doc in originals.items():
+        fields[name] = str(fuzz_dir / f"{name}.json")
+        text = (data.draw(mutated_json(doc), label=name) if name == target
+                else json.dumps(doc))
+        Path(fields[name]).write_text(text, encoding="utf-8")
+    command = data.draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    fields.update(
+        identity=data.draw(st.sampled_from(["pre-gd", "pre-novikov", "derivation",
+                                            "zinbiel", "ls-poisson"])),
+        beta=data.draw(st.sampled_from(["0", "1/2"])),
+        trials=data.draw(st.integers(0, 2)), seed=data.draw(st.integers(0, 3)),
+        left=data.draw(st.sampled_from(algebra["basis"])),
+        right=data.draw(st.sampled_from(algebra["basis"])),
+        window=data.draw(st.integers(0, 2)),
+        kind=data.draw(st.sampled_from(["current", "zinbiel-pn", "pn-pregd",
+                                        "zinbiel-pregd", "lsp-pregd", "ca-np"])))
+    argv = [command] + [a.format(**fields) for a in FUZZ_COMMANDS[command]]
+    cap = data.draw(st.sampled_from([None, 0, 1, 2, 3]))
+    if command == "h2" and cap is not None:
+        argv += ["--degree-cap", str(cap)]
+    code, out, err = run(capsys, *argv)
+    assert code in (0, 1, 2, 3, 4, 70)
+    assert "Traceback" not in err
+    if code == 1:
+        assert command in FINDINGS and FINDINGS[command](out, err), (out, err)
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
