@@ -452,11 +452,20 @@ def _residuals(alg, laws, aux, leaves, domains):
                 tables[shape] = {key: w for key, v in table(shape[1]).items()
                                  if (w := _lincomb((x, t[j]) for j, x in v))}
             else:
-                tables[shape] = {
-                    kl + kr: w
-                    for kl, u in table(shape[1]).items()
-                    for kr, v in table(shape[2]).items()
-                    if (w := _lincomb((x * y, t[i][j]) for i, x in u for j, y in v))}
+                # _lincomb inlined: each entry summed in the same order
+                out, right = {}, table(shape[2]).items()
+                for kl, u in table(shape[1]).items():
+                    for kr, v in right:
+                        acc = {}
+                        for i, x in u:
+                            ti = t[i]
+                            for j, y in v:
+                                c = x * y
+                                for k, z in ti[j]:
+                                    acc[k] = acc.get(k, 0) + c * z
+                        if w := tuple((k, z) for k, z in acc.items() if z):
+                            out[kl + kr] = w
+                tables[shape] = out
         return tables[shape]
 
     shaped = [(label, [(coef, *_shape(tree)) for coef, tree in terms])

@@ -366,6 +366,12 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    # inputs are bounded by files.MAX_DIGITS, but an answer computed from
+    # them can have more digits than the interpreter's int/str conversion
+    # limit, and must still be printed
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except SpanningConditionError as exc:
@@ -380,6 +386,9 @@ def main(argv=None):
     except (CohomologyError, IdealVerificationError) as exc:
         _err(f"internal: {exc}")
         return INTERNAL_ERROR
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -16,6 +16,20 @@ triples with a <= b are expanded, and on a diagonal triple (a, a, c) only
 the monomials lam^i mu^j with i < j (the one at lam^j mu^i is its negative,
 and at i = j it is zero).
 
+By bilinearity the six alpha_{lam+mu} terms of a triple (one per ld, rd
+and circ product on each side) are three, over the products of the
+associated GD algebra:
+
+    lam alpha_{lam+mu}(a * b, c) - mu alpha_{lam+mu}(b * a, c)
+        + alpha_{lam+mu}(a circ b - b circ a, c),    * = ld + rd (ast),
+
+and the commutator term vanishes on a diagonal triple.  Likewise the
+lam^0 terms beta alpha_lam(a, c ld b) + alpha_lam(a, b circ c) are one
+expansion, and so are their mu-side mirrors.  The commutator is formed
+from the circ rows, never from alg.rows("bracket"): that reads a stored
+bracket tensor when the input has one, and the PRE_GD guard does not
+check it.
+
 Cocycle coordinates are ordered highest-degree form first:
 
     col(i, a, b) = ((cap - i) * dim + a) * dim + b
@@ -33,11 +47,12 @@ beta and cocycle forms must be int or Fraction, never a binary float.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
 
-from .algebras import IdentityError, op_tensor, products_span, require_identity
+from .algebras import IdentityError, _lincomb, op_tensor, products_span, require_identity
 from .linalg import (ZERO, ONE, Subspace, exact, nullspace, quotient_representatives,
                      solve)
 
@@ -108,55 +123,55 @@ def family_to_coords(fam, cap, dim):
 
 def generate_cocycle_system(alg, beta, degree_cap):
     """Constraint rows {col: int} of the extension identity, one per basis
-    triple (a, b, c) with a <= b and lam^i mu^j monomial (i < j when
-    a = b), scaled by alg.den * beta.denominator.  A triple with a > b, or
-    a diagonal monomial with i >= j, would only repeat an emitted row up to
-    sign or give zero (see the module docstring).  Zero rows are dropped;
-    rows that repeat an earlier one up to scale are kept, and h2 drops them
-    before elimination."""
+    triple (a, b, c) with a <= b and lam^i mu^j monomial (i < j when a = b),
+    scaled by alg.den * beta.denominator.  A triple with a > b, or a diagonal
+    monomial with i >= j, would only repeat an emitted row up to sign or give
+    zero (see the module docstring).  Zero rows are dropped; rows that repeat
+    an earlier one up to scale are kept, and h2 drops them before elimination."""
     beta = exact(beta)
     require_identity(alg, "PRE_GD")
-    cap, dim = degree_cap, alg.dim
+    cap, dim, n = degree_cap, alg.dim, range(alg.dim)
     bn, bd = beta.numerator, beta.denominator
-    ld, rd, circ, star = (alg.rows(op) for op in ("ld", "rd", "circ", "star"))
+    ld, circ, ast, star = (alg.rows(op) for op in ("ld", "circ", "ast", "star"))
+    # flat expansions (monomial, column offset of alpha_i, coefficient) of
+    # lam^dl mu^dm times alpha_{lam+mu} = sum_{i, p} C(i, p) lam^p mu^(i-p)
+    # alpha_i (both), alpha_lam (lam) and alpha_mu (mu)
+    offs = [(i, (cap - i) * dim * dim) for i in range(cap + 1)]
+    shifts = ((1, 0), (0, 1), (0, 0))
+    both = {(dl, dm): [((p + dl, i - p + dm), off, comb(i, p)) for i, off in offs
+                       for p in range(i + 1)] for dl, dm in shifts}
+    lam = {(dl, dm): [((i + dl, dm), off, 1) for i, off in offs] for dl, dm in shifts}
+    mu = {(dl, dm): [((dl, i + dm), off, 1) for i, off in offs] for dl, dm in shifts}
 
-    def alpha_lm(acc, u, cidx, sign, dl, dm):
-        # sign * lam^dl mu^dm * alpha_{lam+mu}(u, e_c)
-        for i in range(cap + 1):
-            for p in range(i + 1):
-                co = sign * comb(i, p)
-                row = acc.setdefault((p + dl, i - p + dm), {})
-                for a2, cu in u:
-                    col = coord_index(cap, dim, i, a2, cidx)
-                    row[col] = row.get(col, 0) + co * cu
+    def expand(acc, terms, vec, sign, shift):
+        # sign times the terms at vec, whose (k, x) is x at column off + shift + k
+        if vec:
+            for key, off, co in terms:
+                row, co, off = acc[key], sign * co, off + shift
+                for k, x in vec:
+                    row[off + k] = row.get(off + k, 0) + co * x
 
-    def alpha_one(acc, fidx, v, sign, dl, dm, var):
-        # sign * lam^dl mu^dm * alpha_v(e_f, v), v = lam (var 0) or mu (var 1)
-        for i in range(cap + 1):
-            row = acc.setdefault((i + dl, dm) if var == 0 else (dl, i + dm), {})
-            for b2, cv in v:
-                col = coord_index(cap, dim, i, fidx, b2)
-                row[col] = row.get(col, 0) + sign * cv
-
+    # alpha_{lam+mu}(u, e_c) reads u at columns dim * k + c
+    ast_cols = [[tuple((dim * k, x) for k, x in ast[a][b]) for b in n] for a in n]
+    # the circ commutator; a stored bracket tensor is not read
+    comm_cols = [[tuple((dim * k, x) for k, x in _lincomb(((1, circ[a][b]), (-1, circ[b][a]))))
+                  for b in n] for a in n]
+    # the lam^0 one-variable terms: beta * (c ld b) + b circ c, times bd
+    low = [[_lincomb(((bn, ld[c][b]), (bd, circ[b][c]))) for c in n] for b in n]
     rows = []
-    for (a, b), c in itertools.product(itertools.combinations_with_replacement(range(dim), 2),
-                                       range(dim)):
-        acc = {}
-        alpha_lm(acc, ld[b][a], c, -bd, 0, 1)
-        alpha_lm(acc, rd[a][b], c, bd, 1, 0)
-        alpha_lm(acc, circ[a][b], c, bd, 0, 0)
-        alpha_one(acc, a, ld[c][b], -bd, 1, 0, 0)
-        alpha_one(acc, a, ld[c][b], -bn, 0, 0, 0)
-        alpha_one(acc, a, star[b][c], -bd, 0, 1, 0)
-        alpha_one(acc, a, circ[b][c], -bd, 0, 0, 0)
+    for (a, b), c in itertools.product(itertools.combinations_with_replacement(n, 2), n):
+        acc = defaultdict(dict)
+        expand(acc, both[1, 0], ast_cols[a][b], bd, c)
+        expand(acc, both[0, 1], ast_cols[b][a], -bd, c)
+        if a != b:
+            expand(acc, both[0, 0], comm_cols[a][b], bd, c)
+        expand(acc, lam[1, 0], ld[c][b], -bd, dim * a)
+        expand(acc, lam[0, 1], star[b][c], -bd, dim * a)
+        expand(acc, lam[0, 0], low[b][c], -1, dim * a)
         # minus the swapped side
-        alpha_lm(acc, ld[a][b], c, bd, 1, 0)
-        alpha_lm(acc, rd[b][a], c, -bd, 0, 1)
-        alpha_lm(acc, circ[b][a], c, -bd, 0, 0)
-        alpha_one(acc, b, ld[c][a], bd, 0, 1, 1)
-        alpha_one(acc, b, ld[c][a], bn, 0, 0, 1)
-        alpha_one(acc, b, star[a][c], bd, 1, 0, 1)
-        alpha_one(acc, b, circ[a][c], bd, 0, 0, 1)
+        expand(acc, mu[0, 1], ld[c][a], bd, dim * b)
+        expand(acc, mu[1, 0], star[a][c], bd, dim * b)
+        expand(acc, mu[0, 0], low[a][c], 1, dim * b)
         for key in sorted(acc):
             if a == b and key[0] >= key[1]:
                 continue

@@ -8,7 +8,10 @@ cleanly:
 
 Rationals travel as strings matching -?digits[/digits]; they are
 canonicalized on load, so load -> save -> load is identity on the
-canonical spec.
+canonical spec.  A numeral (a JSON integer, or the numerator or the
+denominator of a rational string) has at most MAX_DIGITS digits; a longer
+one is refused with its location.  That is lsconf's own rule, so it holds
+whatever the interpreter's int/str conversion limit is set to.
 
 Every JSON we write, files and --json reports alike, goes through one
 direct writer, `dump_json`, whose bytes equal those of
@@ -32,6 +35,8 @@ from .cohomology import CocycleFamily
 from .linalg import ZERO
 
 RATIONAL_RE = re.compile(r"-?\d+(/\d+)?$")
+# CPython's default int/str conversion limit
+MAX_DIGITS = 4300
 
 FILE_OPS = ("ld", "rd", "circ", "dot")
 
@@ -47,12 +52,12 @@ class FileFormatError(Exception):
 def parse_rational(text, location=None):
     if not isinstance(text, str) or not RATIONAL_RE.match(text):
         raise FileFormatError(f"not a rational string: {text!r}", location)
+    if len(text) > MAX_DIGITS and any(len(part) > MAX_DIGITS
+                                      for part in text.lstrip("-").split("/")):
+        raise FileFormatError(f"a numeral has more than {MAX_DIGITS} digits", location)
     if "/" in text and text.split("/")[1].lstrip("0") == "":
         raise FileFormatError(f"zero denominator: {text!r}", location)
-    try:
-        return Fraction(text)
-    except ValueError as exc:  # more digits than int() will convert
-        raise FileFormatError(str(exc), location) from exc
+    return Fraction(text)
 
 
 def _rational_cell(value, location):
@@ -60,6 +65,14 @@ def _rational_cell(value, location):
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     return parse_rational(value, location)
+
+
+def _parse_int(text):
+    """json's parse_int hook: an integer literal, with at most MAX_DIGITS
+    digits."""
+    if len(text.lstrip("-")) > MAX_DIGITS:
+        raise ValueError(f"an integer has more than {MAX_DIGITS} digits")
+    return int(text)
 
 
 def _load_json(path, digest=None):
@@ -73,7 +86,7 @@ def _load_json(path, digest=None):
     if digest is not None:
         digest.update(data)
     try:
-        doc = json.loads(data.decode("utf-8"))
+        doc = json.loads(data.decode("utf-8"), parse_int=_parse_int)
     except UnicodeDecodeError as exc:
         raise FileFormatError(f"not UTF-8: {exc}", path) from exc
     except ValueError as exc:  # a JSONDecodeError, or an over-long integer

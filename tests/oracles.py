@@ -9,6 +9,12 @@
   before its memoised integer structure rows: every product is read off
   the stored tensors one basis pair at a time, and the cocycle system is
   emitted as dense Fraction rows.
+* `six_expansion_cocycle_system` is the integer cocycle system as the
+  library emitted it before it expanded the identity through the products
+  of the associated GD algebra: six alpha_{lam+mu} expansions per triple
+  (one per ld, rd and circ product on each side) and separate beta and
+  circ one-variable terms, each expansion rebuilding its binomial
+  coefficients.
 * `search` is the simplicity search with its stages in the order the
   library ran them before it computed the envelope ahead of the random
   trials: unit-vector closures, random trials, envelope, envelope-kernel
@@ -50,7 +56,7 @@ from lsconf.cohomology import CohomologyError, coord_index, ncols
 from lsconf.conformal import WindowedElement, WindowMismatch
 from lsconf import ideals, linalg
 from lsconf.ideals import PRE_GD_OPS, IdealReport
-from lsconf.linalg import (ONE, ZERO, DimensionMismatch, Subspace, mat_mul,
+from lsconf.linalg import (ONE, ZERO, DimensionMismatch, Subspace, exact, mat_mul,
                            mat_vec, unit, vadd, vscale, vsub, vzero)
 
 
@@ -353,6 +359,66 @@ def generate_cocycle_system(alg, beta, degree_cap):
             form = acc[key]
             if any(form.values()):
                 rows.append([form.get(col, ZERO) for col in range(width)])
+    return rows
+
+
+def six_expansion_cocycle_system(alg, beta, degree_cap):
+    """Constraint rows {col: int} of the extension identity, one per basis
+    triple (a, b, c) with a <= b and lam^i mu^j monomial (i < j when
+    a = b), scaled by alg.den * beta.denominator.  A triple with a > b, or
+    a diagonal monomial with i >= j, would only repeat an emitted row up to
+    sign or give zero (see the module docstring).  Zero rows are dropped;
+    rows that repeat an earlier one up to scale are kept, and h2 drops them
+    before elimination."""
+    beta = exact(beta)
+    require_identity(alg, "PRE_GD")
+    cap, dim = degree_cap, alg.dim
+    bn, bd = beta.numerator, beta.denominator
+    ld, rd, circ, star = (alg.rows(op) for op in ("ld", "rd", "circ", "star"))
+
+    def alpha_lm(acc, u, cidx, sign, dl, dm):
+        # sign * lam^dl mu^dm * alpha_{lam+mu}(u, e_c)
+        for i in range(cap + 1):
+            for p in range(i + 1):
+                co = sign * comb(i, p)
+                row = acc.setdefault((p + dl, i - p + dm), {})
+                for a2, cu in u:
+                    col = coord_index(cap, dim, i, a2, cidx)
+                    row[col] = row.get(col, 0) + co * cu
+
+    def alpha_one(acc, fidx, v, sign, dl, dm, var):
+        # sign * lam^dl mu^dm * alpha_v(e_f, v), v = lam (var 0) or mu (var 1)
+        for i in range(cap + 1):
+            row = acc.setdefault((i + dl, dm) if var == 0 else (dl, i + dm), {})
+            for b2, cv in v:
+                col = coord_index(cap, dim, i, fidx, b2)
+                row[col] = row.get(col, 0) + sign * cv
+
+    rows = []
+    for (a, b), c in itertools.product(itertools.combinations_with_replacement(range(dim), 2),
+                                       range(dim)):
+        acc = {}
+        alpha_lm(acc, ld[b][a], c, -bd, 0, 1)
+        alpha_lm(acc, rd[a][b], c, bd, 1, 0)
+        alpha_lm(acc, circ[a][b], c, bd, 0, 0)
+        alpha_one(acc, a, ld[c][b], -bd, 1, 0, 0)
+        alpha_one(acc, a, ld[c][b], -bn, 0, 0, 0)
+        alpha_one(acc, a, star[b][c], -bd, 0, 1, 0)
+        alpha_one(acc, a, circ[b][c], -bd, 0, 0, 0)
+        # minus the swapped side
+        alpha_lm(acc, ld[a][b], c, bd, 1, 0)
+        alpha_lm(acc, rd[b][a], c, -bd, 0, 1)
+        alpha_lm(acc, circ[b][a], c, -bd, 0, 0)
+        alpha_one(acc, b, ld[c][a], bd, 0, 1, 1)
+        alpha_one(acc, b, ld[c][a], bn, 0, 0, 1)
+        alpha_one(acc, b, star[a][c], bd, 1, 0, 1)
+        alpha_one(acc, b, circ[a][c], bd, 0, 0, 1)
+        for key in sorted(acc):
+            if a == b and key[0] >= key[1]:
+                continue
+            row = {col: x for col, x in acc[key].items() if x}
+            if row:
+                rows.append(row)
     return rows
 
 

@@ -339,6 +339,36 @@ def test_malformed_files_exit_2_with_location(capsys, tmp_path, kind, content):
     assert "Traceback" not in err and "(at " in err
 
 
+def test_answer_past_the_int_str_limit_is_printed(capsys, tmp_path):
+    # every entry is within the input bound, but the residual of pn3 at
+    # (L, L, L) is -(rd(L,L))^2: about 6,000 digits, past CPython's default
+    # int/str conversion limit
+    big = "9" * 3000
+    lift = getattr(sys, "set_int_max_str_digits", None)
+    limit = sys.get_int_max_str_digits() if lift else None
+    path = str(tmp_path / "big.json")
+    Path(path).write_text(json.dumps({"name": "big", "dim": 1, "basis": ["L"],
+                                      "ops": {"rd": {"L,L": {"L": big}}}}),
+                          encoding="utf-8")
+    code, out, err = run(capsys, "check", path, "--identity", "pre-novikov")
+    assert (code, err) == (1, "")
+    assert out.startswith("FAIL PRE_NOVIKOV on big\n")
+    code, out, err = run(capsys, "check", path, "--identity", "pre-novikov", "--json")
+    assert (code, err) == (1, "")
+    [violation] = json.loads(out)["violations"]
+    [[label, idx, residual]] = check_identity(load_algebra(path), "PRE_NOVIKOV").violations
+    assert (violation["identity"], violation["at"]) == (label, ["L", "L", "L"])
+    if lift:
+        assert sys.get_int_max_str_digits() == limit  # main restored it
+        lift(0)
+    try:
+        assert violation["residual"] == [str(residual[0])]
+        assert len(violation["residual"][0]) > 4300
+    finally:
+        if lift:
+            lift(limit)
+
+
 @pytest.mark.parametrize("argv", [
     ["coeff-check", "{r1}", "--window", "-1"],
     ["simple", "{r1}", "--trials", "-5"],

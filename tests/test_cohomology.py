@@ -190,6 +190,46 @@ def test_cocycle_system_matches_fraction_oracle(alg, t, beta, cap):
     assert _distinct_up_to_scale(got) == _distinct_up_to_scale(want)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(pre_gd_zoo_specs()),
+       st.sampled_from([F(1), F(1, 2), F(-2, 3), F(3, 2)]),
+       st.sampled_from([F(0), F(1), F(-1, 2), F(2, 3)]),
+       st.integers(0, 4))
+def test_cocycle_system_matches_six_expansion_oracle(alg, t, beta, cap):
+    # three alpha_{lam+mu} expansions over the associated GD products give
+    # the rows of the six over ld, rd and circ exactly, in the same order
+    alg = _scaled(alg, t)
+    assert (generate_cocycle_system(alg, beta, cap)
+            == oracles.six_expansion_cocycle_system(alg, beta, cap))
+
+
+def test_cocycle_system_ignores_a_stored_bracket(pre_gd_zoo):
+    # the commutator term is formed from circ; a stored bracket tensor, which
+    # the PRE_GD guard does not check, must not change the system
+    for alg in pre_gd_zoo:
+        n = range(alg.dim)
+        bracket = [[[1 + i + j * k for k in n] for j in n] for i in n]
+        with_bracket = AlgebraSpec(alg.name, alg.dim, alg.basis,
+                                   {**alg.ops, "bracket": bracket})
+        assert with_bracket.rows("bracket") != alg.rows("bracket")
+        for beta, cap in ((F(0), 3), (F(-1, 2), 2)):
+            assert (generate_cocycle_system(with_bracket, beta, cap)
+                    == generate_cocycle_system(alg, beta, cap)), alg.name
+
+
+@pytest.mark.parametrize("n, beta, emitted, distinct, rank", [
+    (4, F(0), 248, 172, 55), (4, F(1, 2), 251, 181, 55),
+    (5, F(0), 519, 360, 90), (5, F(1, 2), 522, 375, 90),
+    (6, F(0), 927, 653, 133), (6, F(1, 2), 933, 672, 133)])
+def test_cocycle_system_size_on_binomial_pre_gd(n, beta, emitted, distinct, rank):
+    # the binomial pre-GD family at xi = 1/2, k = 1 and cap 3: rows emitted,
+    # rows left up to scale, and their rank
+    alg = cons.zinbiel_to_pre_gd(*cons.truncated_binomial_zinbiel(n), F(1, 2), F(1))
+    rows = generate_cocycle_system(alg, beta, 3)
+    left = _distinct_up_to_scale(rows)
+    assert (len(rows), len(left), Subspace(ncols(3, n), left).dim) == (emitted, distinct, rank)
+
+
 # a star b = 0, so at cap 0 every functional phi is a coboundary functional,
 # and B2 = {beta phi(b ld a) + phi(a circ b)} moves with beta
 STAR_FREE = AlgebraSpec("star_free", 3, ("x", "y", "z"),

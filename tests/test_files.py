@@ -35,6 +35,11 @@ def test_parse_rational():
     for bad in ("", "1/0", "1/00", "0x2", "1.5", "2/", "--3", None, 7):
         with pytest.raises(FileFormatError):
             parse_rational(bad)
+    # the digit bound is lsconf's own rule, not the interpreter's
+    assert parse_rational("-" + "9" * 4300 + "/7") == F(-int("9" * 4300), 7)
+    for bad in ("9" * 4301, "-1/" + "9" * 4301):
+        with pytest.raises(FileFormatError, match="more than 4300 digits"):
+            parse_rational(bad)
 
 
 def test_round_trip_preserves_algebra(tmp_path):
