@@ -20,6 +20,20 @@ def rank_two(h1, k1):
                                            (1, 1, 0): k1, (1, 1, 1): k1})})
 
 
+def gaussian_rationals():
+    """Q(i), ld its multiplication: a field, split over C."""
+    return AlgebraSpec("Q(i)", 2, ("1", "i"),
+                       {"ld": tensor(2, {(0, 0, 0): 1, (0, 1, 1): 1,
+                                         (1, 0, 1): 1, (1, 1, 0): -1})})
+
+
+def split_quadratic():
+    """Q[x]/(x^2 - 1), ld its multiplication: Q x Q, a semisimple envelope."""
+    return AlgebraSpec("Q[x]/(x^2-1)", 2, ("1", "x"),
+                       {"ld": tensor(2, {(0, 0, 0): 1, (0, 1, 1): 1,
+                                         (1, 0, 1): 1, (1, 1, 0): 1})})
+
+
 def show(alg):
     cert = certify_conformal_simplicity(alg)
     print(f"{alg.name}: {cert.verdict} ({cert.criterion})")
@@ -40,6 +54,8 @@ def main():
         show(build_rank_one(c))
     show(rank_two(1, 1))
     show(rank_two(0, 0))
+    show(gaussian_rationals())
+    show(split_quadratic())
 
 
 if __name__ == "__main__":

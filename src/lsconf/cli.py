@@ -325,8 +325,9 @@ def build_parser():
 
     c = sub.add_parser("simple", help="certify conformal simplicity")
     c.add_argument("file")
-    c.add_argument("--trials", type=_cli_count, default=20)
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--trials", type=_cli_count, default=20,
+                   help="random candidates for the regular-element rule only")
+    c.add_argument("--seed", type=int, default=0, help="seed of those candidates")
     c.add_argument("--json", action="store_true")
     c.set_defaults(func=cmd_simple)
 

@@ -1,17 +1,21 @@
 """Ideal closure and simplicity certificates.
 
-An ideal for an operation set is a subspace I with V op I and I op V
-inside I for every listed op.  Simplicity certification is layered:
+An ideal for an operation set is a subspace invariant under the
+associative envelope E of the multiplication operators.  Verdicts are
+over C, the conformal algebra's ground field; witnesses are over Q.  Per
+operation set (see _search): a proper closure of a basis vector is the
+witness; a full E (dimension dim^2) leaves no invariant subspace over any
+field, so simple; any other E is not simple over C (Burnside).  Its
+radical, by Dickson's criterion the kernel of the trace form tr(xy) on E
+(characteristic 0), is nilpotent, so when it is nonzero rad(E)V is a
+proper ideal over Q, the witness; when it is zero no witness is named.
 
-* a found proper ideal is re-verified and is a proof of non-simplicity;
-* a full associative envelope (dimension dim^2) proves there is no
-  invariant subspace at all, hence simplicity, over any field; it is
-  computed after the unit-vector closures and before any random trial,
-  which it makes unnecessary (see _search);
-* otherwise the positive conformal criteria (simple two-operation part
-  with spanning star product, trivial rd with a regular element,
-  Novikov-Poisson shape) are tried in order, and failing everything the
-  verdict is inconclusive rather than guessed.
+Every witness is re-verified.  The conformal certificate lifts a
+three-operation ideal, else tries the positive criteria (simple
+two-operation part with spanning star product, trivial rd with a regular
+element, Novikov-Poisson shape) in order, and failing everything the
+verdict is inconclusive rather than guessed.  Only the regular-element
+rule draws random candidates.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebras import AlgebraSpec, check_identity, mult_columns, products_span
-from .linalg import ZERO, Subspace, int_row, nullspace, rank, unit
+from .linalg import Subspace, int_row, nullspace, rank, unit
 
 
 class TrivialAlgebra(Exception):
@@ -44,8 +48,9 @@ class IdealReport:
 @dataclass(frozen=True)
 class SimplicityCertificate:
     """verdict in {simple, not_simple, inconclusive}; criterion names the
-    rule that produced it; witness is a proper ideal (not_simple) or a
-    distinguished element (regular-element rule)."""
+    rule that produced it; witness is a proper ideal over Q (not_simple;
+    None when only its existence over C is known, criterion
+    envelope_not_full) or a distinguished element (regular-element rule)."""
 
     verdict: str
     criterion: str
@@ -114,49 +119,45 @@ def associative_envelope(alg, ops=PRE_GD_OPS):
     return span
 
 
-def _random_vector(rng, dim):
-    return [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(dim)]
+def envelope_radical(env, dim):
+    """rad(E) of an envelope E of dim x dim matrices, as a subspace of
+    the flattened matrices: by Dickson's criterion (characteristic 0) the
+    x in E with tr(xy) = 0 for every y in E, one nullspace of the Gram
+    matrix of the trace form on E's integer rows."""
+    rows = list(env._rows.values())
+
+    def trace(x, y):
+        return sum(c * y.get(k % dim * dim + k // dim, 0) for k, c in x.items())
+
+    gram = [{j: t for j, y in enumerate(rows) if (t := trace(x, y))} for x in rows]
+    rad = Subspace(dim * dim)
+    for coeffs in nullspace(gram, len(rows))._rows.values():
+        rad.add([sum(c * rows[i].get(k, 0) for i, c in coeffs.items())
+                 for k in range(dim * dim)])
+    return rad
 
 
-def _proper_or_none(alg, seed_vecs, ops):
-    rep = ideal_closure(alg, seed_vecs, ops)
-    return rep.closure if rep.is_proper else None
-
-
-def _search(alg, ops, trials, rng_seed):
-    """(proper ideal or None, envelope_full flag).  Tries the closures of
-    the unit vectors, then the envelope, then the closures of `trials`
-    random vectors and of kernel vectors of `trials` random envelope
-    elements.  A full envelope is all of M_dim, under which every nonzero
-    vector closes to V, so no random trial could find an ideal."""
+def _search(alg, ops):
+    """(proper ideal or None, envelope or None): the first proper closure
+    of a unit vector, else the envelope E with rad(E)V if it is nonzero;
+    a full E = M_dim has rad(E) = 0 and every vector closes to V."""
     dim = alg.dim
     for i in range(dim):
-        found = _proper_or_none(alg, [unit(dim, i)], ops)
-        if found is not None:
-            return found, False
+        rep = ideal_closure(alg, [unit(dim, i)], ops)
+        if rep.is_proper:
+            return rep.closure, None
     env = associative_envelope(alg, ops)
-    if env.dim == dim * dim:
-        return None, True
-    rng = random.Random(rng_seed)
-    for _ in range(trials):
-        found = _proper_or_none(alg, [_random_vector(rng, dim)], ops)
-        if found is not None:
-            return found, False
-    for _ in range(trials):
-        coeffs = [Fraction(rng.randint(-4, 4)) for _ in env.basis]
-        mat = [[sum((c * b[r * dim + s] for c, b in zip(coeffs, env.basis)),
-                    ZERO) for s in range(dim)] for r in range(dim)]
-        ker = nullspace(mat, dim)
-        for v in ker.basis:
-            found = _proper_or_none(alg, [v], ops)
-            if found is not None:
-                return found, False
-    return None, False
+    if env.is_full():
+        return None, env
+    image = Subspace(dim, [{k // dim: c for k, c in x.items() if k % dim == s}
+                           for x in envelope_radical(env, dim)._rows.values()
+                           for s in range(dim)])
+    return (image if image.dim else None), env
 
 
-def find_proper_ideal(alg, ops=PRE_GD_OPS, trials=20, rng_seed=0):
-    """A verified proper ideal for the given ops, or None."""
-    found, _ = _search(alg, ops, trials, rng_seed)
+def find_proper_ideal(alg, ops=PRE_GD_OPS):
+    """A verified proper ideal over Q for the given ops, or None."""
+    found, _ = _search(alg, ops)
     if found is not None:
         _verify_ideal(alg, found, ops)
     return found
@@ -177,43 +178,39 @@ def _all_products_zero(alg, ops):
     return not any(row for op in ops for plane in alg.rows(op) for row in plane)
 
 
-def _simple_on_ops(alg, ops, trials, rng_seed):
+def _simple_on_ops(alg, ops):
     if _all_products_zero(alg, ops):
         raise TrivialAlgebra(f"all products vanish for ops {sorted(set(ops))}")
-    found, env_full = _search(alg, ops, trials, rng_seed)
+    found, env = _search(alg, ops)
     if found is not None:
         _verify_ideal(alg, found, ops)
         return SimplicityCertificate("not_simple", "witness_ideal", witness=found)
-    if env_full:
+    full = alg.dim * alg.dim
+    if env.dim == full:
         return SimplicityCertificate(
             "simple", "envelope",
-            details=("multiplication envelope has full dimension "
-                     f"{alg.dim * alg.dim}",))
+            details=(f"multiplication envelope has full dimension {full}",))
     return SimplicityCertificate(
-        "inconclusive", "search_exhausted",
-        details=(f"no ideal found in {trials} trials; envelope not full",))
+        "not_simple", "envelope_not_full",
+        details=(f"multiplication envelope has dimension {env.dim} < {full} and "
+                 "zero radical: a proper ideal exists over C by Burnside's "
+                 "theorem; no witness over Q is named",))
 
 
-def is_simple_pre_gd(alg, trials=20, rng_seed=0):
+def is_simple_pre_gd(alg):
     """Simplicity of the three-operation algebra itself."""
-    return _simple_on_ops(alg, PRE_GD_OPS, trials, rng_seed)
+    return _simple_on_ops(alg, PRE_GD_OPS)
 
 
-def _pre_novikov_part_certificate(alg, trials, rng_seed, log):
-    if _all_products_zero(alg, ("ld", "rd")):
-        log.append("two-operation part is trivial; spanning rule skipped")
-        return None
-    cert = _simple_on_ops(alg, ("ld", "rd"), trials, rng_seed)
-    log.append(f"two-operation part: {cert.verdict} ({cert.criterion})")
-    return cert
-
-
-def _regular_element(alg, trials, rng):
-    """Some a with ker(L_a) and ker(R_a) for ld intersecting trivially."""
+def _regular_element(alg, trials, rng_seed):
+    """Some a with ker(L_a) and ker(R_a) for ld intersecting trivially:
+    the unit vectors, then `trials` random vectors drawn from rng_seed."""
     dim = alg.dim
     gens = multiplication_operators(alg, ("ld",))
+    rng = random.Random(rng_seed)
     for n in range(dim + trials):
-        a = unit(dim, n) if n < dim else _random_vector(rng, dim)
+        a = unit(dim, n) if n < dim else [
+            Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(dim)]
         x = int_row(a)
         # row j: column j of L_a stacked on R_a, i.e. (a ld e_j, e_j ld a)
         stacked = [{**_apply(right, x), **{dim + k: c for k, c in _apply(left, x).items()}}
@@ -224,35 +221,38 @@ def _regular_element(alg, trials, rng):
 
 
 def certify_conformal_simplicity(alg, trials=20, rng_seed=0):
-    """Simplicity of the quadratic conformal algebra built on alg."""
+    """Simplicity of the quadratic conformal algebra built on alg;
+    `trials` and `rng_seed` bound only the regular-element rule."""
     log = []
-    gd_cert = is_simple_pre_gd(alg, trials, rng_seed)
+    gd_cert = is_simple_pre_gd(alg)
     log.append(f"three-operation algebra: {gd_cert.verdict} ({gd_cert.criterion})")
     if gd_cert.verdict == "not_simple":
+        log.extend(gd_cert.details)
         log.append("ideal lifts to a polynomial-coefficient ideal of the "
                    "conformal algebra")
         return SimplicityCertificate("not_simple", "lifted_ideal",
                                      witness=gd_cert.witness,
                                      details=tuple(log))
 
-    pn_cert = _pre_novikov_part_certificate(alg, trials, rng_seed, log)
-    if pn_cert is not None and pn_cert.verdict == "simple":
-        if products_span(alg, "star"):
-            log.append("star products span V")
-            return SimplicityCertificate("simple", "pre_novikov_simple_spanning",
-                                         details=tuple(log))
-        log.append("star products do not span V")
+    if _all_products_zero(alg, ("ld", "rd")):
+        log.append("two-operation part is trivial; spanning rule skipped")
+    else:
+        pn_cert = _simple_on_ops(alg, ("ld", "rd"))
+        log.append(f"two-operation part: {pn_cert.verdict} ({pn_cert.criterion})")
+        if pn_cert.verdict == "simple":
+            if products_span(alg, "star"):
+                log.append("star products span V")
+                return SimplicityCertificate("simple", "pre_novikov_simple_spanning",
+                                             details=tuple(log))
+            log.append("star products do not span V")
 
     if not alg.has("rd") or _all_products_zero(alg, ("rd",)):
-        if gd_cert.verdict == "simple":
-            a = _regular_element(alg, trials, random.Random(rng_seed))
-            if a is not None:
-                log.append("found a with jointly injective ld multiplications")
-                return SimplicityCertificate("simple", "rd_trivial_regular_element",
-                                             witness=tuple(a), details=tuple(log))
-            log.append("no regular element found")
-        else:
-            log.append("rd trivial but three-operation simplicity unresolved")
+        a = _regular_element(alg, trials, rng_seed)
+        if a is not None:
+            log.append("found a with jointly injective ld multiplications")
+            return SimplicityCertificate("simple", "rd_trivial_regular_element",
+                                         witness=tuple(a), details=tuple(log))
+        log.append("no regular element found")
 
         if alg.has("ld") and alg.has("circ"):
             probe = AlgebraSpec(alg.name + "~np?", alg.dim, alg.basis,
@@ -260,15 +260,12 @@ def certify_conformal_simplicity(alg, trials=20, rng_seed=0):
             if check_identity(probe, "NOVIKOV_POISSON").passed:
                 log.append("ld together with circ satisfies the "
                            "Novikov-Poisson laws")
-                try:
-                    np_cert = _simple_on_ops(alg, ("ld", "circ"), trials, rng_seed)
-                except TrivialAlgebra:
-                    np_cert = None
-                if np_cert is not None and np_cert.verdict == "simple":
+                # rd vanishes here, so ld or circ does not (see is_simple_pre_gd)
+                np_cert = _simple_on_ops(alg, ("ld", "circ"))
+                if np_cert.verdict == "simple":
                     return SimplicityCertificate("simple", "novikov_poisson_simple",
                                                  details=tuple(log))
-                if np_cert is not None:
-                    log.append(f"Novikov-Poisson algebra: {np_cert.verdict}")
+                log.append(f"Novikov-Poisson algebra: {np_cert.verdict}")
 
     return SimplicityCertificate("inconclusive", "no_applicable_criterion",
                                  details=tuple(log))

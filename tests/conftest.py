@@ -49,6 +49,22 @@ def rank_one_poisson(c):
                         "circ": tensor(1, {(0, 0, 0): c})})
 
 
+def gaussian_rationals():
+    """Q(i) on the basis 1, i, with ld its multiplication: a field, so no
+    proper ideal over Q, while over C it splits as C x C."""
+    return AlgebraSpec("Q(i)", 2, ("1", "i"),
+                       {"ld": tensor(2, {(0, 0, 0): 1, (0, 1, 1): 1,
+                                         (1, 0, 1): 1, (1, 1, 0): -1})})
+
+
+def split_quadratic():
+    """Q[x]/(x^2 - 1) on the basis 1, x, with ld its multiplication: Q x Q,
+    with the ideals spanned by 1 + x and 1 - x and a semisimple envelope."""
+    return AlgebraSpec("Q[x]/(x^2-1)", 2, ("1", "x"),
+                       {"ld": tensor(2, {(0, 0, 0): 1, (0, 1, 1): 1,
+                                         (1, 0, 1): 1, (1, 1, 0): 1})})
+
+
 def small_fraction(rng):
     return Fraction(rng.randint(-3, 3), rng.choice([1, 1, 1, 2, 3]))
 

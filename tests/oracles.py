@@ -15,10 +15,11 @@
   (one per ld, rd and circ product on each side) and separate beta and
   circ one-variable terms, each expansion rebuilding its binomial
   coefficients.
-* `search` is the simplicity search with its stages in the order the
-  library ran them before it computed the envelope ahead of the random
-  trials: unit-vector closures, random trials, envelope, envelope-kernel
-  probes.
+* `search` is the random ideal search the library ran before it decided
+  ideal existence exactly from the envelope and its trace-form radical,
+  with its stages in their first order: unit-vector closures, `trials`
+  random closures, envelope, `trials` envelope-kernel probes.  Tests use
+  it to check that every ideal it finds is still a `not_simple` verdict.
 * `nullspace`, `coboundary_space` and `h2` are Z2, B2 and H2 as the
   library computed them before it kept them on integer rows: the kernel
   read off the dense `rref`, coboundaries as dense Fraction matrix-vector
@@ -272,9 +273,10 @@ def _random_vector(rng, dim):
 
 
 def search(alg, ops, trials, rng_seed):
-    """`lsconf.ideals._search` with the random trials ahead of the
-    envelope.  Closures, envelope and kernels are the library's, each
-    checked against its own oracle, so this isolates the stage order."""
+    """The old random `lsconf.ideals._search`, random trials ahead of the
+    envelope: (proper ideal or None, envelope_full flag).  Closures,
+    envelope and kernels are the library's, each checked against its own
+    oracle."""
     def proper(seed):
         rep = ideals.ideal_closure(alg, [seed], ops)
         return rep.closure if rep.is_proper else None

@@ -22,7 +22,7 @@ from lsconf.constructions import truncated_binomial_zinbiel
 from lsconf.files import dump_json, file_sha256, load_algebra, save_algebra
 from lsconf.linalg import Subspace, nullspace, unit
 
-from conftest import rank_two, two_dim_lw
+from conftest import gaussian_rationals, rank_two, split_quadratic, two_dim_lw
 
 F = Fraction
 
@@ -122,8 +122,8 @@ def _full_coboundaries(alg, beta, degree_cap):
     return nullspace([], ncols(degree_cap, alg.dim))
 
 
-def _wrong_ideal(alg, ops, trials, rng_seed):
-    return Subspace(alg.dim, [unit(alg.dim, 0)]), False
+def _wrong_ideal(alg, ops):
+    return Subspace(alg.dim, [unit(alg.dim, 0)]), None
 
 
 # a defect planted at one call site: (module, attribute, fake, argv)
@@ -204,6 +204,27 @@ def test_simple_verdicts(capsys, inputs):
 
     code, _, err = run(capsys, "simple", inputs["zero"])
     assert code == 2 and "vanish" in err
+
+
+@pytest.mark.parametrize("spec", [gaussian_rationals(), split_quadratic()],
+                         ids=["gaussian", "split"])
+def test_simple_verdict_does_not_depend_on_the_seed(capsys, tmp_path, spec):
+    path = str(tmp_path / "alg.json")
+    save_algebra(spec, path)
+    docs = []
+    for seed in map(str, range(4)):
+        code, out, _ = run(capsys, "simple", path, "--seed", seed)
+        assert code == 1
+        lines = out.splitlines()
+        assert "  three-operation algebra: not_simple (envelope_not_full)" in lines
+        assert "witness: none" in lines
+        assert any("Burnside" in ln for ln in lines)
+        code, out, _ = run(capsys, "simple", path, "--seed", seed, "--json")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc.pop("seed") == int(seed)
+        docs.append(doc)
+    assert all(doc == docs[0] for doc in docs)
 
 
 def test_simple_json(capsys, inputs):
