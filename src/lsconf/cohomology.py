@@ -39,8 +39,11 @@ away and representatives keep their top-degree entries.
 
 The equations of generate_cocycle_system and the B2 generators of
 coboundary_space are sparse integer rows {col: int} read off the integer
-structure rows and scaled by alg.den * beta.denominator.  h2 drops every
-equation that is a scalar multiple of an earlier one before elimination.
+structure rows and scaled by alg.den * beta.denominator.  Many equations
+say alpha_i(x, y) = 0.  Before elimination h2 drops each such forced column
+from every other equation, in rounds until no new one-coordinate equation
+appears, and eliminates the unit rows of the forced columns with the
+equations still nonzero: the same row space, so the same canonical Z2.
 beta and cocycle forms must be int or Fraction, never a binary float.
 """
 
@@ -50,7 +53,7 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import comb
 
 from .algebras import IdentityError, _lincomb, op_tensor, products_span, require_identity
 from .linalg import (ZERO, ONE, Subspace, exact, nullspace, quotient_representatives,
@@ -126,8 +129,8 @@ def generate_cocycle_system(alg, beta, degree_cap):
     triple (a, b, c) with a <= b and lam^i mu^j monomial (i < j when a = b),
     scaled by alg.den * beta.denominator.  A triple with a > b, or a diagonal
     monomial with i >= j, would only repeat an emitted row up to sign or give
-    zero (see the module docstring).  Zero rows are dropped; rows that repeat
-    an earlier one up to scale are kept, and h2 drops them before elimination."""
+    zero (see the module docstring).  Zero rows are dropped; repeated rows
+    are kept, and h2 resolves the one-coordinate ones with forced_zeros."""
     beta = exact(beta)
     require_identity(alg, "PRE_GD")
     cap, dim, n = degree_cap, alg.dim, range(alg.dim)
@@ -238,19 +241,20 @@ class ExtensionResult:
     representatives: tuple
 
 
-def _distinct_up_to_scale(rows):
-    """Integer rows without those that are a scalar multiple of an earlier
-    one, compared by their gcd-primitive form with a positive lead."""
-    seen, out = set(), []
-    for row in rows:
-        g = gcd(*row.values())
-        if row[min(row)] < 0:
-            g = -g
-        key = frozenset({c: x // g for c, x in row.items()}.items())
-        if key not in seen:
-            seen.add(key)
-            out.append(row)
-    return out
+def forced_zeros(rows):
+    """(rounds, left) for rows {col: int}: rounds[r] is the set of columns
+    that stand alone in a row once the columns of rounds[:r] are dropped,
+    so they vanish on the kernel; left holds the rows still nonzero once
+    every such column is dropped.  The unit rows of the forced columns
+    together with left span the same rows as `rows`."""
+    rounds, left = [], rows
+    while True:
+        new = {c for row in left if len(row) == 1 for c in row}
+        if not new:
+            return rounds, left
+        rounds.append(new)
+        left = [row if new.isdisjoint(row) else {c: x for c, x in row.items() if c not in new}
+                for row in left if not new.issuperset(row)]
 
 
 def h2(alg, beta, degree_cap=None):
@@ -267,8 +271,8 @@ def h2(alg, beta, degree_cap=None):
     else:
         cap, cap_limited = degree_cap, not spanning
     dim = alg.dim
-    rows = _distinct_up_to_scale(generate_cocycle_system(alg, beta, cap))
-    z2 = nullspace(rows, ncols(cap, dim))
+    rounds, left = forced_zeros(generate_cocycle_system(alg, beta, cap))
+    z2 = nullspace([{c: 1} for new in rounds for c in new] + left, ncols(cap, dim))
     b2 = coboundary_space(alg, beta, cap)
     if not z2.contains_subspace(b2):
         raise CohomologyError("coboundary outside the cocycle space")

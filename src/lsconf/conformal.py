@@ -36,7 +36,7 @@ from math import comb, prod
 
 from .algebras import (AlgebraError, AlgebraSpec, IdentityReport,
                        require_identity, tensor)
-from .linalg import ZERO, ONE
+from .linalg import ZERO, ONE, exact
 
 PARTIAL = "∂"
 LAM = "λ"
@@ -61,8 +61,8 @@ class ModuleElement:
     __slots__ = ("terms", "central")
 
     def __init__(self, terms=None, central=ZERO):
-        self.terms = {k: Fraction(v) for k, v in (terms or {}).items() if v}
-        self.central = Fraction(central)
+        self.terms = {k: x for k, v in (terms or {}).items() if (x := exact(v))}
+        self.central = exact(central)
 
     @classmethod
     def basis(cls, i, ddeg=0):
@@ -203,7 +203,7 @@ def lambda_product(alg, x, y, cocycle=None, beta=ZERO):
     if x.central or y.central:
         raise CentralInputError("lambda products of central elements vanish; "
                                 "pass the V-part explicitly")
-    return _lambda_product(alg, x, y, cocycle, Fraction(beta))
+    return _lambda_product(alg, x, y, cocycle, exact(beta))
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +245,7 @@ def _nested_double(alg, x, y, z, cocycle, beta, outer_var):
 def conformal_associator_defect(alg, a, b, c, cocycle=None, beta=ZERO):
     """(a_lam b)_{lam+mu} c - a_lam (b_mu c), minus the same with a,b and
     lam,mu swapped; zero iff the left-symmetry axiom holds on (a, b, c)."""
-    beta = Fraction(beta)
+    beta = exact(beta)
     t1 = _outer_double(alg, a, b, c, cocycle, beta, 0)
     t2 = _nested_double(alg, a, b, c, cocycle, beta, 0)
     t3 = _outer_double(alg, b, a, c, cocycle, beta, 1)
@@ -254,6 +254,7 @@ def conformal_associator_defect(alg, a, b, c, cocycle=None, beta=ZERO):
 
 
 def check_conformal_left_symmetry(alg, cocycle=None, beta=ZERO):
+    beta = exact(beta)
     dim = alg.dim
     violations = []
     for i, j, k in itertools.product(range(dim), repeat=3):
@@ -272,7 +273,7 @@ def check_conformal_left_symmetry(alg, cocycle=None, beta=ZERO):
 # builders
 
 def build_rank_one(c):
-    c = Fraction(c)
+    c = exact(c)
     return AlgebraSpec(f"rank_one({c})", 1, ("L",),
                        {"ld": tensor(1, {(0, 0, 0): 1}),
                         "circ": tensor(1, {(0, 0, 0): c})})
@@ -307,9 +308,9 @@ class WindowedElement:
 
     def __init__(self, window, terms=None, central=ZERO, escapes=None):
         self.window = window
-        self.terms = {k: Fraction(v) for k, v in (terms or {}).items() if v}
-        self.central = Fraction(central)
-        self.escapes = {k: Fraction(v) for k, v in (escapes or {}).items() if v}
+        self.terms = {k: x for k, v in (terms or {}).items() if (x := exact(v))}
+        self.central = exact(central)
+        self.escapes = {k: x for k, v in (escapes or {}).items() if (x := exact(v))}
         for (_, m) in self.terms:
             if abs(m) > window:
                 raise WindowMismatch(f"exponent {m} outside window {window}")

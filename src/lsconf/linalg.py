@@ -56,10 +56,6 @@ def vadd(u, v):
     return [a + b for a, b in zip(u, v)]
 
 
-def vsub(u, v):
-    return [a - b for a, b in zip(u, v)]
-
-
 def vscale(c, u):
     return [c * a for a in u]
 
@@ -277,13 +273,6 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
-
-
-def quotient_dim(big, small):
-    """dim(big/small); raises ContainmentError unless small <= big."""
-    if not big.contains_subspace(small):
-        raise ContainmentError("claimed subspace is not contained in the larger space")
-    return big.dim - small.dim
 
 
 def quotient_representatives(big, small):

@@ -37,6 +37,10 @@
   integer rows, with `_eta` copied alongside.
 * `dump_json` is the stdlib rendering every written JSON had before the
   library's direct writer: `json.dumps` with sorted keys and indent 2.
+* `distinct_up_to_scale` is the filter `h2` ran on the cocycle system
+  before it resolved forced-zero columns: it drops every row that is a
+  scalar multiple of an earlier one.  Tests use it to compare systems up
+  to scale and to count the rows a system repeats.
 * `hardcoded_cocycle_system` holds the explicitly listed cap-3 equation
   systems (general, pre-Novikov, pre-Novikov at beta = 0, LS-Poisson),
   written out by hand as a cross-check of the mechanical expansion in
@@ -58,11 +62,30 @@ from lsconf.conformal import WindowedElement, WindowMismatch
 from lsconf import ideals, linalg
 from lsconf.ideals import PRE_GD_OPS, IdealReport
 from lsconf.linalg import (ONE, ZERO, DimensionMismatch, Subspace, exact, mat_mul,
-                           mat_vec, unit, vadd, vscale, vsub, vzero)
+                           mat_vec, unit, vadd, vscale, vzero)
 
 
 def identity_matrix(n):
     return [unit(n, i) for i in range(n)]
+
+
+def vsub(u, v):
+    return [a - b for a, b in zip(u, v)]
+
+
+def distinct_up_to_scale(rows):
+    """Integer rows without those that are a scalar multiple of an earlier
+    one, compared by their gcd-primitive form with a positive lead."""
+    seen, out = set(), []
+    for row in rows:
+        g = gcd(*row.values())
+        if row[min(row)] < 0:
+            g = -g
+        key = frozenset({c: x // g for c, x in row.items()}.items())
+        if key not in seen:
+            seen.add(key)
+            out.append(row)
+    return out
 
 
 def dump_json(doc):

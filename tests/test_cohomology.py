@@ -6,12 +6,14 @@ from hypothesis import example, given, settings, strategies as st
 from lsconf.algebras import (AlgebraSpec, IdentityError, LinearMapSpec, RepresentationSpec,
                              tensor)
 from lsconf.cohomology import (CocycleFamily, CohomologyError, NoUnitFound,
-                               SpanningConditionError, _distinct_up_to_scale,
-                               check_spanning, coboundary_space, coord_index,
-                               family_from_coords, family_to_coords,
-                               find_right_unit, generate_cocycle_system, h2,
-                               ncols, unital_vanishing_check)
-from lsconf.conformal import build_rank_one, check_conformal_left_symmetry
+                               SpanningConditionError, check_spanning,
+                               coboundary_space, coord_index, family_from_coords,
+                               family_to_coords, find_right_unit, forced_zeros,
+                               generate_cocycle_system, h2, ncols,
+                               unital_vanishing_check)
+from lsconf.conformal import (ModuleElement, WindowedElement, build_rank_one,
+                              check_conformal_left_symmetry, conformal_associator_defect,
+                              lambda_product)
 from lsconf.linalg import Subspace, nullspace
 from lsconf import constructions as cons
 
@@ -187,7 +189,7 @@ def test_cocycle_system_matches_fraction_oracle(alg, t, beta, cap):
     scaled = [{col: x * scale for col, x in enumerate(row) if x} for row in want]
     assert all(x.denominator == 1 for row in scaled for x in row.values())
     want = [{col: int(x) for col, x in row.items()} for row in scaled]
-    assert _distinct_up_to_scale(got) == _distinct_up_to_scale(want)
+    assert oracles.distinct_up_to_scale(got) == oracles.distinct_up_to_scale(want)
 
 
 @settings(max_examples=60, deadline=None)
@@ -223,11 +225,35 @@ def test_cocycle_system_ignores_a_stored_bracket(pre_gd_zoo):
     (6, F(0), 927, 653, 133), (6, F(1, 2), 933, 672, 133)])
 def test_cocycle_system_size_on_binomial_pre_gd(n, beta, emitted, distinct, rank):
     # the binomial pre-GD family at xi = 1/2, k = 1 and cap 3: rows emitted,
-    # rows left up to scale, and their rank
+    # rows left up to scale, and their rank; then the columns forced to zero
+    # and the rows that reach elimination with them, the same at both beta
     alg = cons.zinbiel_to_pre_gd(*cons.truncated_binomial_zinbiel(n), F(1, 2), F(1))
     rows = generate_cocycle_system(alg, beta, 3)
-    left = _distinct_up_to_scale(rows)
+    left = oracles.distinct_up_to_scale(rows)
     assert (len(rows), len(left), Subspace(ncols(3, n), left).dim) == (emitted, distinct, rank)
+    rounds, rest = forced_zeros(rows)
+    forced, kept = {4: (31, 48), 5: (52, 96), 6: (78, 168)}[n]
+    assert (len(rounds), sum(map(len, rounds)), len(rest)) == (2, forced, kept)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(pre_gd_zoo_specs()),
+       st.sampled_from([F(1), F(1, 2), F(-2, 3), F(3, 2)]),
+       st.sampled_from([F(0), F(1), F(-1, 2), F(2, 3)]),
+       st.integers(0, 4))
+# four rounds: each drops columns that leave a new row with one coordinate
+@example(cons.zinbiel_to_pre_gd(*cons.truncated_binomial_zinbiel(4), F(0), F(1)),
+         F(1), F(0), 4)
+def test_forced_zeros_keep_the_kernel(alg, t, beta, cap):
+    alg = _scaled(alg, t)
+    width = ncols(cap, alg.dim)
+    rows = generate_cocycle_system(alg, beta, cap)
+    rounds, left = forced_zeros(rows)
+    forced = [c for new in rounds for c in new]
+    assert len(forced) == len(set(forced))
+    # no row left has one coordinate, or a forced column
+    assert all(len(row) > 1 and not any(c in row for c in forced) for row in left)
+    assert nullspace([{c: 1} for c in forced] + left, width) == nullspace(rows, width)
 
 
 # a star b = 0, so at cap 0 every functional phi is a coboundary functional,
@@ -265,6 +291,7 @@ def test_h2_matches_fraction_oracle(alg, t, beta, cap):
 
 def test_float_and_bool_are_not_exact_inputs():
     r1 = build_rank_one(1)
+    L = ModuleElement.basis(0)
     for bad in (0.1, 0.5, True, False):
         for call in (lambda: h2(r1, bad, 1),
                      lambda: generate_cocycle_system(r1, bad, 1),
@@ -273,7 +300,14 @@ def test_float_and_bool_are_not_exact_inputs():
                      lambda: AlgebraSpec("x", 1, ("a",), {"ld": [[[bad]]]}),
                      lambda: tensor(1, {(0, 0, 0): bad}),
                      lambda: LinearMapSpec(((bad,),)),
-                     lambda: RepresentationSpec(1, {"l": (((bad,),),)})):
+                     lambda: RepresentationSpec(1, {"l": (((bad,),),)}),
+                     lambda: ModuleElement({(0, 0): bad}),
+                     lambda: ModuleElement(central=bad),
+                     lambda: lambda_product(r1, L, L, beta=bad),
+                     lambda: conformal_associator_defect(r1, L, L, L, beta=bad),
+                     lambda: check_conformal_left_symmetry(r1, beta=bad),
+                     lambda: WindowedElement(1, {(0, 0): bad}),
+                     lambda: build_rank_one(bad)):
             with pytest.raises(TypeError):
                 call()
     # int and Fraction entries are exact; a given Fraction is kept as it is
@@ -287,6 +321,9 @@ def test_float_and_bool_are_not_exact_inputs():
     assert CocycleFamily(0, (((F(1, 10),),),)).forms == (((F(1, 10),),),)
     assert CocycleFamily(0, (((3,),),)).forms == (((F(3),),),)
     assert type(CocycleFamily(0, (((3,),),)).forms[0][0][0]) is F
+    assert ModuleElement({(0, 0): half}, 2).terms[0, 0] is half
+    assert type(ModuleElement({(0, 0): half}, 2).central) is F
+    assert check_conformal_left_symmetry(r1, beta=F(1, 10)).passed
 
 
 def test_degree_cap_must_be_a_non_negative_int():
