@@ -1,22 +1,13 @@
 """Shared fixtures: the worked examples and generators of random specs."""
 
-import os
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import settings
 
 from lsconf.algebras import AlgebraSpec, tensor
 from lsconf.conformal import build_rank_one
 from lsconf import constructions as cons
-
-# HYPOTHESIS_PROFILE=ci keeps every example count and deadline and prints
-# the blob that replays a failing example, so a failure on a runner can be
-# reproduced with @reproduce_failure
-settings.register_profile("ci", print_blob=True)
-if os.environ.get("HYPOTHESIS_PROFILE") == "ci":
-    settings.load_profile("ci")
 
 
 def two_dim_lw():

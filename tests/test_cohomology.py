@@ -236,14 +236,21 @@ def test_cocycle_system_size_on_binomial_pre_gd(n, beta, emitted, distinct, rank
     assert (len(rounds), sum(map(len, rounds)), len(rest)) == (2, forced, kept)
 
 
+# binomial pre-GD n = 4 at xi = 0, k = 1: at cap 4 and beta 0 each round drops
+# columns that leave a new row with one coordinate, four rounds in all
+FOUR_ROUNDS = cons.zinbiel_to_pre_gd(*cons.truncated_binomial_zinbiel(4), F(0), F(1))
+
+
+def test_forced_zeros_take_four_rounds_on_binomial_xi_zero():
+    assert len(forced_zeros(generate_cocycle_system(FOUR_ROUNDS, F(0), 4))[0]) == 4
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(pre_gd_zoo_specs()),
        st.sampled_from([F(1), F(1, 2), F(-2, 3), F(3, 2)]),
        st.sampled_from([F(0), F(1), F(-1, 2), F(2, 3)]),
        st.integers(0, 4))
-# four rounds: each drops columns that leave a new row with one coordinate
-@example(cons.zinbiel_to_pre_gd(*cons.truncated_binomial_zinbiel(4), F(0), F(1)),
-         F(1), F(0), 4)
+@example(FOUR_ROUNDS, F(1), F(0), 4)
 def test_forced_zeros_keep_the_kernel(alg, t, beta, cap):
     alg = _scaled(alg, t)
     width = ncols(cap, alg.dim)
