@@ -24,7 +24,9 @@ systems) read the integers; readers whose values reach an answer divide back.
 The identity catalog evaluates residuals on basis triples; by
 multilinearity that is exhaustive.  Its product tables hold only their
 nonzero entries (an absent entry is zero), so the work follows the nonzero
-structure constants rather than dim^3 index tuples per term.  A module M
+structure constants rather than dim^3 index tuples per term.  The same
+evaluator turns a bilinear formula in that notation into a structure tensor
+(`product_tensor`); the constructions build their outputs so.  A module M
 of an algebra A is checked through the same catalog, as the split null
 extension A + M (`semidirect`).
 """
@@ -225,6 +227,9 @@ def _dense(alg, row):
     return out
 
 
+# prod_basis and eval_product have no caller in the library; the benchmark's
+# tracer (perfbench/spans.py) counts their calls by name.
+
 def prod_basis(alg, op, i, j):
     """e_i op e_j as a coordinate vector (derived ops included)."""
     return _dense(alg, alg.rows(op)[i][j])
@@ -268,13 +273,14 @@ def products_span(alg, op):
 # ---------------------------------------------------------------------------
 # identity catalog
 #
-# Each law is (label, terms): a signed sum of nested products in the argument
-# letters a, b, c, read like the formula it transcribes.  A product node is
-# (op, left, right); ("aux", x) applies the aux linear map.  Op names are the
-# stored and derived ops plus two resolved per algebra: "nov" is the Novikov
-# product novikov_star(alg), "s1" is ld with its arguments swapped,
-# s1(x, y) = y ld x.  bracket reads a stored tensor when there is one, so laws
-# about the circ commutator spell it as two circ terms.
+# Each law is (label, terms): a sum of nested products in the argument letters
+# a, b, c with int or Fraction coefficients, read like the formula it
+# transcribes.  A product node is (op, left, right); ("aux", x) applies the
+# aux linear map.  Op names are the stored and derived ops plus two resolved
+# per algebra: "nov" is the Novikov product novikov_star(alg), "s1" is ld with
+# its arguments swapped, s1(x, y) = y ld x.  bracket reads a stored tensor
+# when there is one, so laws about the circ commutator spell it as two circ
+# terms.
 
 _LS = ("left_symmetry", [(1, ("circ", ("circ", "a", "b"), "c")),
                          (-1, ("circ", "a", ("circ", "b", "c"))),
@@ -534,6 +540,26 @@ def identity_residuals(alg, identity_id, vectors, aux=None):
         raise DimensionMismatch("operand length does not match algebra dim")
     return [(label, res) for label, _, res in
             _residuals(alg, laws, aux, vectors, {2: [(0, 1)], 3: [(0, 1, 2)]})]
+
+
+def product_tensor(alg, terms, aux=None):
+    """The dense dim^3 tensor of sum coef * tree(a, b) over terms: a
+    bilinear formula in the catalog's notation (the letters a and b once
+    each, stored and derived ops, ("aux", x) for the aux map), with int or
+    Fraction coefficients.  It is the catalog's contraction at the unit
+    vectors, so only the nonzero pairs are visited."""
+    if aux is not None and aux.dim != alg.dim:
+        raise DimensionMismatch("aux map dimension does not match the algebra")
+    terms = [(exact(coef), tree) for coef, tree in terms]
+    for _, tree in terms:
+        if sorted(_shape(tree)[1]) != [0, 1]:
+            raise ValueError(f"{tree!r} is not bilinear in the letters a and b")
+    units = [[int(i == k) for k in range(alg.dim)] for i in range(alg.dim)]
+    out = tensor(alg.dim)
+    if terms:  # an empty sum is zero, and has no letters to read the arity from
+        for _, (i, j), res in _residuals(alg, [("product", terms)], aux, units, {2: None}):
+            out[i][j] = list(res)
+    return out
 
 
 def require_identity(alg, identity_id, aux=None, triples=None, pairs=None):

@@ -20,7 +20,8 @@ from .cohomology import CohomologyError, SpanningConditionError, h2
 from .conformal import (ModuleElement, build_current, build_rank_one,
                         check_coeff_left_symmetry, format_lambda_poly,
                         lambda_product)
-from .constructions import (comm_assoc_derivation_to_novikov_poisson,
+from .constructions import (ConstructionDefect,
+                            comm_assoc_derivation_to_novikov_poisson,
                             ls_poisson_to_pre_gd, pre_novikov_to_pre_gd,
                             truncated_binomial_zinbiel, zinbiel_to_pre_gd,
                             zinbiel_to_pre_novikov)
@@ -384,7 +385,7 @@ def main(argv=None):
     except (FileFormatError, AlgebraError, LinalgError, ValueError) as exc:
         _err(str(exc))
         return INPUT_ERROR
-    except (CohomologyError, IdealVerificationError) as exc:
+    except (CohomologyError, IdealVerificationError, ConstructionDefect) as exc:
         _err(f"internal: {exc}")
         return INTERNAL_ERROR
     finally:

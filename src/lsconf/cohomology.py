@@ -56,8 +56,7 @@ from fractions import Fraction
 from math import comb
 
 from .algebras import IdentityError, _lincomb, op_tensor, products_span, require_identity
-from .linalg import (ZERO, ONE, Subspace, exact, nullspace, quotient_representatives,
-                     solve)
+from .linalg import ZERO, ONE, Subspace, exact, nullspace, quotient_representatives
 
 
 class SpanningConditionError(Exception):
@@ -286,16 +285,19 @@ def h2(alg, beta, degree_cap=None):
 
 
 def find_right_unit(alg):
-    """Exact solve for e with a ast e = a and a ld e = a for all a."""
+    """An e with a ast e = a and a ld e = a for all a, or None if there is
+    none.  The system M e = rhs is read from the kernel of [-rhs | M] with
+    M's columns reversed: in that kernel's canonical echelon, the row at
+    pivot 0 (absent iff the system is inconsistent) holds the solution
+    whose free unknowns, those no pivot of M's echelon determines, are 0."""
     dim = alg.dim
-    rows, rhs = [], []
+    rows = []
     for op in ("ast", "ld"):
         prods = op_tensor(alg, op)
-        for a in range(dim):
-            for k in range(dim):
-                rows.append([prods[a][j][k] for j in range(dim)])
-                rhs.append(ONE if k == a else ZERO)
-    return solve(rows, rhs)
+        rows += ([-ONE if k == a else ZERO] + [prods[a][j][k] for j in reversed(range(dim))]
+                 for a in range(dim) for k in range(dim))
+    kernel = nullspace(rows, dim + 1)
+    return kernel.basis[0][:0:-1] if kernel.pivots[:1] == [0] else None
 
 
 def unital_vanishing_check(alg, beta):

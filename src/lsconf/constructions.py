@@ -1,9 +1,13 @@
 """Constructions between the algebra classes, verified on output.
 
-Every builder checks its input identities, applies the defining formulas,
-and re-checks the output against the target identity system before
-returning (fail-fast; a constructor output failing its target system is a
-defect, not a warning).
+Every builder checks its input identities, evaluates its defining formula
+with `algebras.product_tensor` (a bilinear expression in the input's
+products, written in the identity catalog's notation), and re-checks the
+output against the target identity system before returning.  An input that
+fails its identities raises IdentityError.  An output that fails its target
+system, or zinbiel_to_pre_gd's two routes disagreeing, is a defect of the
+construction, not a warning, and raises ConstructionDefect.  The parameters
+xi and k are ints or Fractions; a float or a bool raises TypeError.
 
 Truncated stand-ins for infinite examples come in two flavours:
 
@@ -17,52 +21,45 @@ Truncated stand-ins for infinite examples come in two flavours:
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import comb
 
-from .algebras import (AlgebraSpec, IdentityError, LinearMapSpec,
-                       eval_product, prod_basis, require_identity, tensor)
-from .linalg import unit, vadd, vscale
+from .algebras import (AlgebraSpec, IdentityError, LinearMapSpec, op_tensor,
+                       product_tensor, require_identity, tensor)
+from .linalg import exact
 
 
-def _dot(alg, x, y):
-    return eval_product(alg, "dot", x, y)
+class ConstructionDefect(Exception):
+    """A construction's output failed its target system, or its two routes
+    disagree: a defect in lsconf, never a finding about the input."""
+
+
+def _verified(out, identity_id, triples=None, pairs=None):
+    try:
+        require_identity(out, identity_id, triples=triples, pairs=pairs)
+    except IdentityError as exc:
+        raise ConstructionDefect(f"construction output {exc}") from exc
+    return out
 
 
 def zinbiel_to_pre_novikov(zin, D, xi, triples=None, pairs=None):
     """a ld b = D(b).a + xi b.a,  a rd b = a.D(b) + xi a.b"""
-    xi = Fraction(xi)
+    xi = exact(xi)
     require_identity(zin, "ZINBIEL", triples=triples)
     require_identity(zin, "DERIVATION", aux=D, pairs=pairs)
-    dim = zin.dim
-    dcols = [D.apply(unit(dim, j)) for j in range(dim)]
-    ld, rd = tensor(dim), tensor(dim)
-    for i in range(dim):
-        ei = unit(dim, i)
-        for j in range(dim):
-            ej, dj = unit(dim, j), dcols[j]
-            ld[i][j] = vadd(_dot(zin, dj, ei), vscale(xi, _dot(zin, ej, ei)))
-            rd[i][j] = vadd(_dot(zin, ei, dj), vscale(xi, _dot(zin, ei, ej)))
-    out = AlgebraSpec(f"{zin.name}~pn(xi={xi})", dim, zin.basis, {"ld": ld, "rd": rd})
-    require_identity(out, "PRE_NOVIKOV", triples=triples)
-    return out
+    ld = product_tensor(zin, [(1, ("dot", ("aux", "b"), "a")), (xi, ("dot", "b", "a"))], D)
+    rd = product_tensor(zin, [(1, ("dot", "a", ("aux", "b"))), (xi, ("dot", "a", "b"))], D)
+    out = AlgebraSpec(f"{zin.name}~pn(xi={xi})", zin.dim, zin.basis, {"ld": ld, "rd": rd})
+    return _verified(out, "PRE_NOVIKOV", triples=triples)
 
 
 def pre_novikov_to_pre_gd(pn, k, triples=None):
     """Adjoin circ = k(a rd b - b ld a) to a pre-Novikov algebra."""
-    k = Fraction(k)
+    k = exact(k)
     require_identity(pn, "PRE_NOVIKOV", triples=triples)
-    dim = pn.dim
-    circ = tensor(dim)
-    for i in range(dim):
-        for j in range(dim):
-            circ[i][j] = [k * (r - l) for r, l in
-                          zip(prod_basis(pn, "rd", i, j), prod_basis(pn, "ld", j, i))]
     ops = {op: pn.ops[op] for op in ("ld", "rd") if pn.has(op)}
-    ops["circ"] = circ
-    out = AlgebraSpec(f"{pn.name}~pregd(k={k})", dim, pn.basis, ops)
-    require_identity(out, "PRE_GD", triples=triples)
-    return out
+    ops["circ"] = product_tensor(pn, [(k, ("rd", "a", "b")), (-k, ("ld", "b", "a"))])
+    out = AlgebraSpec(f"{pn.name}~pregd(k={k})", pn.dim, pn.basis, ops)
+    return _verified(out, "PRE_GD", triples=triples)
 
 
 def zinbiel_to_pre_gd(zin, D, xi, k, triples=None, pairs=None):
@@ -73,20 +70,17 @@ def zinbiel_to_pre_gd(zin, D, xi, k, triples=None, pairs=None):
     through ld and rd themselves.  Both routes are computed and must
     agree tensor-wise.
     """
-    xi, k = Fraction(xi), Fraction(k)
+    xi, k = exact(xi), exact(k)
     pn = zinbiel_to_pre_novikov(zin, D, xi, triples=triples, pairs=pairs)
     out = pre_novikov_to_pre_gd(pn, k, triples=triples)
-    dim = zin.dim
-    dcols = [D.apply(unit(dim, j)) for j in range(dim)]
-    for i in range(dim):
-        ei = unit(dim, i)
-        for j in range(dim):
-            direct = [k * (t1 - t2) for t1, t2 in
-                      zip(_dot(zin, ei, dcols[j]), _dot(zin, dcols[i], unit(dim, j)))]
-            if direct != prod_basis(out, "circ", i, j):
-                raise IdentityError(
-                    f"direct and composed circ tensors disagree at ({i}, {j})")
-    return AlgebraSpec(f"{zin.name}~pregd(xi={xi},k={k})", dim, zin.basis, dict(out.ops))
+    direct = product_tensor(zin, [(k, ("dot", "a", ("aux", "b"))),
+                                  (-k, ("dot", ("aux", "a"), "b"))], D)
+    composed = op_tensor(out, "circ")
+    if direct != composed:
+        i = next(i for i, plane in enumerate(direct) if plane != composed[i])
+        j = next(j for j, row in enumerate(direct[i]) if row != composed[i][j])
+        raise ConstructionDefect(f"direct and composed circ tensors disagree at ({i}, {j})")
+    return AlgebraSpec(f"{zin.name}~pregd(xi={xi},k={k})", zin.dim, zin.basis, dict(out.ops))
 
 
 def ls_poisson_to_pre_gd(lsp, triples=None, pairs=None):
@@ -98,27 +92,18 @@ def ls_poisson_to_pre_gd(lsp, triples=None, pairs=None):
     if lsp.has("circ"):
         ops["circ"] = lsp.ops["circ"]
     out = AlgebraSpec(f"{lsp.name}~pregd", lsp.dim, lsp.basis, ops)
-    require_identity(out, "PRE_GD", triples=triples)
-    return out
+    return _verified(out, "PRE_GD", triples=triples)
 
 
 def comm_assoc_derivation_to_novikov_poisson(A, D, triples=None, pairs=None):
     """x circ y = x . D(y) on a commutative associative algebra."""
     require_identity(A, "COMM_ASSOC", triples=triples, pairs=pairs)
     require_identity(A, "DERIVATION", aux=D, pairs=pairs)
-    dim = A.dim
-    dcols = [D.apply(unit(dim, j)) for j in range(dim)]
-    circ = tensor(dim)
-    for i in range(dim):
-        ei = unit(dim, i)
-        for j in range(dim):
-            circ[i][j] = _dot(A, ei, dcols[j])
-    ops = {"circ": circ}
+    ops = {"circ": product_tensor(A, [(1, ("dot", "a", ("aux", "b")))], D)}
     if A.has("dot"):
         ops["dot"] = A.ops["dot"]
-    out = AlgebraSpec(f"{A.name}~np", dim, A.basis, ops)
-    require_identity(out, "NOVIKOV_POISSON", triples=triples, pairs=pairs)
-    return out
+    out = AlgebraSpec(f"{A.name}~np", A.dim, A.basis, ops)
+    return _verified(out, "NOVIKOV_POISSON", triples=triples, pairs=pairs)
 
 
 def truncated_binomial_zinbiel(N):
@@ -130,14 +115,11 @@ def truncated_binomial_zinbiel(N):
     if N < 1:
         raise ValueError("N must be at least 1")
     basis = tuple(f"x{g}" for g in range(1, N + 1))
-    dot = tensor(N)
-    for i in range(N):
-        for j in range(N):
-            g = i + j + 2
-            if g <= N:
-                dot[i][j][g - 1] = Fraction(comb(g - 1, i + 1))
+    # x^(i+1) . x^(j+1) at index i + j + 1, the grade i + j + 2 <= N
+    dot = tensor(N, {(i, j, i + j + 1): comb(i + j + 1, i + 1)
+                     for i in range(N) for j in range(N - 1 - i)})
     alg = AlgebraSpec(f"binomial_zinbiel({N})", N, basis, {"dot": dot})
-    D = LinearMapSpec(tuple(tuple(Fraction(g + 1) if g == h else 0 for h in range(N))
+    D = LinearMapSpec(tuple(tuple(g + 1 if g == h else 0 for h in range(N))
                             for g in range(N)))
     require_identity(alg, "ZINBIEL")
     require_identity(alg, "DERIVATION", aux=D)
@@ -154,16 +136,12 @@ def truncated_laurent_slice():
     """
     grades = (-1, 0, 1)
     basis = tuple(f"t^{g}" for g in grades)
-    dot = tensor(3)
-    for i, gi in enumerate(grades):
-        for j, gj in enumerate(grades):
-            if -1 <= gi + gj <= 1:
-                dot[i][j][gi + gj + 1] = Fraction(1)
-    alg = AlgebraSpec("laurent_slice", 3, basis, {"dot": dot})
-    D = LinearMapSpec(tuple(tuple(Fraction(gi) if i == j else 0 for j in range(3))
-                            for i, gi in enumerate(grades)))
     pairs = tuple((i, j) for i, j in itertools.product(range(3), repeat=2)
                   if -1 <= grades[i] + grades[j] <= 1)
+    dot = tensor(3, {(i, j, grades[i] + grades[j] + 1): 1 for i, j in pairs})
+    alg = AlgebraSpec("laurent_slice", 3, basis, {"dot": dot})
+    D = LinearMapSpec(tuple(tuple(gi if i == j else 0 for j in range(3))
+                            for i, gi in enumerate(grades)))
     triples = tuple(
         (i, j, k) for i, j, k in itertools.product(range(3), repeat=3)
         if all(-1 <= s <= 1 for s in (grades[i] + grades[j], grades[i] + grades[k],

@@ -8,7 +8,7 @@ style) of sparse integer rows: each arriving vector is reduced against the
 stored pivots by cross multiplication and re-reduced by the gcd after every
 combination, so entries stay small without leaving exact arithmetic; a
 dependent vector (a duplicate, say) is dropped on arrival.  rref, rank,
-nullspace, solve and Subspace.contains read the same echelon.  nullspace
+nullspace and Subspace.contains read the same echelon.  nullspace
 builds its kernel vectors straight from the integer echelon rows, and
 Subspace.reduce walks them sparsely; neither goes through the dense
 Fraction `basis`.
@@ -50,14 +50,6 @@ def exact(x):
 
 def vzero(n):
     return [ZERO] * n
-
-
-def vadd(u, v):
-    return [a + b for a, b in zip(u, v)]
-
-
-def vscale(c, u):
-    return [c * a for a in u]
 
 
 def unit(n, i):
@@ -141,19 +133,6 @@ def nullspace(rows, ncols):
             v.update((p, -echelon[p][f] * (den // echelon[p][p])) for p in ps)
             basis.append(v)
     return Subspace(ncols, basis)
-
-
-def solve(rows, rhs):
-    """One exact solution of rows*x = rhs, or None if inconsistent."""
-    ncols = len(rows[0]) if rows else 0
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug, ncols + 1)
-    if ncols in pivots:
-        return None
-    x = [ZERO] * ncols
-    for row, pc in zip(red, pivots):
-        x[pc] = row[ncols]
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -247,24 +226,10 @@ class Subspace:
     def contains(self, v):
         return not self._residual(v)
 
-    def coordinates(self, v):
-        """Coefficients of v on the stored basis, or None if v is outside."""
-        if not self.contains(v):
-            return None
-        return [v[pc] for pc in self.pivots]
-
     def contains_subspace(self, other):
         if other.ambient_dim != self.ambient_dim:
             raise DimensionMismatch("ambient dimensions differ")
         return all(self.contains(r) for r in other._rows.values())
-
-    def sum(self, other):
-        if other.ambient_dim != self.ambient_dim:
-            raise DimensionMismatch("ambient dimensions differ")
-        total = self.copy()
-        for r in other._rows.values():
-            total.add(r)
-        return total
 
     def __eq__(self, other):
         return (isinstance(other, Subspace)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from lsconf.algebras import AlgebraSpec, tensor
+from lsconf.algebras import AlgebraSpec, product_tensor, tensor
 from lsconf.conformal import build_rank_one
 from lsconf import constructions as cons
 
@@ -86,6 +86,22 @@ def random_algebra(rng, dim, ops=("ld", "rd", "circ"), density=0.35):
             built[op] = random_tensor(rng, dim, density)
     return AlgebraSpec(f"random({dim})", dim, tuple(f"e{i}" for i in range(dim)),
                        built)
+
+
+def perturbed_product_tensor(hit):
+    """product_tensor with 1 added at entry (0, 0, 0) of every tensor whose
+    terms satisfy hit: planted in constructions, a wrong formula."""
+    def perturbed(alg, terms, aux=None):
+        t = product_tensor(alg, terms, aux)
+        if hit(terms):
+            t[0][0][0] += 1
+        return t
+    return perturbed
+
+
+def is_direct_route(terms):
+    """Whether terms are zinbiel_to_pre_gd's direct circ, k(a.D(b) - D(a).b)."""
+    return ("aux", "a") in terms[-1][1]
 
 
 def construction_pre_gd_family():

@@ -35,6 +35,14 @@
   algebra as the library ran it before its basis-pair table: four Fraction
   products per basis triple and exponent triple, each rebuilt from the
   integer rows, with `_eta` copied alongside.
+* `zinbiel_to_pre_novikov`, `pre_novikov_to_pre_gd`, `zinbiel_to_pre_gd`,
+  `ls_poisson_to_pre_gd` and `comm_assoc_derivation_to_novikov_poisson`
+  are the construction formulas as the library evaluated them before it
+  wrote them in the catalog's notation: a dense Fraction loop over basis
+  pairs through `eval_product`, with the derivation applied to each basis
+  vector.  They build the output's ops and name only, checking nothing;
+  `zinbiel_to_pre_gd` takes its circ from the direct formula
+  k(a.D(b) - D(a).b), the route the library compares its composite with.
 * `dump_json` is the stdlib rendering every written JSON had before the
   library's direct writer: `json.dumps` with sorted keys and indent 2.
 * `distinct_up_to_scale` is the filter `h2` ran on the cocycle system
@@ -62,15 +70,23 @@ from lsconf.conformal import WindowedElement, WindowMismatch
 from lsconf import ideals, linalg
 from lsconf.ideals import PRE_GD_OPS, IdealReport
 from lsconf.linalg import (ONE, ZERO, DimensionMismatch, Subspace, exact, mat_mul,
-                           mat_vec, unit, vadd, vscale, vzero)
+                           mat_vec, unit, vzero)
 
 
 def identity_matrix(n):
     return [unit(n, i) for i in range(n)]
 
 
+def vadd(u, v):
+    return [a + b for a, b in zip(u, v)]
+
+
 def vsub(u, v):
     return [a - b for a, b in zip(u, v)]
+
+
+def vscale(c, u):
+    return [c * a for a in u]
 
 
 def distinct_up_to_scale(rows):
@@ -225,6 +241,81 @@ def eval_product(alg, op, x, y):
                 if p[k]:
                     out[k] += c * p[k]
     return out
+
+
+# ---------------------------------------------------------------------------
+# constructions, one basis pair at a time
+
+def _dot(alg, x, y):
+    return eval_product(alg, "dot", x, y)
+
+
+def _derivation_columns(D):
+    return [mat_vec(D.matrix, unit(D.dim, j)) for j in range(D.dim)]
+
+
+def zinbiel_to_pre_novikov(zin, D, xi):
+    """a ld b = D(b).a + xi b.a,  a rd b = a.D(b) + xi a.b"""
+    xi = Fraction(xi)
+    dim = zin.dim
+    dcols = _derivation_columns(D)
+    ld, rd = tensor(dim), tensor(dim)
+    for i in range(dim):
+        ei = unit(dim, i)
+        for j in range(dim):
+            ej, dj = unit(dim, j), dcols[j]
+            ld[i][j] = vadd(_dot(zin, dj, ei), vscale(xi, _dot(zin, ej, ei)))
+            rd[i][j] = vadd(_dot(zin, ei, dj), vscale(xi, _dot(zin, ei, ej)))
+    return AlgebraSpec(f"{zin.name}~pn(xi={xi})", dim, zin.basis, {"ld": ld, "rd": rd})
+
+
+def pre_novikov_to_pre_gd(pn, k):
+    """Adjoin circ = k(a rd b - b ld a)."""
+    k = Fraction(k)
+    dim = pn.dim
+    circ = tensor(dim)
+    for i in range(dim):
+        for j in range(dim):
+            circ[i][j] = [k * (r - l) for r, l in
+                          zip(prod_basis(pn, "rd", i, j), prod_basis(pn, "ld", j, i))]
+    ops = {op: pn.ops[op] for op in ("ld", "rd") if pn.has(op)}
+    ops["circ"] = circ
+    return AlgebraSpec(f"{pn.name}~pregd(k={k})", dim, pn.basis, ops)
+
+
+def zinbiel_to_pre_gd(zin, D, xi, k):
+    """ld and rd of zinbiel_to_pre_novikov, circ = k(a.D(b) - D(a).b)."""
+    xi, k = Fraction(xi), Fraction(k)
+    dim = zin.dim
+    dcols = _derivation_columns(D)
+    ops = dict(zinbiel_to_pre_novikov(zin, D, xi).ops)
+    ops["circ"] = tensor(dim)
+    for i in range(dim):
+        for j in range(dim):
+            ops["circ"][i][j] = vscale(k, vsub(_dot(zin, unit(dim, i), dcols[j]),
+                                               _dot(zin, dcols[i], unit(dim, j))))
+    return AlgebraSpec(f"{zin.name}~pregd(xi={xi},k={k})", dim, zin.basis, ops)
+
+
+def ls_poisson_to_pre_gd(lsp):
+    """ld = dot, rd = 0, circ carried over."""
+    ops = {new: lsp.ops[old] for old, new in (("dot", "ld"), ("circ", "circ"))
+           if lsp.has(old)}
+    return AlgebraSpec(f"{lsp.name}~pregd", lsp.dim, lsp.basis, ops)
+
+
+def comm_assoc_derivation_to_novikov_poisson(A, D):
+    """x circ y = x . D(y)."""
+    dim = A.dim
+    dcols = _derivation_columns(D)
+    circ = tensor(dim)
+    for i in range(dim):
+        for j in range(dim):
+            circ[i][j] = _dot(A, unit(dim, i), dcols[j])
+    ops = {"circ": circ}
+    if A.has("dot"):
+        ops["dot"] = A.ops["dot"]
+    return AlgebraSpec(f"{A.name}~np", dim, A.basis, ops)
 
 
 def ideal_closure(alg, seed, ops=PRE_GD_OPS):

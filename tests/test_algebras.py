@@ -9,8 +9,8 @@ from lsconf.algebras import (AlgebraSpec, CATALOG, DimensionMismatch,
                              IdentityError, LinearMapSpec, MissingAuxMap,
                              MissingOps, RepresentationSpec, UnknownIdentity, associated,
                              check_identity, check_representation,
-                             eval_product, identity_residuals, normalize_identity_id, prod_basis,
-                             regular_gd_representation,
+                             eval_product, identity_residuals, normalize_identity_id, novikov_star,
+                             prod_basis, product_tensor, regular_gd_representation,
                              regular_novikov_representation, require_identity,
                              semidirect, tensor)
 from lsconf.conformal import build_rank_one
@@ -203,6 +203,66 @@ def test_eval_product_bilinear_consistency():
     by_hand = [sum(x[i] * y[j] * prod_basis(alg, "circ", i, j)[k]
                    for i in range(2) for j in range(2)) for k in range(2)]
     assert eval_product(alg, "circ", x, y) == by_hand
+
+
+def under_aux(tree, n):
+    for _ in range(n):
+        tree = ("aux", tree)
+    return tree
+
+
+@st.composite
+def product_trees(draw):
+    """A bilinear tree of the catalog's notation: one product of a and b,
+    in either order, with each leaf and the product under 0-2 aux maps."""
+    depth = st.integers(0, 2)
+    op = draw(st.sampled_from(["ld", "rd", "circ", "dot", "bracket", "ast", "star", "nov",
+                               "s1"]))
+    left, right = draw(st.sampled_from([("a", "b"), ("b", "a")]))
+    return under_aux((op, under_aux(left, draw(depth)), under_aux(right, draw(depth))),
+                     draw(depth))
+
+
+def dense_tree(alg, tree, aux, a, b):
+    """tree at the vectors a, b through the dense Fraction oracle."""
+    if tree in ("a", "b"):
+        return a if tree == "a" else b
+    if tree[0] == "aux":
+        return oracles.mat_vec(aux.matrix, dense_tree(alg, tree[1], aux, a, b))
+    x, y = (dense_tree(alg, t, aux, a, b) for t in tree[1:])
+    if tree[0] == "s1":
+        return oracles.eval_product(alg, "ld", y, x)
+    op = novikov_star(alg) if tree[0] == "nov" else tree[0]
+    return oracles.eval_product(alg, op, x, y)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(1, 4), st.floats(0.05, 0.6),
+       st.lists(st.tuples(st.fractions(min_value=-4, max_value=4, max_denominator=4),
+                          product_trees()), max_size=4))
+def test_product_tensor_matches_dense_oracle(seed, dim, density, terms):
+    """product_tensor is the sum of its terms evaluated pair by pair."""
+    rng = random.Random(seed)
+    alg = random_algebra(rng, dim, ("ld", "rd", "circ", "dot", "bracket"), density)
+    aux = LinearMapSpec([[small_fraction(rng) for _ in range(dim)] for _ in range(dim)])
+    units = [[F(int(i == k)) for k in range(dim)] for i in range(dim)]
+    want = tensor(dim)
+    for i, a in enumerate(units):
+        for j, b in enumerate(units):
+            for coef, tree in terms:
+                want[i][j] = oracles.vadd(want[i][j],
+                                          oracles.vscale(coef, dense_tree(alg, tree, aux, a, b)))
+    assert product_tensor(alg, terms, aux=aux) == want
+
+
+def test_product_tensor_refuses_trees_not_bilinear_in_a_and_b():
+    alg = rank_two(1, 1)
+    for tree in (("ld", "a", "a"), ("aux", "a"), ("ld", "a", ("ld", "b", "c")),
+                 ("ld", "a", "x")):
+        with pytest.raises(ValueError):
+            product_tensor(alg, [(1, tree)])
+    with pytest.raises(DimensionMismatch):
+        product_tensor(alg, [(1, ("ld", "a", ("aux", "b")))], aux=LinearMapSpec(((1,),)))
 
 
 # --- representations -------------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import lsconf
-from lsconf import cli, cohomology, ideals
+from lsconf import cli, cohomology, constructions, ideals
 from lsconf.algebras import AlgebraSpec, check_identity, tensor
 from lsconf.cli import build_parser, main
 from lsconf.cohomology import ncols
@@ -22,7 +22,8 @@ from lsconf.constructions import truncated_binomial_zinbiel
 from lsconf.files import dump_json, file_sha256, load_algebra, save_algebra
 from lsconf.linalg import Subspace, nullspace, unit
 
-from conftest import gaussian_rationals, rank_two, split_quadratic, two_dim_lw
+from conftest import (gaussian_rationals, is_direct_route, perturbed_product_tensor, rank_two,
+                      split_quadratic, two_dim_lw)
 
 F = Fraction
 
@@ -45,6 +46,9 @@ def inputs(tmp_path_factory):
     put("rdonly", AlgebraSpec("rdonly", 1, ("L",),
                               {"rd": tensor(1, {(0, 0, 0): 1})}))
     put("zin3", truncated_binomial_zinbiel(3)[0])
+    paths["zin3_D"] = str(root / "zin3_D.json")
+    with open(paths["zin3_D"], "w", encoding="utf-8") as fh:
+        fh.write(dump_json({"matrix": [["1", "0", "0"], ["0", "2", "0"], ["0", "0", "3"]]}))
     paths["cocycle"] = str(root / "cocycle.json")
     with open(paths["cocycle"], "w", encoding="utf-8") as fh:
         fh.write(dump_json({"degree_cap": 2,
@@ -126,11 +130,21 @@ def _wrong_ideal(alg, ops):
     return Subspace(alg.dim, [unit(alg.dim, 0)]), None
 
 
-# a defect planted at one call site: (module, attribute, fake, argv)
+# a defect planted at one call site: (module, attribute, fake, argv); a
+# construction whose output fails its target system, or whose two routes
+# disagree, is a defect too, never the exit 1 of an input that fails
+ZINBIEL_PREGD = ["construct", "zinbiel-pregd", "{zin3}", "--derivation", "{zin3_D}",
+                 "--xi", "1/2", "--k", "1", "-o", "{dir}/defect.json"]
+
+
 @pytest.mark.parametrize("module, attr, fake, argv", [
     (cohomology, "coboundary_space", _full_coboundaries, ["h2", "{r1}"]),
     (ideals, "_search", _wrong_ideal, ["simple", "{degenerate}"]),
-], ids=["cohomology", "ideals"])
+    (constructions, "product_tensor", perturbed_product_tensor(lambda terms: True),
+     ZINBIEL_PREGD),
+    (constructions, "product_tensor", perturbed_product_tensor(is_direct_route),
+     ZINBIEL_PREGD),
+], ids=["cohomology", "ideals", "construction-output", "construction-routes"])
 def test_internal_defects_exit_70(capsys, monkeypatch, inputs, module, attr,
                                   fake, argv):
     monkeypatch.setattr(module, attr, fake)

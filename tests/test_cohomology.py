@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lsconf.algebras import (AlgebraSpec, IdentityError, LinearMapSpec, RepresentationSpec,
-                             tensor)
+                             product_tensor, tensor)
 from lsconf.cohomology import (CocycleFamily, CohomologyError, NoUnitFound,
                                SpanningConditionError, check_spanning,
                                coboundary_space, coord_index, family_from_coords,
@@ -55,6 +55,9 @@ def test_unital_vanishing():
         assert unital_vanishing_check(u1, beta)
     assert unital_vanishing_check(unital_two_dim(), 3)
     assert find_right_unit(two_dim_lw()) == [1, 0]
+    # every u + t v is a right unit of unital2; the free unknown is set to 0
+    assert find_right_unit(unital_two_dim()) == [1, 0]
+    assert find_right_unit(AlgebraSpec("zero", 2, ("u", "v"), {})) is None
 
 
 def test_unital_vanishing_preconditions():
@@ -299,6 +302,8 @@ def test_h2_matches_fraction_oracle(alg, t, beta, cap):
 def test_float_and_bool_are_not_exact_inputs():
     r1 = build_rank_one(1)
     L = ModuleElement.basis(0)
+    zin, D = cons.truncated_binomial_zinbiel(2)
+    pn = cons.zinbiel_to_pre_novikov(zin, D, 0)
     for bad in (0.1, 0.5, True, False):
         for call in (lambda: h2(r1, bad, 1),
                      lambda: generate_cocycle_system(r1, bad, 1),
@@ -314,7 +319,12 @@ def test_float_and_bool_are_not_exact_inputs():
                      lambda: conformal_associator_defect(r1, L, L, L, beta=bad),
                      lambda: check_conformal_left_symmetry(r1, beta=bad),
                      lambda: WindowedElement(1, {(0, 0): bad}),
-                     lambda: build_rank_one(bad)):
+                     lambda: build_rank_one(bad),
+                     lambda: product_tensor(r1, [(bad, ("ld", "a", "b"))]),
+                     lambda: cons.zinbiel_to_pre_novikov(zin, D, bad),
+                     lambda: cons.pre_novikov_to_pre_gd(pn, bad),
+                     lambda: cons.zinbiel_to_pre_gd(zin, D, bad, 1),
+                     lambda: cons.zinbiel_to_pre_gd(zin, D, 0, bad)):
             with pytest.raises(TypeError):
                 call()
     # int and Fraction entries are exact; a given Fraction is kept as it is
@@ -331,6 +341,7 @@ def test_float_and_bool_are_not_exact_inputs():
     assert ModuleElement({(0, 0): half}, 2).terms[0, 0] is half
     assert type(ModuleElement({(0, 0): half}, 2).central) is F
     assert check_conformal_left_symmetry(r1, beta=F(1, 10)).passed
+    assert cons.zinbiel_to_pre_gd(zin, D, F(1, 10), 2).name.endswith("(xi=1/10,k=2)")
 
 
 def test_degree_cap_must_be_a_non_negative_int():

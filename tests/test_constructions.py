@@ -8,7 +8,9 @@ from lsconf.algebras import (AlgebraSpec, IdentityError, LinearMapSpec,
 from lsconf.conformal import build_rank_one
 from lsconf import constructions as cons
 
-from conftest import dual_numbers_ls_poisson, rank_one_poisson
+from conftest import (dual_numbers_ls_poisson, is_direct_route, perturbed_product_tensor,
+                      rank_one_poisson)
+import oracles
 
 F = Fraction
 
@@ -122,3 +124,45 @@ def test_laurent_slice_is_restricted():
     assert check_identity(out, "NOVIKOV_POISSON", triples=triples,
                           pairs=pairs).passed
     assert prod_basis(out, "circ", 2, 2) == [0, 0, 0]  # t^1 circ t^1 left the window
+
+
+def test_constructions_match_dense_oracle():
+    """Every construction gives the ops and name of the dense per-pair
+    formulas, zinbiel_to_pre_gd's composite those of the direct formula."""
+    def same(got, want):
+        assert (got.name, got.ops) == (want.name, want.ops), want.name
+
+    for N in range(1, 8):
+        zin, D = cons.truncated_binomial_zinbiel(N)
+        for xi in (F(0), F(1, 2), F(-3)):
+            pn = cons.zinbiel_to_pre_novikov(zin, D, xi)
+            same(pn, oracles.zinbiel_to_pre_novikov(zin, D, xi))
+            for k in (F(1), F(-3), F(0), F(2, 3)):
+                same(cons.pre_novikov_to_pre_gd(pn, k), oracles.pre_novikov_to_pre_gd(pn, k))
+                same(cons.zinbiel_to_pre_gd(zin, D, xi, k),
+                     oracles.zinbiel_to_pre_gd(zin, D, xi, k))
+    alg, D, triples, pairs = cons.truncated_laurent_slice()
+    same(cons.comm_assoc_derivation_to_novikov_poisson(alg, D, triples=triples, pairs=pairs),
+         oracles.comm_assoc_derivation_to_novikov_poisson(alg, D))
+    same(cons.comm_assoc_derivation_to_novikov_poisson(*dual_numbers_comm_assoc()),
+         oracles.comm_assoc_derivation_to_novikov_poisson(*dual_numbers_comm_assoc()))
+    for lsp in (dual_numbers_ls_poisson(), rank_one_poisson(2), rank_one_poisson(F(-1, 3))):
+        same(cons.ls_poisson_to_pre_gd(lsp), oracles.ls_poisson_to_pre_gd(lsp))
+
+
+def test_a_wrong_formula_is_a_construction_defect(monkeypatch):
+    assert not issubclass(cons.ConstructionDefect, IdentityError)
+    zin, D = cons.truncated_binomial_zinbiel(3)
+    monkeypatch.setattr(cons, "product_tensor", perturbed_product_tensor(lambda terms: True))
+    with pytest.raises(cons.ConstructionDefect,
+                       match=r"^construction output binomial_zinbiel\(3\)~pn\(xi=1/2\) "
+                             r"fails PRE_NOVIKOV/"):
+        cons.zinbiel_to_pre_gd(zin, D, F(1, 2), 1)
+    # only the direct route's circ is wrong: both outputs pass their checks
+    monkeypatch.setattr(cons, "product_tensor", perturbed_product_tensor(is_direct_route))
+    with pytest.raises(cons.ConstructionDefect,
+                       match=r"^direct and composed circ tensors disagree at \(0, 0\)$"):
+        cons.zinbiel_to_pre_gd(zin, D, F(1, 2), 1)
+    # an input failing its identities is still a finding about the input
+    with pytest.raises(IdentityError):
+        cons.zinbiel_to_pre_gd(zin, LinearMapSpec(((1, 0, 0), (0, 1, 0), (0, 0, 1))), 0, 1)

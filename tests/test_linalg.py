@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from lsconf.linalg import (ContainmentError, DimensionMismatch, Subspace,
                            mat_vec, nullspace, quotient_representatives,
-                           rank, rref, solve, unit)
+                           rank, rref, unit)
 
 import oracles
 
@@ -45,17 +45,10 @@ def test_nullspace_zero_matrix_is_full():
     assert ns.is_full()
 
 
-def test_solve_consistent_and_inconsistent():
-    assert solve([[F(1), F(1)], [F(0), F(1)]], [F(3), F(1)]) == [F(2), F(1)]
-    assert solve([[F(1), F(1)], [F(2), F(2)]], [F(0), F(1)]) is None
-
-
-def test_subspace_membership_and_coordinates():
+def test_subspace_membership():
     s = Subspace(3, [[F(1), F(0), F(1)], [F(0), F(1), F(1)]])
     assert s.contains([F(2), F(3), F(5)])
     assert not s.contains([F(0), F(0), F(1)])
-    assert s.coordinates([F(2), F(3), F(5)]) == [F(2), F(3)]
-    assert s.coordinates([F(0), F(0), F(1)]) is None
 
 
 def test_quotient_dim_and_containment_guard():
@@ -107,20 +100,6 @@ def test_subspace_construction_canonical(mnc):
     assert Subspace(nc, rows + rows) == s
     for v in rows:
         assert s.contains(v)
-
-
-@settings(max_examples=40, deadline=None)
-@given(matrices(max_rows=3, max_cols=4), matrices(max_rows=3, max_cols=4))
-def test_sum_contains_both(ab, cd):
-    rows1, nc1 = ab
-    rows2, nc2 = cd
-    nc = max(nc1, nc2)
-    pad = lambda rows, w: [r + [F(0)] * (w - len(r)) for r in rows]
-    s1 = Subspace(nc, pad(rows1, nc))
-    s2 = Subspace(nc, pad(rows2, nc))
-    total = s1.sum(s2)
-    assert total.contains_subspace(s1) and total.contains_subspace(s2)
-    assert total.dim <= s1.dim + s2.dim
 
 
 @st.composite
