@@ -40,7 +40,7 @@ from math import lcm
 from operator import itemgetter
 from types import MappingProxyType
 
-from .linalg import ZERO, DimensionMismatch, exact, mat_vec, rank, vzero
+from .linalg import ZERO, DimensionMismatch, exact, rank, vzero
 
 
 class AlgebraError(Exception):
@@ -166,9 +166,6 @@ class LinearMapSpec:
     @property
     def dim(self):
         return len(self.matrix)
-
-    def apply(self, v):
-        return mat_vec([list(r) for r in self.matrix], v)
 
 
 @dataclass(frozen=True)
@@ -434,50 +431,63 @@ def _residuals(alg, laws, aux, leaves, domains):
 
     Every distinct nested product is tabulated once over all tuples of
     leaves, from the integer rows (scaled by alg.den per op node).  A table
-    holds its nonzero entries only, so an absent key means zero, and an
-    entry is built only from two nonzero operands.  A law's residuals are
-    summed by walking each term's table, every key mapped back to its idx
-    through the inverse of the permutation the term's letters spell; a
+    holds its nonzero entries only, so an absent key means zero.  A binary
+    node's table is a sparse join, Gustavson's row-by-row product: the
+    right operand's table is indexed by coordinate (j -> [(entry, y)]) and
+    the op's rows by their nonempty (j, row) pairs per i, so a left entry
+    visits only the pairs that meet a nonzero product.  A law's residuals
+    are summed by walking each term's table, every key mapped back to its
+    idx through the inverse of the permutation the term's letters spell; a
     nonzero residual is divided back once, its entries read from one
-    `_Scaled` table per law, so residuals share their Fractions: a report
-    holds only a few distinct values.
+    `_Scaled` table per scale, shared by the laws of the call, so residuals
+    share their Fractions: a report holds only a few distinct values.
     """
     tensors = {} if aux is None else {"aux": [_sparse(col) for col in zip(*aux.matrix)]}
     tables = {None: {(x,): v for x, v in enumerate(map(_sparse, leaves)) if v}}
 
-    def op_table(op):
+    def op_pairs(op):
+        # per i, the (j, row) of e_i op e_j over the nonempty rows only
         if op not in tensors:
             t = alg.rows({"nov": novikov_star(alg), "s1": "ld"}.get(op, op))
-            tensors[op] = list(zip(*t)) if op == "s1" else t
+            tensors[op] = [tuple((j, row) for j, row in enumerate(plane) if row)
+                           for plane in (zip(*t) if op == "s1" else t)]
         return tensors[op]
 
     def table(shape):
         if shape not in tables:
-            t = op_table(shape[0])
             if len(shape) == 2:
+                t = tensors["aux"]
                 tables[shape] = {key: w for key, v in table(shape[1]).items()
                                  if (w := _lincomb((x, t[j]) for j, x in v))}
             else:
-                # _lincomb inlined: each entry summed in the same order
-                out, right = {}, table(shape[2]).items()
+                t = op_pairs(shape[0])
+                right = list(table(shape[2]).items())
+                by_j = [[] for _ in range(alg.dim)]
+                for r, (_, v) in enumerate(right):
+                    for j, y in v:
+                        by_j[j].append((r, y))
+                out = {}
                 for kl, u in table(shape[1]).items():
-                    for kr, v in right:
-                        acc = {}
-                        for i, x in u:
-                            ti = t[i]
-                            for j, y in v:
+                    accs = {}
+                    for i, x in u:
+                        for j, row in t[i]:
+                            for r, y in by_j[j]:
+                                acc = accs.get(r)
+                                if acc is None:
+                                    acc = accs[r] = {}
                                 c = x * y
-                                for k, z in ti[j]:
+                                for k, z in row:
                                     acc[k] = acc.get(k, 0) + c * z
+                    for r, acc in accs.items():
                         if w := tuple((k, z) for k, z in acc.items() if z):
-                            out[kl + kr] = w
+                            out[kl + right[r][0]] = w
                 tables[shape] = out
         return tables[shape]
 
     shaped = [(label, [(coef, *_shape(tree)) for coef, tree in terms])
               for label, terms in laws]
     last_use = {shape: n for n, (_, law) in enumerate(shaped) for _, shape, _ in law}
-    dim = alg.dim
+    dim, scaled_by = alg.dim, {}
     for n, (label, law) in enumerate(shaped):
         top = max(_products(shape) for _, shape, _ in law)
         acc = {}
@@ -491,7 +501,8 @@ def _residuals(alg, laws, aux, leaves, domains):
                     row = acc[idx] = [0] * dim
                 for k, x in vec:
                     row[k] += coef * x
-        zero, scaled = (ZERO,) * dim, _Scaled(alg.den ** top).__getitem__
+        zero, scale = (ZERO,) * dim, alg.den ** top
+        scaled = scaled_by.setdefault(scale, _Scaled(scale)).__getitem__
         given = domains[len(law[0][2])]
         for idx in sorted(acc) if given is None else map(tuple, given):
             row = acc.get(idx)
@@ -526,8 +537,11 @@ def check_identity(alg, identity_id, aux=None, triples=None, pairs=None):
     """
     key, laws = _laws(alg, identity_id, aux)
     units = [[int(i == k) for k in range(alg.dim)] for i in range(alg.dim)]
-    violations = tuple(v for v in _residuals(alg, laws, aux, units, {2: pairs, 3: triples})
-                       if any(v[2]))
+    violations = _residuals(alg, laws, aux, units, {2: pairs, 3: triples})
+    if triples is not None or pairs is not None:
+        # a given domain yields its zero residuals too; the full one does not
+        violations = (v for v in violations if any(v[2]))
+    violations = tuple(violations)
     return IdentityReport(key, not violations, violations)
 
 

@@ -51,8 +51,10 @@ def _cli_count(text):
 
 
 def _emit(args, doc, text_lines):
+    """Print doc as JSON under --json, else the lines that text_lines()
+    returns: the text is built only when it is printed."""
     text = (dump_json(doc) if getattr(args, "json", False)
-            else "".join(line + "\n" for line in text_lines))
+            else "".join(line + "\n" for line in text_lines()))
     try:
         sys.stdout.write(text)
         sys.stdout.flush()
@@ -104,9 +106,9 @@ def cmd_check(args):
                 "residual": [str(x) for x in residual]}
                for label, idx, residual in report.violations]}
     if report.passed:
-        _emit(args, doc, [f"PASS {ident} on {alg.name}"])
+        _emit(args, doc, lambda: [f"PASS {ident} on {alg.name}"])
         return PASS
-    _emit(args, doc, [f"FAIL {ident} on {alg.name}"] + _violation_lines(alg, report))
+    _emit(args, doc, lambda: [f"FAIL {ident} on {alg.name}"] + _violation_lines(alg, report))
     return FAIL
 
 
@@ -125,17 +127,21 @@ def family_text(alg, fam):
 def cmd_h2(args):
     alg, sha256 = _load_input(args.file)
     result = h2(alg, args.beta, degree_cap=args.degree_cap)
-    lines = [f"beta = {result.beta}",
-             f"degree cap = {result.degree_cap}",
-             "spanning products: " + (", ".join(result.spanning) or "none")]
-    if result.cap_limited:
-        lines.append("note: no product spans V; results cover cocycles of "
-                     f"degree <= {result.degree_cap} only")
-    lines += [f"dim Z2 = {result.dim_Z2}",
-              f"dim B2 = {result.dim_B2}",
-              f"dim H2 = {result.dim_H2}"]
-    for k, fam in enumerate(result.representatives, 1):
-        lines.append(f"representative {k}: {family_text(alg, fam)}")
+
+    def text_lines():
+        lines = [f"beta = {result.beta}",
+                 f"degree cap = {result.degree_cap}",
+                 "spanning products: " + (", ".join(result.spanning) or "none")]
+        if result.cap_limited:
+            lines.append("note: no product spans V; results cover cocycles of "
+                         f"degree <= {result.degree_cap} only")
+        lines += [f"dim Z2 = {result.dim_Z2}",
+                  f"dim B2 = {result.dim_B2}",
+                  f"dim H2 = {result.dim_H2}"]
+        for k, fam in enumerate(result.representatives, 1):
+            lines.append(f"representative {k}: {family_text(alg, fam)}")
+        return lines
+
     doc = {"command": "h2", "input": args.file,
            "input_sha256": sha256, "beta": str(result.beta),
            "degree_cap": result.degree_cap, "cap_limited": result.cap_limited,
@@ -143,7 +149,7 @@ def cmd_h2(args):
            "dim_Z2": result.dim_Z2, "dim_B2": result.dim_B2,
            "dim_H2": result.dim_H2,
            "representatives": [cocycle_to_json(f) for f in result.representatives]}
-    _emit(args, doc, lines)
+    _emit(args, doc, text_lines)
     return PASS
 
 
@@ -169,18 +175,17 @@ def _witness_text(alg, witness):
 def cmd_simple(args):
     alg, sha256 = _load_input(args.file)
     cert = certify_conformal_simplicity(alg, trials=args.trials, rng_seed=args.seed)
-    lines = [f"verdict: {cert.verdict}",
-             f"criterion: {cert.criterion}",
-             f"witness: {_witness_text(alg, cert.witness)}",
-             f"seed = {args.seed}, trials = {args.trials}"]
-    lines += [f"  {d}" for d in cert.details]
     doc = {"command": "simple", "input": args.file,
            "input_sha256": sha256,
            "seed": args.seed, "trials": args.trials,
            "verdict": cert.verdict, "criterion": cert.criterion,
            "witness": _witness_doc(cert.witness),
            "details": list(cert.details)}
-    _emit(args, doc, lines)
+    _emit(args, doc, lambda: [f"verdict: {cert.verdict}",
+                              f"criterion: {cert.criterion}",
+                              f"witness: {_witness_text(alg, cert.witness)}",
+                              f"seed = {args.seed}, trials = {args.trials}",
+                              *(f"  {d}" for d in cert.details)])
     if cert.verdict == "simple":
         return PASS
     if cert.verdict == "not_simple":
@@ -242,7 +247,7 @@ def cmd_construct(args):
     doc = {"command": "construct", "kind": args.kind, "output": args.output,
            "output_sha256": file_sha256(args.output),
            "name": alg.name, "dim": alg.dim}
-    _emit(args, doc, [f"wrote {args.output} ({alg.name}, dim {alg.dim})"])
+    _emit(args, doc, lambda: [f"wrote {args.output} ({alg.name}, dim {alg.dim})"])
     return PASS
 
 
@@ -262,7 +267,7 @@ def cmd_lambda(args):
            "input_sha256": sha256,
            "left": args.left, "right": args.right, "beta": str(args.beta),
            "result": rendered}
-    _emit(args, doc, [rendered])
+    _emit(args, doc, lambda: [rendered])
     return PASS
 
 
@@ -279,17 +284,20 @@ def cmd_coeff_check(args):
                {"basis": list(v[0]), "exponents": list(v[1]),
                 "residual": str(v[2])}
                for v in report.violations]}
-    status = "PASS" if report.passed else "FAIL"
-    lines = [f"{status} coefficient left-symmetry on {alg.name} "
-             f"(window {args.window}, skipped {report.skipped})"]
-    if not report.passed:
+
+    def text_lines():
+        status = "PASS" if report.passed else "FAIL"
+        lines = [f"{status} coefficient left-symmetry on {alg.name} "
+                 f"(window {args.window}, skipped {report.skipped})"]
         for basis_idx, exps, residual in report.violations[:5]:
             at = ",".join(str(x) for x in _labels(alg, basis_idx))
             lines.append(f"  at ({at}) exponents {exps}: residual {residual}")
         extra = len(report.violations) - 5
         if extra > 0:
             lines.append(f"  ... and {extra} more")
-    _emit(args, doc, lines)
+        return lines
+
+    _emit(args, doc, text_lines)
     return PASS if report.passed else FAIL
 
 

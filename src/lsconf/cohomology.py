@@ -42,8 +42,9 @@ coboundary_space are sparse integer rows {col: int} read off the integer
 structure rows and scaled by alg.den * beta.denominator.  Many equations
 say alpha_i(x, y) = 0.  Before elimination h2 drops each such forced column
 from every other equation, in rounds until no new one-coordinate equation
-appears, and eliminates the unit rows of the forced columns with the
-equations still nonzero: the same row space, so the same canonical Z2.
+appears.  Z2 is then the kernel of the equations still nonzero, with the
+forced columns declared zero rather than eliminated as unit rows: the same
+subspace, so the same canonical Z2.
 beta and cocycle forms must be int or Fraction, never a binary float.
 """
 
@@ -271,7 +272,7 @@ def h2(alg, beta, degree_cap=None):
         cap, cap_limited = degree_cap, not spanning
     dim = alg.dim
     rounds, left = forced_zeros(generate_cocycle_system(alg, beta, cap))
-    z2 = nullspace([{c: 1} for new in rounds for c in new] + left, ncols(cap, dim))
+    z2 = nullspace(left, ncols(cap, dim), zero=set().union(*rounds))
     b2 = coboundary_space(alg, beta, cap)
     if not z2.contains_subspace(b2):
         raise CohomologyError("coboundary outside the cocycle space")

@@ -56,6 +56,11 @@ def pre_novikov_to_pre_gd(pn, k, triples=None):
     """Adjoin circ = k(a rd b - b ld a) to a pre-Novikov algebra."""
     k = exact(k)
     require_identity(pn, "PRE_NOVIKOV", triples=triples)
+    return _adjoin_circ(pn, k, triples)
+
+
+def _adjoin_circ(pn, k, triples):
+    """pre_novikov_to_pre_gd on a pn already known to be pre-Novikov."""
     ops = {op: pn.ops[op] for op in ("ld", "rd") if pn.has(op)}
     ops["circ"] = product_tensor(pn, [(k, ("rd", "a", "b")), (-k, ("ld", "b", "a"))])
     out = AlgebraSpec(f"{pn.name}~pregd(k={k})", pn.dim, pn.basis, ops)
@@ -68,11 +73,12 @@ def zinbiel_to_pre_gd(zin, D, xi, k, triples=None, pairs=None):
     The direct expansion of circ is k(a.D(b) - D(a).b): the xi parts of
     a rd b and of the flipped ld cancel each other, so xi only enters
     through ld and rd themselves.  Both routes are computed and must
-    agree tensor-wise.
+    agree tensor-wise.  The intermediate pre-Novikov algebra is checked
+    once, as the first construction's output.
     """
     xi, k = exact(xi), exact(k)
     pn = zinbiel_to_pre_novikov(zin, D, xi, triples=triples, pairs=pairs)
-    out = pre_novikov_to_pre_gd(pn, k, triples=triples)
+    out = _adjoin_circ(pn, k, triples)
     direct = product_tensor(zin, [(k, ("dot", "a", ("aux", "b"))),
                                   (-k, ("dot", ("aux", "a"), "b"))], D)
     composed = op_tensor(out, "circ")

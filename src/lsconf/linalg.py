@@ -2,7 +2,8 @@
 
 Everything downstream reduces to ranks, nullspaces and membership tests of
 matrices with Fraction entries.  A row is a dense list of Fractions or ints,
-or a sparse row {col: x} of either.  All elimination
+or a sparse row {col: x} of either; int_row turns it into a gcd-primitive
+integer row, rescaling only a row that holds a Fraction.  All elimination
 happens in Subspace.add, a streaming fraction-free echelon (Bareiss 1968
 style) of sparse integer rows: each arriving vector is reduced against the
 stored pivots by cross multiplication and re-reduced by the gcd after every
@@ -11,7 +12,8 @@ dependent vector (a duplicate, say) is dropped on arrival.  rref, rank,
 nullspace and Subspace.contains read the same echelon.  nullspace
 builds its kernel vectors straight from the integer echelon rows, and
 Subspace.reduce walks them sparsely; neither goes through the dense
-Fraction `basis`.
+Fraction `basis`.  Columns known to vanish on the kernel can be declared
+zero to nullspace instead of being eliminated as unit rows.
 """
 
 from __future__ import annotations
@@ -58,12 +60,6 @@ def unit(n, i):
     return v
 
 
-def mat_vec(rows, v):
-    if rows and len(rows[0]) != len(v):
-        raise DimensionMismatch(f"matrix has {len(rows[0])} columns, vector has {len(v)}")
-    return [sum(r[j] * v[j] for j in range(len(v))) for r in rows]
-
-
 def mat_mul(a, b):
     if a and b and len(a[0]) != len(b):
         raise DimensionMismatch("inner dimensions differ")
@@ -81,12 +77,16 @@ def _primitive(row):
 
 def int_row(v):
     """v, dense or sparse {col: x} (columns trusted to be in range), with
-    ints or Fractions, as a gcd-primitive sparse integer row."""
+    ints or Fractions, as a gcd-primitive sparse integer row.  The gcd is
+    taken first: it raises TypeError on a Fraction, so an integer row is
+    divided by it directly and only a row with a Fraction is rescaled."""
     nz = {j: x for j, x in (v.items() if isinstance(v, dict) else enumerate(v)) if x}
-    if all(type(x) is int for x in nz.values()):
-        return _primitive(nz)
-    den = lcm(*(x.denominator for x in nz.values()))
-    return _primitive({j: x.numerator * (den // x.denominator) for j, x in nz.items()})
+    try:
+        g = gcd(*nz.values())
+    except TypeError:
+        den = lcm(*(x.denominator for x in nz.values()))
+        return _primitive({j: x.numerator * (den // x.denominator) for j, x in nz.items()})
+    return {j: x // g for j, x in nz.items()} if g > 1 else nz
 
 
 def _clear(t, r, p):
@@ -119,14 +119,18 @@ def rank(rows, ncols):
     return len(rref(rows, ncols)[1])
 
 
-def nullspace(rows, ncols):
+def nullspace(rows, ncols, zero=frozenset()):
     """Kernel of the matrix as a canonical Subspace of Q^ncols: for each
     free column f, the integer vector with f scaled to the lcm of the
-    pivot entries of the echelon rows that reach f."""
+    pivot entries of the echelon rows that reach f.  The columns in zero
+    are declared zero, neither pivot nor free, so the kernel lies in the
+    coordinate subspace where they vanish; no row may reach them.  That is
+    the kernel of rows plus the unit rows of those columns, without
+    eliminating the unit rows."""
     echelon = Subspace(ncols, rows)._rows
     basis = []
     for f in range(ncols):
-        if f not in echelon:
+        if f not in echelon and f not in zero:
             ps = [p for p, row in echelon.items() if f in row]
             den = lcm(*(echelon[p][p] for p in ps))
             v = {f: den}

@@ -43,6 +43,9 @@
   vector.  They build the output's ops and name only, checking nothing;
   `zinbiel_to_pre_gd` takes its circ from the direct formula
   k(a.D(b) - D(a).b), the route the library compares its composite with.
+* `mat_vec` and `apply` (a LinearMapSpec on a coordinate vector) are the
+  dense matrix-vector product the library carried as `linalg.mat_vec` and
+  `LinearMapSpec.apply` until nothing in it used them.
 * `dump_json` is the stdlib rendering every written JSON had before the
   library's direct writer: `json.dumps` with sorted keys and indent 2.
 * `distinct_up_to_scale` is the filter `h2` ran on the cocycle system
@@ -69,8 +72,7 @@ from lsconf.cohomology import CohomologyError, coord_index, ncols
 from lsconf.conformal import WindowedElement, WindowMismatch
 from lsconf import ideals, linalg
 from lsconf.ideals import PRE_GD_OPS, IdealReport
-from lsconf.linalg import (ONE, ZERO, DimensionMismatch, Subspace, exact, mat_mul,
-                           mat_vec, unit, vzero)
+from lsconf.linalg import ONE, ZERO, DimensionMismatch, Subspace, exact, mat_mul, unit, vzero
 
 
 def identity_matrix(n):
@@ -87,6 +89,17 @@ def vsub(u, v):
 
 def vscale(c, u):
     return [c * a for a in u]
+
+
+def mat_vec(rows, v):
+    if rows and len(rows[0]) != len(v):
+        raise DimensionMismatch(f"matrix has {len(rows[0])} columns, vector has {len(v)}")
+    return [sum(r[j] * v[j] for j in range(len(v))) for r in rows]
+
+
+def apply(m, v):
+    """The LinearMapSpec m applied to the coordinate vector v."""
+    return mat_vec(m.matrix, v)
 
 
 def distinct_up_to_scale(rows):

@@ -148,13 +148,60 @@ def test_catalog_matches_dense_oracle(seed, dim, density, data):
     index = st.integers(0, dim - 1)
     triples = data.draw(st.lists(st.tuples(index, index, index), max_size=8))
     pairs = data.draw(st.none() | st.lists(st.tuples(index, index), max_size=5))
+    assert_catalog_matches_oracle(alg, aux, vectors,
+                                  ({}, {"triples": triples, "pairs": pairs}))
+
+
+def assert_catalog_matches_oracle(alg, aux, vectors, domains=({},)):
+    """Every catalog system gives the dense evaluator's report on each
+    domain ({} is the full one), and its residuals at vectors."""
     for key, laws in CATALOG.items():
-        for domain in ({}, {"triples": triples, "pairs": pairs}):
+        for domain in domains:
             assert (check_identity(alg, key, aux=aux, **domain)
                     == oracles.check_identity(alg, key, aux=aux, **domain)), (key, domain)
         want = oracles._residuals(alg, laws, aux, vectors, lambda arity: [tuple(range(arity))])
         assert identity_residuals(alg, key, vectors, aux=aux) == [(label, res)
                                                                   for label, _, res in want]
+
+
+def few_nonzero_vectors(rng, dim, count=3):
+    """count vectors with two or three nonzero coordinates each."""
+    out = []
+    for _ in range(count):
+        v = [F(0)] * dim
+        for k in rng.sample(range(dim), min(dim, rng.choice((2, 3)))):
+            v[k] = F(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2)))
+        out.append(v)
+    return out
+
+
+# binomial Zinbiel n = 1..6 with D, and their pre-GD images: nilpotent, so
+# most products of basis pairs are zero
+BINOMIAL_ZOO = [(D, [zin] + [cons.zinbiel_to_pre_gd(zin, D, xi, k)
+                             for xi, k in ((F(1, 2), F(1)), (F(0), F(-3)))])
+                for zin, D in map(cons.truncated_binomial_zinbiel, range(1, 7))]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_catalog_matches_dense_oracle_on_binomial_zoo(n):
+    """The sparse join against the dense evaluator on the nilpotent binomial
+    algebras: the Zinbiel algebra (dot, aux D) and two pre-GD images."""
+    D, algebras = BINOMIAL_ZOO[n - 1]
+    rng = random.Random(n)
+    for alg in algebras:
+        assert_catalog_matches_oracle(alg, D, few_nonzero_vectors(rng, n))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(5, 6), st.floats(0.01, 0.1))
+def test_catalog_matches_dense_oracle_on_sparse_planes(seed, dim, density):
+    """Random algebras whose planes are mostly empty, with all five stored
+    ops and a sparse aux map, at vectors with a few nonzero coordinates."""
+    rng = random.Random(seed)
+    alg = random_algebra(rng, dim, ("ld", "rd", "circ", "dot", "bracket"), density)
+    aux = LinearMapSpec([[small_fraction(rng) if rng.random() < 0.3 else 0
+                          for _ in range(dim)] for _ in range(dim)])
+    assert_catalog_matches_oracle(alg, aux, few_nonzero_vectors(rng, dim))
 
 
 def _golden_algebra():
@@ -245,14 +292,27 @@ def test_product_tensor_matches_dense_oracle(seed, dim, density, terms):
     rng = random.Random(seed)
     alg = random_algebra(rng, dim, ("ld", "rd", "circ", "dot", "bracket"), density)
     aux = LinearMapSpec([[small_fraction(rng) for _ in range(dim)] for _ in range(dim)])
-    units = [[F(int(i == k)) for k in range(dim)] for i in range(dim)]
-    want = tensor(dim)
+    assert product_tensor(alg, terms, aux=aux) == dense_product_tensor(alg, terms, aux)
+
+
+def dense_product_tensor(alg, terms, aux):
+    units = [[F(int(i == k)) for k in range(alg.dim)] for i in range(alg.dim)]
+    want = tensor(alg.dim)
     for i, a in enumerate(units):
         for j, b in enumerate(units):
             for coef, tree in terms:
                 want[i][j] = oracles.vadd(want[i][j],
                                           oracles.vscale(coef, dense_tree(alg, tree, aux, a, b)))
-    assert product_tensor(alg, terms, aux=aux) == want
+    return want
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([(D, alg) for D, algebras in BINOMIAL_ZOO[3:] for alg in algebras]),
+       st.lists(st.tuples(st.fractions(min_value=-4, max_value=4, max_denominator=4),
+                          product_trees()), min_size=1, max_size=4))
+def test_product_tensor_matches_dense_oracle_on_binomial_zoo(case, terms):
+    D, alg = case
+    assert product_tensor(alg, terms, aux=D) == dense_product_tensor(alg, terms, D)
 
 
 def test_product_tensor_refuses_trees_not_bilinear_in_a_and_b():

@@ -98,6 +98,18 @@ def test_h2_text_golden(capsys, inputs):
     assert "representative 2: alpha_2(L,L) = 1" in lines
 
 
+def test_json_reports_build_no_text(capsys, monkeypatch, inputs):
+    # the text lines of a report are built only when text is printed
+    def no_text(alg, fam):
+        raise AssertionError("text built under --json")
+
+    monkeypatch.setattr(cli, "family_text", no_text)
+    code, out, _ = run(capsys, "h2", inputs["lw"], "--json")
+    assert code == 0 and json.loads(out)["dim_H2"] == 2
+    with pytest.raises(AssertionError, match="text built"):
+        run(capsys, "h2", inputs["lw"])
+
+
 def test_h2_refusal_and_cap_override(capsys, inputs):
     code, _, err = run(capsys, "h2", inputs["zero"])
     assert code == 3 and "degree cap" in err

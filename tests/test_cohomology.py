@@ -266,6 +266,21 @@ def test_forced_zeros_keep_the_kernel(alg, t, beta, cap):
     assert nullspace([{c: 1} for c in forced] + left, width) == nullspace(rows, width)
 
 
+@pytest.mark.parametrize("beta", [F(0), F(1, 2), F(-3)])
+@pytest.mark.parametrize("cap", range(5))
+def test_z2_with_forced_columns_declared_zero(pre_gd_zoo, beta, cap):
+    """Z2 read with the forced columns declared zero is the kernel of their
+    unit rows together with the rows left, and h2 reports its basis."""
+    for alg in pre_gd_zoo:
+        width = ncols(cap, alg.dim)
+        rounds, left = forced_zeros(generate_cocycle_system(alg, beta, cap))
+        forced = [c for new in rounds for c in new]
+        z2 = nullspace([{c: 1} for c in forced] + left, width)
+        assert nullspace(left, width, zero=set(forced)) == z2, alg.name
+        assert h2(alg, beta, cap).cocycle_basis == tuple(
+            family_from_coords(cap, alg.dim, v) for v in z2.basis), alg.name
+
+
 # a star b = 0, so at cap 0 every functional phi is a coboundary functional,
 # and B2 = {beta phi(b ld a) + phi(a circ b)} moves with beta
 STAR_FREE = AlgebraSpec("star_free", 3, ("x", "y", "z"),

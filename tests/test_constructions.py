@@ -6,7 +6,7 @@ from lsconf.algebras import (AlgebraSpec, IdentityError, LinearMapSpec,
                              check_identity, prod_basis, require_identity,
                              tensor)
 from lsconf.conformal import build_rank_one
-from lsconf import constructions as cons
+from lsconf import algebras, constructions as cons
 
 from conftest import (dual_numbers_ls_poisson, is_direct_route, perturbed_product_tensor,
                       rank_one_poisson)
@@ -29,7 +29,7 @@ def test_binomial_zinbiel_products():
     assert prod_basis(zin, "dot", 0, 1) == [0, 0, 2, 0]   # x1.x2 = 2 x3
     assert prod_basis(zin, "dot", 1, 0) == [0, 0, 1, 0]   # x2.x1 = x3
     assert prod_basis(zin, "dot", 1, 3) == [0, 0, 0, 0]   # grade 6 cut off
-    assert D.apply([0, 0, 1, 0]) == [0, 0, 3, 0]
+    assert oracles.apply(D, [0, 0, 1, 0]) == [0, 0, 3, 0]
     with pytest.raises(ValueError):
         cons.truncated_binomial_zinbiel(0)
 
@@ -148,6 +148,30 @@ def test_constructions_match_dense_oracle():
          oracles.comm_assoc_derivation_to_novikov_poisson(*dual_numbers_comm_assoc()))
     for lsp in (dual_numbers_ls_poisson(), rank_one_poisson(2), rank_one_poisson(F(-1, 3))):
         same(cons.ls_poisson_to_pre_gd(lsp), oracles.ls_poisson_to_pre_gd(lsp))
+
+
+def test_each_identity_system_is_checked_once(monkeypatch):
+    """The composite route checks the intermediate pre-Novikov algebra once,
+    as the first construction's output; called directly, the second
+    construction still checks its input."""
+    calls = []
+    check = algebras.check_identity
+
+    def counted(alg, identity_id, **kwargs):
+        calls.append(identity_id)
+        return check(alg, identity_id, **kwargs)
+
+    monkeypatch.setattr(algebras, "check_identity", counted)
+    zin, D = cons.truncated_binomial_zinbiel(4)
+    calls.clear()
+    pn = cons.zinbiel_to_pre_novikov(zin, D, F(1, 2))
+    assert sorted(calls) == ["DERIVATION", "PRE_NOVIKOV", "ZINBIEL"]
+    calls.clear()
+    cons.pre_novikov_to_pre_gd(pn, 1)
+    assert sorted(calls) == ["PRE_GD", "PRE_NOVIKOV"]
+    calls.clear()
+    cons.zinbiel_to_pre_gd(zin, D, F(1, 2), 1)
+    assert sorted(calls) == ["DERIVATION", "PRE_GD", "PRE_NOVIKOV", "ZINBIEL"]
 
 
 def test_a_wrong_formula_is_a_construction_defect(monkeypatch):

@@ -109,7 +109,7 @@ def test_load_matrix(tmp_path):
     path = tmp_path / "m.json"
     path.write_text(dump_json({"matrix": [["1", "0"], ["-1/2", 3]]}), encoding="utf-8")
     m = load_matrix(path, expect_dim=2)
-    assert m.apply([1, 1]) == [1, F(5, 2)]
+    assert oracles.apply(m, [1, 1]) == [1, F(5, 2)]
     with pytest.raises(FileFormatError):
         load_matrix(path, expect_dim=3)
     path.write_text(dump_json({"matrix": [["1", "0"]]}), encoding="utf-8")

@@ -3,9 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lsconf.linalg import (ContainmentError, DimensionMismatch, Subspace,
-                           mat_vec, nullspace, quotient_representatives,
-                           rank, rref, unit)
+from lsconf.linalg import (ContainmentError, DimensionMismatch, Subspace, int_row,
+                           nullspace, quotient_representatives, rank, rref, unit)
 
 import oracles
 
@@ -72,7 +71,7 @@ def test_nullspace_vectors_are_killed(mnc):
     rows, nc = mnc
     ns = nullspace(rows, nc)
     for v in ns.basis:
-        assert all(x == 0 for x in mat_vec(rows, v))
+        assert all(x == 0 for x in oracles.mat_vec(rows, v))
 
 
 @settings(max_examples=60, deadline=None)
@@ -169,3 +168,31 @@ def test_quotient_representatives_match_oracle(case):
                    for j in range(nc)] for cs in combos]
     got = quotient_representatives(Subspace(nc, big_rows), Subspace(nc, small_rows))
     assert got == oracles.quotient_representatives(big_rows, small_rows, nc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.integers(-30, 30), sparse_fracs), max_size=6), st.booleans())
+@example([4, -6, 0, 10], False)            # ints with a common factor
+@example([F(2, 3), F(-4, 9), F(0)], True)  # Fractions only
+@example([2, F(1, 2), 0, F(-3)], False)    # mixed
+@example([0, F(0), 0], True)               # all zero
+def test_int_row_is_the_primitive_integer_row(row, sparse):
+    """int_row, dense or sparse, is the dense oracle's coprime integer row:
+    the same values, every one an int."""
+    want = oracles._int_row([F(x) for x in row])
+    want = {} if want is None else {j: c for j, c in enumerate(want) if c}
+    got = int_row({j: x for j, x in enumerate(row) if x} if sparse else row)
+    assert got == want
+    assert all(type(c) is int for c in got.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(redundant_matrices(), st.data())
+def test_nullspace_with_zero_columns_is_the_kernel_with_their_unit_rows(mnc, data):
+    """Columns declared zero give the kernel of the rows plus the unit rows
+    of those columns, the rows kept off them."""
+    rows, nc = mnc
+    zero = data.draw(st.sets(st.integers(0, nc - 1))) if nc else set()
+    rows = [[F(0) if j in zero else x for j, x in enumerate(row)] for row in rows]
+    assert (nullspace(rows, nc, zero=zero)
+            == nullspace(rows + [unit(nc, c) for c in zero], nc))
