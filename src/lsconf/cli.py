@@ -78,15 +78,11 @@ def _labels(alg, idx):
                  for i in idx)
 
 
-def _violation_lines(alg, report, limit=5):
-    lines = []
-    for label, idx, residual in report.violations[:limit]:
-        at = ",".join(str(x) for x in _labels(alg, idx))
-        res = "[" + ", ".join(str(x) for x in residual) + "]"
-        lines.append(f"  {label} at ({at}): residual {res}")
-    extra = len(report.violations) - limit
-    if extra > 0:
-        lines.append(f"  ... and {extra} more")
+def _violation_lines(violations, line, limit=5):
+    """line(v) for the first `limit` violations, then how many are left."""
+    lines = [line(v) for v in violations[:limit]]
+    if len(violations) > limit:
+        lines.append(f"  ... and {len(violations) - limit} more")
     return lines
 
 
@@ -108,7 +104,9 @@ def cmd_check(args):
     if report.passed:
         _emit(args, doc, lambda: [f"PASS {ident} on {alg.name}"])
         return PASS
-    _emit(args, doc, lambda: [f"FAIL {ident} on {alg.name}"] + _violation_lines(alg, report))
+    _emit(args, doc, lambda: [f"FAIL {ident} on {alg.name}"] + _violation_lines(
+        doc["violations"], lambda v: f"  {v['identity']} at ({','.join(map(str, v['at']))}): "
+                                     f"residual [{', '.join(v['residual'])}]"))
     return FAIL
 
 
@@ -277,27 +275,28 @@ def cmd_coeff_check(args):
     if args.cocycle:
         cocycle = load_cocycle(args.cocycle, dim=alg.dim)
     report = check_coeff_left_symmetry(alg, args.window, cocycle=cocycle)
+    violations = []
+    for idx, exps, residual in report.violations:
+        # a residual's central term is keyed ("central",), its others (k, exponent)
+        terms = dict(residual)
+        central = terms.pop(("central",), 0)
+        violations.append({"basis": [alg.basis[i] for i in idx], "exponents": list(exps),
+                           "residual": [[alg.basis[k], e, str(v)] for (k, e), v in terms.items()],
+                           "central": str(central)})
     doc = {"command": "coeff-check", "input": args.file,
            "input_sha256": sha256, "window": args.window,
            "passed": report.passed, "skipped": report.skipped,
-           "violations": [
-               {"basis": list(v[0]), "exponents": list(v[1]),
-                "residual": str(v[2])}
-               for v in report.violations]}
+           "violations": violations}
 
-    def text_lines():
-        status = "PASS" if report.passed else "FAIL"
-        lines = [f"{status} coefficient left-symmetry on {alg.name} "
-                 f"(window {args.window}, skipped {report.skipped})"]
-        for basis_idx, exps, residual in report.violations[:5]:
-            at = ",".join(str(x) for x in _labels(alg, basis_idx))
-            lines.append(f"  at ({at}) exponents {exps}: residual {residual}")
-        extra = len(report.violations) - 5
-        if extra > 0:
-            lines.append(f"  ... and {extra} more")
-        return lines
+    def line(v):
+        terms = ", ".join(f"{label} t^{e}: {x}" for label, e, x in v["residual"])
+        return (f"  at ({','.join(v['basis'])}) exponents ({','.join(map(str, v['exponents']))}): "
+                f"residual [{terms}], central {v['central']}")
 
-    _emit(args, doc, text_lines)
+    status = "PASS" if report.passed else "FAIL"
+    _emit(args, doc, lambda: [f"{status} coefficient left-symmetry on {alg.name} "
+                              f"(window {args.window}, skipped {report.skipped})"]
+          + _violation_lines(violations, line))
     return PASS if report.passed else FAIL
 
 

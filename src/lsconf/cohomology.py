@@ -37,10 +37,11 @@ Cocycle coordinates are ordered highest-degree form first:
 so echelon reduction of Z2 against B2 normalizes the low-degree forms
 away and representatives keep their top-degree entries.
 
-The equations of generate_cocycle_system and the B2 generators of
-coboundary_space are sparse integer rows {col: int} read off the integer
-structure rows and scaled by alg.den * beta.denominator.  Many equations
-say alpha_i(x, y) = 0.  Before elimination h2 drops each such forced column
+The equations of generate_cocycle_system are sparse integer rows
+{col: int} read off the integer structure rows; the B2 generators of
+coboundary_space are read off the lam-bracket table conformal._brackets.
+Both are scaled by alg.den * beta.denominator.  Many equations say
+alpha_i(x, y) = 0.  Before elimination h2 drops each such forced column
 from every other equation, in rounds until no new one-coordinate equation
 appears.  Z2 is then the kernel of the equations still nonzero, with the
 forced columns declared zero rather than eliminated as unit rows: the same
@@ -52,11 +53,13 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from functools import cached_property
+from math import comb, isqrt
 
 from .algebras import IdentityError, _lincomb, op_tensor, products_span, require_identity
+from .conformal import _brackets
 from .linalg import ZERO, ONE, Subspace, exact, nullspace, quotient_representatives
 
 
@@ -188,34 +191,33 @@ def generate_cocycle_system(alg, beta, degree_cap):
 # coboundaries, spanning, H2
 
 def coboundary_space(alg, beta, degree_cap):
-    """Image of phi -> (alpha_0 = beta phi(b ld a) + phi(a circ b),
-    alpha_1 = phi(a star b), higher forms zero).  At cap 0 there is no
-    alpha_1, so phi ranges over the functionals with phi(a star b) = 0.
-    Generators are integer rows scaled by alg.den * beta.denominator."""
+    """Image of phi -> alpha with alpha_n(a, b) = phi(lam^n part of a_lam b),
+    d read as beta, over the functionals phi that kill every part above the
+    cap (at cap 0: phi(a star b) = 0).  Generators are integer rows scaled by
+    alg.den * beta.denominator."""
     beta = exact(beta)
     cap, dim = degree_cap, alg.dim
     bn, bd = beta.numerator, beta.denominator
-    ld, circ, star = (alg.rows(op) for op in ("ld", "circ", "star"))
-    pairs = list(itertools.product(range(dim), repeat=2))
-    # images[k]: the generator of phi = e_k
-    images = [{} for _ in range(dim)]
-    for a, b in pairs:
-        terms = [(0, bn, ld[b][a]), (0, bd, circ[a][b])]
-        if cap:
-            terms.append((1, bd, star[a][b]))
-        for i, co, prods in terms:
-            col = coord_index(cap, dim, i, a, b)
-            for k, x in prods:
-                images[k][col] = images[k].get(col, 0) + co * x
-    if cap:
-        return Subspace(ncols(cap, dim), images)
-    # cap 0: the combinations sum_k phi_k images[k] with phi(a star b) = 0
+    # images[k]: the generator of phi = e_k; high: the parts phi must kill
+    images, high = [{} for _ in range(dim)], []
+    for (a, b), parts in _brackets(alg).items():
+        for n, row, _ in parts:
+            part = {}
+            for (d, k), x in row:
+                part[k] = part.get(k, 0) + (bn if d else bd) * x
+            if n > cap:
+                high.append(part)
+                continue
+            col = coord_index(cap, dim, n, a, b)
+            for k, x in part.items():
+                images[k][col] = images[k].get(col, 0) + x
     gens = []
-    for phi in nullspace([dict(star[a][b]) for a, b in pairs], dim).basis:
+    for phi in nullspace(high, dim).basis:
         gen = {}
         for c, image in zip(phi, images):
-            for col, x in image.items():
-                gen[col] = gen.get(col, 0) + c * x
+            if c:
+                for col, x in image.items():
+                    gen[col] = gen.get(col, 0) + c * x
         gens.append(gen)
     return Subspace(ncols(cap, dim), gens)
 
@@ -237,8 +239,14 @@ class ExtensionResult:
     dim_Z2: int
     dim_B2: int
     dim_H2: int
-    cocycle_basis: tuple
     representatives: tuple
+    _z2: Subspace = field(repr=False, compare=False)
+
+    @cached_property
+    def cocycle_basis(self):
+        """The canonical basis of Z2 as families, built on first read."""
+        dim = isqrt(self._z2.ambient_dim // (self.degree_cap + 1))
+        return tuple(family_from_coords(self.degree_cap, dim, v) for v in self._z2.basis)
 
 
 def forced_zeros(rows):
@@ -281,8 +289,7 @@ def h2(alg, beta, degree_cap=None):
         beta=beta, degree_cap=cap, cap_limited=cap_limited,
         spanning=tuple(sorted(spanning)),
         dim_Z2=z2.dim, dim_B2=b2.dim, dim_H2=z2.dim - b2.dim,
-        cocycle_basis=tuple(family_from_coords(cap, dim, v) for v in z2.basis),
-        representatives=tuple(family_from_coords(cap, dim, v) for v in reps))
+        representatives=tuple(family_from_coords(cap, dim, v) for v in reps), _z2=z2)
 
 
 def find_right_unit(alg):

@@ -3,29 +3,28 @@
 The conformal algebra is the free C[d]-module over the algebra's basis,
 plus a one-dimensional torsion centre with d acting as multiplication by
 beta.  Elements carry explicit d-degrees per basis slot; products are
-polynomials in formal variables lam (and mu after substitution) and are
-never evaluated numerically.
+polynomials in formal variables lam (and mu in the left-symmetry check) and
+are never evaluated numerically.
 
 For basis elements the product is
 
     a_lam b  =  d(b ld a) + (a circ b) + lam * (a star b) + alpha_lam(a, b) c
 
-extended to the whole module by the sesquilinearity rules
-(d x)_lam y = -lam x_lam y and x_lam (d y) = (d + lam) x_lam y.  The
-central coefficient alpha comes from an optional cocycle (any object with
-degree_cap and forms, see cohomology.CocycleFamily).
+with the central coefficient alpha from an optional cocycle (any object
+with forms, see cohomology.CocycleFamily).  _brackets writes it out once: the
+lam^n parts of e_i _lam e_j for every basis pair, as sparse integers scaled
+by alg.den.  Three readers share that table:
 
-The windowed coefficient algebra lives at the bottom of the module: basis
-a (x) t^m with |m| bounded, product
+* the lam-product, extended to the whole module by the sesquilinearity rules
+  (d x)_lam y = -lam x_lam y and x_lam (d y) = (d + lam) x_lam y;
+* the windowed coefficient algebra, the mode algebra of the bracket: basis
+  a (x) t^m with |m| bounded, product
 
-    (a (x) t^m)(b (x) t^n) = m (a rd b) (x) t^{m+n-1}
-                             - n (b ld a) (x) t^{m+n-1}
-                             + (a circ b) (x) t^{m+n}
+      (a (x) t^m)(b (x) t^n) = sum_q m(m-1)...(m-q+1) (lam^q part of a_lam b) (x) t^{m+n-q}
 
-with products leaving the window tracked separately, never dropped.  Each
-basis-pair product is tabulated once per call as sparse integers scaled by
-alg.den (in-window part, escaped part, central part from the cocycle); every
-product is an integer combination of table entries, divided back at the end.
+  with d x (x) t^e = -e x (x) t^{e-1} and the centre at t^{-1}; products
+  leaving the window are tracked separately, never dropped;
+* cohomology.coboundary_space, which applies functionals to the V-part.
 """
 
 from __future__ import annotations
@@ -89,9 +88,6 @@ class ModuleElement:
             t[k] = t.get(k, ZERO) + v
         return ModuleElement(t, self.central + other.central)
 
-    def minus(self, other):
-        return self.plus(other.scaled(-ONE))
-
     def apply_partial(self, beta, times=1):
         """Formal d applied `times` times; on the centre d acts as beta."""
         if times == 0:
@@ -108,7 +104,8 @@ class ModuleElement:
 
 
 class LambdaPoly:
-    """Polynomial in lam with ModuleElement coefficients."""
+    """Polynomial with ModuleElement coefficients, keyed by the lam-degree or,
+    in two variables, by the (lam-degree, mu-degree) pair."""
 
     __slots__ = ("coeffs",)
 
@@ -125,146 +122,100 @@ class LambdaPoly:
         return f"LambdaPoly({self.coeffs!r})"
 
 
-class LambdaMuPoly:
-    """Polynomial in (lam, mu) with ModuleElement coefficients."""
+# ---------------------------------------------------------------------------
+# the bracket on basis pairs
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        self.coeffs = {k: v for k, v in (coeffs or {}).items() if not v.is_zero()}
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def minus(self, other):
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, ModuleElement()).minus(v)
-        return LambdaMuPoly(out)
-
-    def __eq__(self, other):
-        return isinstance(other, LambdaMuPoly) and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        return f"LambdaMuPoly({self.coeffs!r})"
+def _brackets(alg, cocycle=None, pairs=None):
+    """{(i, j): the nonzero lam^n parts of e_i _lam e_j} for the given basis
+    pairs (default: all), each part (n, row, central) with row holding
+    ((d-degree, k), int) pairs, all scaled by alg.den: d(e_j ld e_i) +
+    e_i circ e_j + alpha_0 c at n = 0, e_i star e_j + alpha_1 c at n = 1 and
+    alpha_n c above."""
+    den = alg.den
+    ld, circ, star = alg.rows("ld"), alg.rows("circ"), alg.rows("star")
+    forms = cocycle.forms if cocycle is not None else ()
+    table = {}
+    for i, j in itertools.product(range(alg.dim), repeat=2) if pairs is None else pairs:
+        v0 = tuple(((1, k), v) for k, v in ld[j][i]) + tuple(((0, k), v) for k, v in circ[i][j])
+        v1 = tuple(((0, k), v) for k, v in star[i][j])
+        parts = ((q, (v0, v1)[q] if q < 2 else (), den * forms[q][i][j] if q < len(forms) else 0)
+                 for q in range(max(2, len(forms))))
+        table[i, j] = tuple(p for p in parts if p[1] or p[2])
+    return table
 
 
 def _acc(store, key, elt):
-    if key in store:
-        store[key] = store[key].plus(elt)
-    else:
-        store[key] = elt
+    store[key] = store[key].plus(elt) if key in store else elt
 
 
-def _alpha(cocycle, i, a, b):
-    if cocycle is None or i > cocycle.degree_cap:
-        return ZERO
-    return cocycle.forms[i][a][b]
-
-
-def _base_product(alg, i, j, cocycle, beta):
-    """lam-coefficients of e_i _lam e_j as {lam-degree: ModuleElement}."""
-    out = {}
-    den = alg.den
-    deg0 = {(1, k): Fraction(v, den) for k, v in alg.rows("ld")[j][i]}
-    deg0.update({(0, k): Fraction(v, den) for k, v in alg.rows("circ")[i][j]})
-    e0 = ModuleElement(deg0, _alpha(cocycle, 0, i, j))
-    if not e0.is_zero():
-        out[0] = e0
-    e1 = ModuleElement({(0, k): Fraction(v, den) for k, v in alg.rows("star")[i][j]},
-                       _alpha(cocycle, 1, i, j))
-    if not e1.is_zero():
-        out[1] = e1
-    if cocycle is not None:
-        for n in range(2, cocycle.degree_cap + 1):
-            a = _alpha(cocycle, n, i, j)
-            if a:
-                out[n] = ModuleElement(central=a)
-    return out
-
-
-def _lambda_product(alg, x, y, cocycle, beta):
-    """Product with central input coordinates ignored (centre annihilates)."""
+def _product(alg, table, x, y, beta):
+    """x_lam y as {lam-degree: ModuleElement}; the central coordinates of x
+    and y are not read (the centre annihilates)."""
     acc = {}
     for (d, i), cx in x.terms.items():
         for (e, j), cy in y.terms.items():
-            scale = cx * cy * (-ONE) ** d
-            base = _base_product(alg, i, j, cocycle, beta)
-            for n, elt in base.items():
+            # the table is scaled by alg.den; dividing s back is exact
+            s = cx * cy * (-1) ** d / alg.den
+            for n, row, cen in table[i, j]:
                 # (d^d x)_lam (d^e y) = (-lam)^d (d+lam)^e (x_lam y)
                 for k in range(e + 1):
-                    c = scale * comb(e, k)
-                    shifted = elt.apply_partial(beta, k).scaled(c)
-                    _acc(acc, n + d + (e - k), shifted)
-    return LambdaPoly(acc)
+                    c = s * comb(e, k)
+                    part = acc.setdefault(n + d + e - k, {})
+                    for (dd, kk), v in row:
+                        part[dd + k, kk] = part.get((dd + k, kk), 0) + c * v
+                    if cen:
+                        part[None] = part.get(None, 0) + c * cen * beta ** k
+    return {n: ModuleElement({key: v for key, v in part.items() if key is not None},
+                             part.get(None, ZERO))
+            for n, part in acc.items()}
 
 
 def lambda_product(alg, x, y, cocycle=None, beta=ZERO):
     if x.central or y.central:
         raise CentralInputError("lambda products of central elements vanish; "
                                 "pass the V-part explicitly")
-    return _lambda_product(alg, x, y, cocycle, exact(beta))
+    pairs = {(i, j) for _, i in x.terms for _, j in y.terms}
+    return LambdaPoly(_product(alg, _brackets(alg, cocycle, pairs), x, y, exact(beta)))
 
 
 # ---------------------------------------------------------------------------
 # conformal left-symmetry
 
-def _outer_double(alg, x, y, z, cocycle, beta, inner_var):
-    """((x_v y) _{lam+mu} z), v = lam if inner_var == 0 else mu."""
-    inner = _lambda_product(alg, x, y, cocycle, beta)
+def _defect(alg, table, a, b, c, beta):
     out = {}
-    for n, m_n in inner.coeffs.items():
-        mv = m_n.v_part()
-        if mv.is_zero():
-            continue
-        p = _lambda_product(alg, mv, z, cocycle, beta)
-        for q, elt in p.coeffs.items():
-            # substitute the outer variable nu -> lam + mu binomially
-            for s in range(q + 1):
-                lm = [s, q - s]
-                lm[inner_var] += n
-                _acc(out, tuple(lm), elt.scaled(comb(q, s)))
-    return LambdaMuPoly(out)
-
-
-def _nested_double(alg, x, y, z, cocycle, beta, outer_var):
-    """x_v (y_w z) with (v, w) = (lam, mu) if outer_var == 0 else (mu, lam)."""
-    inner = _lambda_product(alg, y, z, cocycle, beta)
-    out = {}
-    for m, u in inner.coeffs.items():
-        uv = u.v_part()
-        if uv.is_zero():
-            continue
-        p = _lambda_product(alg, x, uv, cocycle, beta)
-        for q, elt in p.coeffs.items():
-            key = (q, m) if outer_var == 0 else (m, q)
-            _acc(out, key, elt)
-    return LambdaMuPoly(out)
+    for x, y, swap, sign in ((a, b, False, 1), (b, a, True, -1)):
+        # (x_v y)_{lam+mu} c - x_v (y_w c), (v, w) = (lam, mu), or (mu, lam) if swap
+        for n, u in _product(alg, table, x, y, beta).items():
+            for q, elt in _product(alg, table, u, c, beta).items():
+                # substitute the outer variable nu -> lam + mu binomially
+                for s in range(q + 1):
+                    _acc(out, (s, q - s + n) if swap else (s + n, q - s),
+                         elt.scaled(sign * comb(q, s)))
+        for m, u in _product(alg, table, y, c, beta).items():
+            for q, elt in _product(alg, table, x, u, beta).items():
+                _acc(out, (m, q) if swap else (q, m), elt.scaled(-sign))
+    return LambdaPoly(out)
 
 
 def conformal_associator_defect(alg, a, b, c, cocycle=None, beta=ZERO):
     """(a_lam b)_{lam+mu} c - a_lam (b_mu c), minus the same with a,b and
-    lam,mu swapped; zero iff the left-symmetry axiom holds on (a, b, c)."""
-    beta = exact(beta)
-    t1 = _outer_double(alg, a, b, c, cocycle, beta, 0)
-    t2 = _nested_double(alg, a, b, c, cocycle, beta, 0)
-    t3 = _outer_double(alg, b, a, c, cocycle, beta, 1)
-    t4 = _nested_double(alg, b, a, c, cocycle, beta, 1)
-    return t1.minus(t2).minus(t3.minus(t4))
+    lam,mu swapped, keyed by (lam-degree, mu-degree); zero iff the
+    left-symmetry axiom holds on (a, b, c)."""
+    return _defect(alg, _brackets(alg, cocycle), a, b, c, exact(beta))
 
 
 def check_conformal_left_symmetry(alg, cocycle=None, beta=ZERO):
     beta = exact(beta)
-    dim = alg.dim
+    table = _brackets(alg, cocycle)
     violations = []
-    for i, j, k in itertools.product(range(dim), repeat=3):
-        defect = conformal_associator_defect(
-            alg, ModuleElement.basis(i), ModuleElement.basis(j),
-            ModuleElement.basis(k), cocycle, beta)
+    for i, j, k in itertools.product(range(alg.dim), repeat=3):
+        defect = _defect(alg, table, ModuleElement.basis(i), ModuleElement.basis(j),
+                         ModuleElement.basis(k), beta)
         for key in sorted(defect.coeffs):
             elt = defect.coeffs[key]
-            residual = tuple(sorted(elt.terms.items())) + ((("central",), elt.central),) \
-                if elt.central else tuple(sorted(elt.terms.items()))
+            residual = tuple(sorted(elt.terms.items()))
+            if elt.central:
+                residual += ((("central",), elt.central),)
             violations.append(("left_symmetry", (i, j, k) + key, residual))
     return IdentityReport("CONFORMAL_LEFT_SYMMETRIC", not violations, tuple(violations))
 
@@ -338,21 +289,23 @@ class WindowedElement:
 def _pair_table(alg, window, cocycle, pairs):
     """(e_i (x) t^m)(e_j (x) t^n) for each pair ((i, m), (j, n)), as
     [terms], [escapes], central, all scaled by alg.den: terms and escapes
-    are ((k, exponent), int) pairs inside and outside the window."""
-    ld, rd, circ = alg.rows("ld"), alg.rows("rd"), alg.rows("circ")
+    are ((k, exponent), int) pairs inside and outside the window.  The
+    lam^q part of e_i _lam e_j, times m(m-1)...(m-q+1), lands at t^{m+n-q}."""
+    brackets = _brackets(alg, cocycle)
     table = {}
     for (i, m), (j, n) in pairs:
-        drop = {k: m * r for k, r in rd[i][j]}
-        for k, l in ld[j][i]:
-            drop[k] = drop.get(k, 0) - n * l
+        out, central = {}, 0
+        for q, row, cen in brackets[i, j]:
+            f, e = prod(range(m, m - q, -1)), m + n - q
+            for (d, k), v in row:
+                out[k, e - d] = out.get((k, e - d), 0) + (-e if d else 1) * f * v
+            if e == -1:
+                central += f * cen
         parts = ([], [])
-        for vec, exp in ((sorted(drop.items()), m + n - 1), (circ[i][j], m + n)):
-            parts[abs(exp) > window].extend(((k, exp), v) for k, v in vec if v)
-        # central part: m(m-1)...(m-d+1) alpha_d(e_i, e_j) when m + n + 1 = d
-        d = m + n + 1
-        eta = (prod(range(m, m - d, -1)) * cocycle.forms[d][i][j]
-               if cocycle is not None and 0 <= d <= cocycle.degree_cap else 0)
-        table[(i, m), (j, n)] = (*parts, alg.den * eta)
+        for key, v in out.items():
+            if v:
+                parts[abs(key[1]) > window].append((key, v))
+        table[(i, m), (j, n)] = (*parts, central)
     return table
 
 

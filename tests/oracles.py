@@ -31,10 +31,17 @@
 * `check_representation` checks the module axioms as the library did
   before it read them off the catalog on the split null extension: seven
   matrix laws over basis pairs, written out by hand.
+* `lambda_product` and `conformal_associator_defect` are the lam-calculus as
+  the library ran it before it read one bracket table: the product of each
+  basis pair rebuilt from the integer rows inside every lam-product, and the
+  defect as four separately built double products.
 * `coeff_product`/`check_coeff_left_symmetry` are the windowed coefficient
-  algebra as the library ran it before its basis-pair table: four Fraction
-  products per basis triple and exponent triple, each rebuilt from the
-  integer rows, with `_eta` copied alongside.
+  algebra as the library ran it before it read the coefficient products off
+  the lam-bracket's modes: the explicit formula m (a rd b) - n (b ld a) at
+  t^{m+n-1} plus a circ b at t^{m+n}, with `_eta` for the centre, in
+  Fractions.  Each basis pair's product is computed once per check (or per
+  `memo`); the four second-level products of every exponent triple are
+  summed from them.
 * `zinbiel_to_pre_novikov`, `pre_novikov_to_pre_gd`, `zinbiel_to_pre_gd`,
   `ls_poisson_to_pre_gd` and `comm_assoc_derivation_to_novikov_poisson`
   are the construction formulas as the library evaluated them before it
@@ -69,7 +76,7 @@ from lsconf.algebras import (AlgebraSpec, IdentityReport, MissingMaps, UnknownOp
                              _laws, _lincomb, _products, _shape, _sparse,
                              novikov_star, products_span, require_identity, tensor)
 from lsconf.cohomology import CohomologyError, coord_index, ncols
-from lsconf.conformal import WindowedElement, WindowMismatch
+from lsconf.conformal import LambdaPoly, ModuleElement, WindowedElement, WindowMismatch
 from lsconf import ideals, linalg
 from lsconf.ideals import PRE_GD_OPS, IdealReport
 from lsconf.linalg import ONE, ZERO, DimensionMismatch, Subspace, exact, mat_mul, unit, vzero
@@ -682,6 +689,84 @@ def h2(alg, beta, degree_cap):
 
 
 # ---------------------------------------------------------------------------
+# lambda-products, each basis pair's product rebuilt per term pair
+
+def _alpha(cocycle, i, a, b):
+    if cocycle is None or i > cocycle.degree_cap:
+        return ZERO
+    return cocycle.forms[i][a][b]
+
+
+def _base_product(alg, i, j, cocycle):
+    """lam-coefficients of e_i _lam e_j as {lam-degree: ModuleElement}."""
+    out = {}
+    den = alg.den
+    deg0 = {(1, k): Fraction(v, den) for k, v in alg.rows("ld")[j][i]}
+    deg0.update({(0, k): Fraction(v, den) for k, v in alg.rows("circ")[i][j]})
+    e0 = ModuleElement(deg0, _alpha(cocycle, 0, i, j))
+    if not e0.is_zero():
+        out[0] = e0
+    e1 = ModuleElement({(0, k): Fraction(v, den) for k, v in alg.rows("star")[i][j]},
+                       _alpha(cocycle, 1, i, j))
+    if not e1.is_zero():
+        out[1] = e1
+    if cocycle is not None:
+        for n in range(2, cocycle.degree_cap + 1):
+            a = _alpha(cocycle, n, i, j)
+            if a:
+                out[n] = ModuleElement(central=a)
+    return out
+
+
+def _acc(store, key, elt):
+    store[key] = store[key].plus(elt) if key in store else elt
+
+
+def lambda_product(alg, x, y, cocycle=None, beta=ZERO):
+    """x_lam y with central input coordinates ignored (centre annihilates)."""
+    acc = {}
+    for (d, i), cx in x.terms.items():
+        for (e, j), cy in y.terms.items():
+            scale = cx * cy * (-ONE) ** d
+            for n, elt in _base_product(alg, i, j, cocycle).items():
+                # (d^d x)_lam (d^e y) = (-lam)^d (d+lam)^e (x_lam y)
+                for k in range(e + 1):
+                    c = scale * comb(e, k)
+                    _acc(acc, n + d + (e - k), elt.apply_partial(beta, k).scaled(c))
+    return LambdaPoly(acc)
+
+
+def conformal_associator_defect(alg, a, b, c, cocycle=None, beta=ZERO):
+    """t1 - t2 - (t3 - t4) keyed (lam-degree, mu-degree), with t1 =
+    (a_lam b)_{lam+mu} c, t2 = a_lam (b_mu c), t3 = (b_mu a)_{lam+mu} c and
+    t4 = b_mu (a_lam c), each built on its own."""
+
+    def outer(x, y, inner_var):
+        out = {}
+        for n, m_n in lambda_product(alg, x, y, cocycle, beta).coeffs.items():
+            for q, elt in lambda_product(alg, m_n.v_part(), c, cocycle, beta).coeffs.items():
+                for s in range(q + 1):
+                    lm = [s, q - s]
+                    lm[inner_var] += n
+                    _acc(out, tuple(lm), elt.scaled(comb(q, s)))
+        return out
+
+    def nested(x, y, outer_var):
+        out = {}
+        for m, u in lambda_product(alg, y, c, cocycle, beta).coeffs.items():
+            for q, elt in lambda_product(alg, x, u.v_part(), cocycle, beta).coeffs.items():
+                _acc(out, (q, m) if outer_var == 0 else (m, q), elt)
+        return out
+
+    total = {}
+    for sign, part in ((1, outer(a, b, 0)), (-1, nested(a, b, 0)),
+                       (-1, outer(b, a, 1)), (1, nested(b, a, 1))):
+        for key, elt in part.items():
+            _acc(total, key, elt.scaled(sign))
+    return LambdaPoly(total)
+
+
+# ---------------------------------------------------------------------------
 # windowed coefficient algebra, four Fraction products per exponent triple
 
 def _eta(cocycle, i, j, m, n):
@@ -693,35 +778,47 @@ def _eta(cocycle, i, j, m, n):
     return prod(range(m, m - d, -1)) * cocycle.forms[d][i][j]
 
 
-def coeff_product(alg, x, y, cocycle=None):
+def _basis_product(alg, window, cocycle, memo, a, b):
+    """(e_i (x) t^m)(e_j (x) t^n) for a = (i, m) and b = (j, n), kept in memo
+    for later calls with the same alg, window and cocycle."""
+    if (a, b) not in memo:
+        (i, m), (j, n) = a, b
+        terms, escapes = {}, {}
+
+        def place(vec, exp):
+            target = terms if abs(exp) <= window else escapes
+            for k, v in vec:
+                if v:
+                    # the integer rows are scaled by alg.den; dividing back is exact
+                    target[k, exp] = target.get((k, exp), ZERO) + Fraction(v, alg.den)
+
+        ld, rd, circ = alg.rows("ld"), alg.rows("rd"), alg.rows("circ")
+        drop = {k: m * r for k, r in rd[i][j]}
+        for k, l in ld[j][i]:
+            drop[k] = drop.get(k, 0) - n * l
+        place(sorted(drop.items()), m + n - 1)
+        place(circ[i][j], m + n)
+        memo[a, b] = WindowedElement(window, terms, _eta(cocycle, i, j, m, n), escapes)
+    return memo[a, b]
+
+
+def coeff_product(alg, x, y, cocycle=None, memo=None):
+    """x y, summed over the products of basis pairs; memo as in _basis_product."""
     if x.window != y.window:
         raise WindowMismatch(f"windows differ: {x.window} vs {y.window}")
     if x.escapes or y.escapes:
         raise WindowMismatch("operand carries escaped terms; result undefined")
     window = x.window
-    terms = {}
-    escapes = {}
-    central = ZERO
-
-    def place(vec, exp, scale):
-        target = terms if abs(exp) <= window else escapes
-        for k, v in vec:
-            if v:
-                key = (k, exp)
-                target[key] = target.get(key, ZERO) + scale * v
-
-    ld, rd, circ = alg.rows("ld"), alg.rows("rd"), alg.rows("circ")
-    for (i, m), cx in x.terms.items():
-        for (j, n), cy in y.terms.items():
+    memo = {} if memo is None else memo
+    terms, escapes, central = {}, {}, ZERO
+    for a, cx in x.terms.items():
+        for b, cy in y.terms.items():
+            pair = _basis_product(alg, window, cocycle, memo, a, b)
             s = cx * cy
-            # the integer rows are scaled by alg.den; dividing s back is exact
-            scaled = s / alg.den
-            drop = {k: m * r for k, r in rd[i][j]}
-            for k, l in ld[j][i]:
-                drop[k] = drop.get(k, 0) - n * l
-            place(sorted(drop.items()), m + n - 1, scaled)
-            place(circ[i][j], m + n, scaled)
-            central += s * _eta(cocycle, i, j, m, n)
+            for source, target in ((pair.terms, terms), (pair.escapes, escapes)):
+                for key, v in source.items():
+                    target[key] = target.get(key, ZERO) + s * v
+            central += s * pair.central
     return WindowedElement(window, terms, central, escapes)
 
 
@@ -729,28 +826,35 @@ def check_coeff_left_symmetry(alg, window, cocycle=None):
     """Left-symmetry of the windowed coefficient algebra.
 
     Exponent triples whose intermediate or final products leave the window
-    are skipped (and counted), never truncated.
+    are skipped (and counted), never truncated.  Each basis pair's product
+    is computed once per check.
     """
     dim = alg.dim
     violations = []
     skipped = 0
     exps = range(-window, window + 1)
+    memo = {}
+
+    def mul(u, v):
+        return coeff_product(alg, u, v, cocycle, memo)
+
+    def basis_mul(a, b):
+        return _basis_product(alg, window, cocycle, memo, a, b)
+
     for i, j, k in itertools.product(range(dim), repeat=3):
         for m, n, p in itertools.product(exps, repeat=3):
-            x = WindowedElement.basis(window, i, m)
-            y = WindowedElement.basis(window, j, n)
-            z = WindowedElement.basis(window, k, p)
-            xy = coeff_product(alg, x, y, cocycle)
-            yx = coeff_product(alg, y, x, cocycle)
-            yz = coeff_product(alg, y, z, cocycle)
-            xz = coeff_product(alg, x, z, cocycle)
+            xy, yx = basis_mul((i, m), (j, n)), basis_mul((j, n), (i, m))
+            yz, xz = basis_mul((j, n), (k, p)), basis_mul((i, m), (k, p))
             if xy.escapes or yx.escapes or yz.escapes or xz.escapes:
                 skipped += 1
                 continue
-            t1 = coeff_product(alg, xy.v_part(), z, cocycle)
-            t2 = coeff_product(alg, x, yz.v_part(), cocycle)
-            t3 = coeff_product(alg, yx.v_part(), z, cocycle)
-            t4 = coeff_product(alg, y, xz.v_part(), cocycle)
+            x = WindowedElement.basis(window, i, m)
+            y = WindowedElement.basis(window, j, n)
+            z = WindowedElement.basis(window, k, p)
+            t1 = mul(xy.v_part(), z)
+            t2 = mul(x, yz.v_part())
+            t3 = mul(yx.v_part(), z)
+            t4 = mul(y, xz.v_part())
             if t1.escapes or t2.escapes or t3.escapes or t4.escapes:
                 skipped += 1
                 continue

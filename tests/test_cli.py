@@ -348,6 +348,41 @@ def test_coeff_check_command(capsys, inputs):
     assert doc["passed"] is True and doc["skipped"] == 69
 
 
+def test_coeff_check_failure_report(capsys, tmp_path):
+    """Violations name basis labels and exact rational strings; the central
+    term has a field of its own, apart from any label (here the label c)."""
+    path = str(tmp_path / "bad.json")
+    save_algebra(AlgebraSpec("bad", 1, ("c",), {"ld": tensor(1, {(0, 0, 0): F(1, 2)}),
+                                                "rd": tensor(1, {(0, 0, 0): 1}),
+                                                "circ": tensor(1, {(0, 0, 0): 1})}), path)
+    code, out, _ = run(capsys, "coeff-check", path, "--window", "1", "--json")
+    assert code == 1 and json.loads(out)["violations"] == [
+        {"basis": ["c", "c", "c"], "exponents": [0, 1, 0], "residual": [["c", 0, "-1"]],
+         "central": "0"},
+        {"basis": ["c", "c", "c"], "exponents": [1, 0, 0], "residual": [["c", 0, "1"]],
+         "central": "0"}]
+    code, out, _ = run(capsys, "coeff-check", path, "--window", "1")
+    assert code == 1 and out.splitlines() == [
+        "FAIL coefficient left-symmetry on bad (window 1, skipped 23)",
+        "  at (c,c,c) exponents (0,1,0): residual [c t^0: -1], central 0",
+        "  at (c,c,c) exponents (1,0,0): residual [c t^0: 1], central 0"]
+    code, out, _ = run(capsys, "coeff-check", path, "--window", "2")
+    lines = out.splitlines()
+    assert code == 1 and len(lines) == 7 and lines[-1] == "  ... and 17 more"
+    assert lines[1] == ("  at (c,c,c) exponents (-2,1,1): "
+                        "residual [c t^-2: 15/2, c t^-1: -3], central 0")
+    # alpha_0 = 1 is not a cocycle of rank_one(0): residuals on the centre alone
+    cocycle = str(tmp_path / "alpha0.json")
+    Path(cocycle).write_text('{"degree_cap": 0, "forms": [[["1"]]]}', encoding="utf-8")
+    save_algebra(build_rank_one(0), path)
+    code, out, _ = run(capsys, "coeff-check", path, "--window", "2", "--cocycle", cocycle,
+                       "--json")
+    violations = json.loads(out)["violations"]
+    assert code == 1 and len(violations) == 10
+    assert violations[0] == {"basis": ["L", "L", "L"], "exponents": [-2, 1, 1],
+                             "residual": [], "central": "-3"}
+
+
 R1 = {"name": "r1", "dim": 1, "basis": ["L"], "ops": {"ld": {"L,L": {"L": "1"}}}}
 
 

@@ -15,7 +15,7 @@ from lsconf.conformal import (ModuleElement, WindowedElement, build_rank_one,
                               check_conformal_left_symmetry, conformal_associator_defect,
                               lambda_product)
 from lsconf.linalg import Subspace, nullspace
-from lsconf import constructions as cons
+from lsconf import cohomology, constructions as cons
 
 from conftest import (dual_numbers_ls_poisson, pre_gd_zoo_specs, two_dim_lw,
                       unital_one_dim, unital_two_dim)
@@ -312,6 +312,18 @@ def test_h2_matches_fraction_oracle(alg, t, beta, cap):
     assert (got.dim_Z2, got.dim_B2, got.dim_H2) == (dim_z2, dim_b2, dim_z2 - dim_b2)
     assert _forms(got.cocycle_basis) == basis
     assert _forms(got.representatives) == reps
+    assert coboundary_space(alg, beta, cap) == oracles.coboundary_space(alg, beta, cap)
+
+
+def test_cocycle_basis_is_built_on_first_read(monkeypatch):
+    calls = []
+    build = cohomology.family_from_coords
+    monkeypatch.setattr(cohomology, "family_from_coords",
+                        lambda *args: calls.append(args) or build(*args))
+    res = h2(two_dim_lw(), 0)
+    assert len(calls) == res.dim_H2 == 2  # the representatives only
+    assert res.cocycle_basis is res.cocycle_basis  # built once, on the first read
+    assert len(calls) == res.dim_H2 + res.dim_Z2
 
 
 def test_float_and_bool_are_not_exact_inputs():

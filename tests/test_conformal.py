@@ -275,6 +275,38 @@ def test_coeff_product_matches_fraction_oracle(data):
             == _outcome(oracles.coeff_product, alg, x, y, fam))
 
 
+def module_elements(dim):
+    """One to three terms at d-degrees 0-2."""
+    keys = st.tuples(st.integers(0, 2), st.integers(0, dim - 1))
+    return st.builds(ME, st.dictionaries(keys, st.sampled_from(NONZERO), min_size=1, max_size=3))
+
+
+BETAS = st.sampled_from([F(0), F(1, 2), F(-3)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_lambda_product_matches_fraction_oracle(data):
+    """The bracket-table route against the basis-pair product rebuilt per
+    term pair, with cocycles of caps 0-5."""
+    alg, fam = data.draw(windowed_algebras(), label="case")
+    beta = data.draw(BETAS, label="beta")
+    x = data.draw(module_elements(alg.dim), label="x")
+    y = data.draw(module_elements(alg.dim), label="y")
+    assert (lambda_product(alg, x, y, cocycle=fam, beta=beta)
+            == oracles.lambda_product(alg, x, y, cocycle=fam, beta=beta))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_associator_defect_matches_fraction_oracle(data):
+    alg, fam = data.draw(windowed_algebras(), label="case")
+    beta = data.draw(BETAS, label="beta")
+    a, b, c = (data.draw(module_elements(alg.dim), label=name) for name in "abc")
+    assert (conformal_associator_defect(alg, a, b, c, cocycle=fam, beta=beta)
+            == oracles.conformal_associator_defect(alg, a, b, c, cocycle=fam, beta=beta))
+
+
 SMALL_ZOO = [alg for alg in pre_gd_zoo_specs() if alg.dim <= 2]
 
 
