@@ -74,9 +74,6 @@ class ModuleElement:
     def is_zero(self):
         return not self.terms and not self.central
 
-    def v_part(self):
-        return ModuleElement(self.terms)
-
     def scaled(self, c):
         if not c:
             return ModuleElement()
@@ -87,13 +84,6 @@ class ModuleElement:
         for k, v in other.terms.items():
             t[k] = t.get(k, ZERO) + v
         return ModuleElement(t, self.central + other.central)
-
-    def apply_partial(self, beta, times=1):
-        """Formal d applied `times` times; on the centre d acts as beta."""
-        if times == 0:
-            return self
-        t = {(d + times, i): v for (d, i), v in self.terms.items()}
-        return ModuleElement(t, self.central * beta ** times)
 
     def __eq__(self, other):
         return (isinstance(other, ModuleElement)
@@ -272,9 +262,6 @@ class WindowedElement:
 
     def is_zero(self):
         return not self.terms and not self.central and not self.escapes
-
-    def v_part(self):
-        return WindowedElement(self.window, self.terms, ZERO, self.escapes)
 
     def __eq__(self, other):
         return (isinstance(other, WindowedElement) and self.window == other.window

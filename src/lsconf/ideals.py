@@ -10,12 +10,16 @@ radical, by Dickson's criterion the kernel of the trace form tr(xy) on E
 (characteristic 0), is nilpotent, so when it is nonzero rad(E)V is a
 proper ideal over Q, the witness; when it is zero no witness is named.
 
-Every witness is re-verified.  The conformal certificate lifts a
-three-operation ideal, else tries the positive criteria (simple
+Every witness is re-verified.  The conformal certificate searches (ld, rd)
+first, unless its products all vanish: E(ld, rd) lies in E(ld, rd, circ),
+so a full (ld, rd) envelope is the three-operation certificate too.  Else
+it searches (ld, rd, circ) and lifts a three-operation ideal.  A simple
+three-operation algebra then tries the positive criteria (simple
 two-operation part with spanning star product, trivial rd with a regular
-element, Novikov-Poisson shape) in order, and failing everything the
-verdict is inconclusive rather than guessed.  Only the regular-element
-rule draws random candidates.
+element, Novikov-Poisson shape: rd = 0 there, so E(ld, circ) = E(ld, rd,
+circ) is full) in order, and failing everything the verdict is
+inconclusive rather than guessed.  Only the regular-element rule draws
+random candidates.
 """
 
 from __future__ import annotations
@@ -224,7 +228,9 @@ def certify_conformal_simplicity(alg, trials=20, rng_seed=0):
     """Simplicity of the quadratic conformal algebra built on alg;
     `trials` and `rng_seed` bound only the regular-element rule."""
     log = []
-    gd_cert = is_simple_pre_gd(alg)
+    pn_cert = (None if _all_products_zero(alg, ("ld", "rd"))
+               else _simple_on_ops(alg, ("ld", "rd")))
+    gd_cert = pn_cert if pn_cert and pn_cert.verdict == "simple" else is_simple_pre_gd(alg)
     log.append(f"three-operation algebra: {gd_cert.verdict} ({gd_cert.criterion})")
     if gd_cert.verdict == "not_simple":
         log.extend(gd_cert.details)
@@ -234,10 +240,9 @@ def certify_conformal_simplicity(alg, trials=20, rng_seed=0):
                                      witness=gd_cert.witness,
                                      details=tuple(log))
 
-    if _all_products_zero(alg, ("ld", "rd")):
+    if pn_cert is None:
         log.append("two-operation part is trivial; spanning rule skipped")
     else:
-        pn_cert = _simple_on_ops(alg, ("ld", "rd"))
         log.append(f"two-operation part: {pn_cert.verdict} ({pn_cert.criterion})")
         if pn_cert.verdict == "simple":
             if products_span(alg, "star"):
@@ -260,12 +265,9 @@ def certify_conformal_simplicity(alg, trials=20, rng_seed=0):
             if check_identity(probe, "NOVIKOV_POISSON").passed:
                 log.append("ld together with circ satisfies the "
                            "Novikov-Poisson laws")
-                # rd vanishes here, so ld or circ does not (see is_simple_pre_gd)
-                np_cert = _simple_on_ops(alg, ("ld", "circ"))
-                if np_cert.verdict == "simple":
-                    return SimplicityCertificate("simple", "novikov_poisson_simple",
-                                                 details=tuple(log))
-                log.append(f"Novikov-Poisson algebra: {np_cert.verdict}")
+                # rd = 0 and E(ld, rd, circ) is full, so E(ld, circ) is too
+                return SimplicityCertificate("simple", "novikov_poisson_simple",
+                                             details=tuple(log))
 
     return SimplicityCertificate("inconclusive", "no_applicable_criterion",
                                  details=tuple(log))

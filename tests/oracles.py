@@ -20,6 +20,10 @@
   with its stages in their first order: unit-vector closures, `trials`
   random closures, envelope, `trials` envelope-kernel probes.  Tests use
   it to check that every ideal it finds is still a `not_simple` verdict.
+* `certify_conformal_simplicity` is the conformal certificate flow before
+  it searched the (ld, rd) operators first: the three-operation search
+  always runs, (ld, rd) is searched after it, and the Novikov-Poisson rule
+  runs its own (ld, circ) search.
 * `nullspace`, `coboundary_space` and `h2` are Z2, B2 and H2 as the
   library computed them before it kept them on integer rows: the kernel
   read off the dense `rref`, coboundaries as dense Fraction matrix-vector
@@ -35,6 +39,10 @@
   the library ran it before it read one bracket table: the product of each
   basis pair rebuilt from the integer rows inside every lam-product, and the
   defect as four separately built double products.
+* `v_part` (drop the central coordinate) and `apply_partial` (the formal
+  d, acting on the centre as beta) are the element methods the library
+  carried on ModuleElement and WindowedElement until only these oracles
+  and the tests called them.
 * `coeff_product`/`check_coeff_left_symmetry` are the windowed coefficient
   algebra as the library ran it before it read the coefficient products off
   the lam-bracket's modes: the explicit formula m (a rd b) - n (b ld a) at
@@ -439,6 +447,59 @@ def search(alg, ops, trials, rng_seed):
     return None, False
 
 
+def certify_conformal_simplicity(alg, trials=20, rng_seed=0):
+    """The conformal certificate flow as the library ran it before it
+    searched (ld, rd) first: the three-operation search always, then
+    (ld, rd) a second time, and a Novikov-Poisson search of (ld, circ).
+    The searches and rules are the library's."""
+    log = []
+    gd_cert = ideals.is_simple_pre_gd(alg)
+    log.append(f"three-operation algebra: {gd_cert.verdict} ({gd_cert.criterion})")
+    if gd_cert.verdict == "not_simple":
+        log.extend(gd_cert.details)
+        log.append("ideal lifts to a polynomial-coefficient ideal of the "
+                   "conformal algebra")
+        return ideals.SimplicityCertificate("not_simple", "lifted_ideal",
+                                            witness=gd_cert.witness,
+                                            details=tuple(log))
+
+    if ideals._all_products_zero(alg, ("ld", "rd")):
+        log.append("two-operation part is trivial; spanning rule skipped")
+    else:
+        pn_cert = ideals._simple_on_ops(alg, ("ld", "rd"))
+        log.append(f"two-operation part: {pn_cert.verdict} ({pn_cert.criterion})")
+        if pn_cert.verdict == "simple":
+            if products_span(alg, "star"):
+                log.append("star products span V")
+                return ideals.SimplicityCertificate(
+                    "simple", "pre_novikov_simple_spanning", details=tuple(log))
+            log.append("star products do not span V")
+
+    if not alg.has("rd") or ideals._all_products_zero(alg, ("rd",)):
+        a = ideals._regular_element(alg, trials, rng_seed)
+        if a is not None:
+            log.append("found a with jointly injective ld multiplications")
+            return ideals.SimplicityCertificate(
+                "simple", "rd_trivial_regular_element", witness=tuple(a),
+                details=tuple(log))
+        log.append("no regular element found")
+
+        if alg.has("ld") and alg.has("circ"):
+            probe = AlgebraSpec(alg.name + "~np?", alg.dim, alg.basis,
+                                {"dot": alg.ops["ld"], "circ": alg.ops["circ"]})
+            if ideals.check_identity(probe, "NOVIKOV_POISSON").passed:
+                log.append("ld together with circ satisfies the "
+                           "Novikov-Poisson laws")
+                np_cert = ideals._simple_on_ops(alg, ("ld", "circ"))
+                if np_cert.verdict == "simple":
+                    return ideals.SimplicityCertificate(
+                        "simple", "novikov_poisson_simple", details=tuple(log))
+                log.append(f"Novikov-Poisson algebra: {np_cert.verdict}")
+
+    return ideals.SimplicityCertificate("inconclusive", "no_applicable_criterion",
+                                        details=tuple(log))
+
+
 def _add(acc, key, col, coeff):
     if not coeff:
         return
@@ -691,6 +752,22 @@ def h2(alg, beta, degree_cap):
 # ---------------------------------------------------------------------------
 # lambda-products, each basis pair's product rebuilt per term pair
 
+def v_part(x):
+    """x without its central coordinate (a ModuleElement or WindowedElement)."""
+    if isinstance(x, WindowedElement):
+        return WindowedElement(x.window, x.terms, ZERO, x.escapes)
+    return ModuleElement(x.terms)
+
+
+def apply_partial(x, beta, times=1):
+    """Formal d applied `times` times to the ModuleElement x; on the centre
+    d acts as beta."""
+    if times == 0:
+        return x
+    t = {(d + times, i): v for (d, i), v in x.terms.items()}
+    return ModuleElement(t, x.central * beta ** times)
+
+
 def _alpha(cocycle, i, a, b):
     if cocycle is None or i > cocycle.degree_cap:
         return ZERO
@@ -732,7 +809,7 @@ def lambda_product(alg, x, y, cocycle=None, beta=ZERO):
                 # (d^d x)_lam (d^e y) = (-lam)^d (d+lam)^e (x_lam y)
                 for k in range(e + 1):
                     c = scale * comb(e, k)
-                    _acc(acc, n + d + (e - k), elt.apply_partial(beta, k).scaled(c))
+                    _acc(acc, n + d + (e - k), apply_partial(elt, beta, k).scaled(c))
     return LambdaPoly(acc)
 
 
@@ -744,7 +821,7 @@ def conformal_associator_defect(alg, a, b, c, cocycle=None, beta=ZERO):
     def outer(x, y, inner_var):
         out = {}
         for n, m_n in lambda_product(alg, x, y, cocycle, beta).coeffs.items():
-            for q, elt in lambda_product(alg, m_n.v_part(), c, cocycle, beta).coeffs.items():
+            for q, elt in lambda_product(alg, v_part(m_n), c, cocycle, beta).coeffs.items():
                 for s in range(q + 1):
                     lm = [s, q - s]
                     lm[inner_var] += n
@@ -754,7 +831,7 @@ def conformal_associator_defect(alg, a, b, c, cocycle=None, beta=ZERO):
     def nested(x, y, outer_var):
         out = {}
         for m, u in lambda_product(alg, y, c, cocycle, beta).coeffs.items():
-            for q, elt in lambda_product(alg, x, u.v_part(), cocycle, beta).coeffs.items():
+            for q, elt in lambda_product(alg, x, v_part(u), cocycle, beta).coeffs.items():
                 _acc(out, (q, m) if outer_var == 0 else (m, q), elt)
         return out
 
@@ -851,10 +928,10 @@ def check_coeff_left_symmetry(alg, window, cocycle=None):
             x = WindowedElement.basis(window, i, m)
             y = WindowedElement.basis(window, j, n)
             z = WindowedElement.basis(window, k, p)
-            t1 = mul(xy.v_part(), z)
-            t2 = mul(x, yz.v_part())
-            t3 = mul(yx.v_part(), z)
-            t4 = mul(y, xz.v_part())
+            t1 = mul(v_part(xy), z)
+            t2 = mul(x, v_part(yz))
+            t3 = mul(v_part(yx), z)
+            t4 = mul(y, v_part(xz))
             if t1.escapes or t2.escapes or t3.escapes or t4.escapes:
                 skipped += 1
                 continue

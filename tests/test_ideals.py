@@ -76,18 +76,27 @@ def test_find_proper_ideal():
 def test_trials_cost_no_closures_once_envelopes_are_full(monkeypatch):
     """Each op set searched is settled by a unit-vector closure or a full
     envelope, so only the unit-vector closures run, however many trials
-    are allowed."""
-    real = ideals.ideal_closure
-    for alg in (rank_two(1, 1), random_algebra(random.Random(1), 5)):
-        budget = [2 * alg.dim]   # two op sets: ld-rd-circ, then ld-rd
+    are allowed.  A full (ld, rd) envelope settles the three operations
+    too, so it costs dim closures and one envelope."""
+    real_closure, real_envelope = ideals.ideal_closure, ideals.associative_envelope
+    calls = {}
 
-        def counted(*args, **kwargs):
-            budget[0] -= 1
-            assert budget[0] >= 0, "a closure beyond the unit vectors"
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls[name] += 1
             return real(*args, **kwargs)
+        return call
 
-        monkeypatch.setattr(ideals, "ideal_closure", counted)
+    monkeypatch.setattr(ideals, "ideal_closure", counted("closures", real_closure))
+    monkeypatch.setattr(ideals, "associative_envelope", counted("envelopes", real_envelope))
+    # rank_two(1, 1): e_1 closes to a proper (ld, rd) ideal, then the three
+    # operations close both unit vectors to V and take one full envelope
+    for alg, closures in ((rank_two(1, 1), 2 + 2), (random_algebra(random.Random(1), 5), 5),
+                          (build_rank_one(1), 1)):
+        calls.update(closures=0, envelopes=0)
         assert certify_conformal_simplicity(alg, trials=10**6).verdict == "simple"
+        assert calls == {"closures": closures, "envelopes": 1}, alg.name
+        assert real_envelope(alg, ("ld", "rd")).is_full() == (closures == alg.dim)
 
 
 def test_trivial_algebra_is_refused():
@@ -311,3 +320,41 @@ def test_verdict_is_exact_and_keeps_every_random_search_find(alg, ops, trials, r
     if cert.criterion == "envelope_not_full":
         assert ideals.envelope_radical(associative_envelope(alg, ops), alg.dim).dim == 0
     assert find_proper_ideal(alg, ops) == cert.witness
+
+
+def _drop_rd(alg):
+    return AlgebraSpec(alg.name, alg.dim, alg.basis,
+                       {op: t for op, t in alg.ops.items() if op != "rd"})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(fraction_algebras(), random_algebras()))
+def test_envelope_grows_with_the_op_set(alg):
+    """E(ld, rd) lies in E(ld, rd, circ), and with rd zero its operators
+    add no words: E(ld, circ) = E(ld, rd, circ)."""
+    assert associative_envelope(alg).contains_subspace(associative_envelope(alg, ("ld", "rd")))
+    no_rd = _drop_rd(alg)
+    assert associative_envelope(no_rd, ("ld", "circ")) == associative_envelope(no_rd)
+
+
+def _certificate_or_refusal(certify, alg, trials, rng_seed):
+    try:
+        cert = certify(alg, trials, rng_seed)
+    except TrivialAlgebra as err:
+        return "refused", str(err)
+    return cert.verdict, cert.criterion, cert.witness, cert.details
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(random_algebras(), algebras_with_ideal(max_dim=5).map(lambda pair: pair[0]),
+                 fraction_algebras()),
+       st.sampled_from([0, 3, 20]), st.integers(0, 9))
+@example(LD_PAIR, 3, 7)
+@example(gaussian_rationals(), 20, 0)
+@example(split_quadratic(), 20, 0)
+def test_certificate_matches_the_three_operation_first_flow(alg, trials, rng_seed):
+    """Searching (ld, rd) first changes no verdict, criterion, witness or
+    detail line of the flow that searched (ld, rd, circ) first."""
+    assert (_certificate_or_refusal(certify_conformal_simplicity, alg, trials, rng_seed)
+            == _certificate_or_refusal(oracles.certify_conformal_simplicity,
+                                       alg, trials, rng_seed))
