@@ -16,19 +16,11 @@ triples with a <= b are expanded, and on a diagonal triple (a, a, c) only
 the monomials lam^i mu^j with i < j (the one at lam^j mu^i is its negative,
 and at i = j it is zero).
 
-By bilinearity the six alpha_{lam+mu} terms of a triple (one per ld, rd
-and circ product on each side) are three, over the products of the
-associated GD algebra:
-
-    lam alpha_{lam+mu}(a * b, c) - mu alpha_{lam+mu}(b * a, c)
-        + alpha_{lam+mu}(a circ b - b circ a, c),    * = ld + rd (ast),
-
-and the commutator term vanishes on a diagonal triple.  Likewise the
-lam^0 terms beta alpha_lam(a, c ld b) + alpha_lam(a, b circ c) are one
-expansion, and so are their mu-side mirrors.  The commutator is formed
-from the circ rows, never from alg.rows("bracket"): that reads a stored
-bracket tensor when the input has one, and the PRE_GD guard does not
-check it.
+generate_cocycle_system reads the lam-bracket table conformal._brackets,
+and d sesquilinearly: under alpha_{lam+mu}(., c), d x reads as -(lam+mu) x;
+under alpha_lam(a, .), d y reads as (lam + beta) y, d being beta on the
+centre.  The images of a_lam b - b_mu a, b_mu c and a_lam c are each
+summed per lam^p mu^q before expansion: nine expansions per triple.
 
 Cocycle coordinates are ordered highest-degree form first:
 
@@ -38,9 +30,8 @@ so echelon reduction of Z2 against B2 normalizes the low-degree forms
 away and representatives keep their top-degree entries.
 
 The equations of generate_cocycle_system are sparse integer rows
-{col: int} read off the integer structure rows; the B2 generators of
-coboundary_space are read off the lam-bracket table conformal._brackets.
-Both are scaled by alg.den * beta.denominator.  Many equations say
+{col: int}; they and the B2 generators of coboundary_space, read off the
+same table, are scaled by alg.den * beta.denominator.  Many equations say
 alpha_i(x, y) = 0.  Before elimination h2 drops each such forced column
 from every other equation, in rounds until no new one-coordinate equation
 appears.  Z2 is then the kernel of the equations still nonzero, with the
@@ -58,7 +49,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb, isqrt
 
-from .algebras import IdentityError, _lincomb, op_tensor, products_span, require_identity
+from .algebras import IdentityError, op_tensor, products_span, require_identity
 from .conformal import _brackets
 from .linalg import ZERO, ONE, Subspace, exact, nullspace, quotient_representatives
 
@@ -136,48 +127,50 @@ def generate_cocycle_system(alg, beta, degree_cap):
     are kept, and h2 resolves the one-coordinate ones with forced_zeros."""
     beta = exact(beta)
     require_identity(alg, "PRE_GD")
-    cap, dim, n = degree_cap, alg.dim, range(alg.dim)
+    cap, dim = degree_cap, alg.dim
     bn, bd = beta.numerator, beta.denominator
-    ld, circ, ast, star = (alg.rows(op) for op in ("ld", "circ", "ast", "star"))
-    # flat expansions (monomial, column offset of alpha_i, coefficient) of
-    # lam^dl mu^dm times alpha_{lam+mu} = sum_{i, p} C(i, p) lam^p mu^(i-p)
-    # alpha_i (both), alpha_lam (lam) and alpha_mu (mu)
+    table = _brackets(alg)
+
+    def image(signed, reading, step):
+        # {(p, q): ((step * k, x), ...)}: lam^p mu^q parts of a signed sum of brackets,
+        # d^d read as reading[d]'s ((own power, other power), factor); swapped: own is mu
+        acc = defaultdict(dict)
+        for pair, sign, swap in signed:
+            for n, row, _ in table[pair]:
+                for (d, k), v in row:
+                    for (p, q), f in reading[d]:
+                        part = acc[(q, n + p) if swap else (n + p, q)]
+                        part[step * k] = part.get(step * k, 0) + sign * f * v
+        return {s: vec for s, part in acc.items()
+                if (vec := tuple((k, x) for k, x in part.items() if x))}
+
+    # the two readings of d^d (see the module docstring) times bd: first in
+    # alpha_{lam+mu}(a_lam b - b_mu a, e_c), at columns dim * k + c; second in
+    # alpha_sigma(e_f, x_nu y), keyed (nu power, sigma power)
+    first = ((((0, 0), bd),), (((1, 0), -bd), ((0, 1), -bd)))
+    second = ((((0, 0), bd),), (((0, 1), bd), ((0, 0), bn)))
+    pairs = list(itertools.combinations_with_replacement(range(dim), 2))
+    outer = {(a, b): image((((a, b), 1, False), ((b, a), -1, True)), first, dim) for a, b in pairs}
+    inner = {pair: image(((pair, 1, False),), second, 1) for pair in table}
+    # flat expansions (monomial, column offset of alpha_i, coefficient) of lam^dl
+    # mu^dm alpha_{lam+mu} = sum_{i, p} C(i, p) lam^(p+dl) mu^(i-p+dm) alpha_i (both),
+    # and at an inner key of -alpha_lam(e_a, b_mu c) (lam) and alpha_mu(e_b, a_lam c) (mu)
     offs = [(i, (cap - i) * dim * dim) for i in range(cap + 1)]
-    shifts = ((1, 0), (0, 1), (0, 0))
+    shifts = {s for side in (outer, inner) for imgs in side.values() for s in imgs}
     both = {(dl, dm): [((p + dl, i - p + dm), off, comb(i, p)) for i, off in offs
                        for p in range(i + 1)] for dl, dm in shifts}
-    lam = {(dl, dm): [((i + dl, dm), off, 1) for i, off in offs] for dl, dm in shifts}
-    mu = {(dl, dm): [((dl, i + dm), off, 1) for i, off in offs] for dl, dm in shifts}
-
-    def expand(acc, terms, vec, sign, shift):
-        # sign times the terms at vec, whose (k, x) is x at column off + shift + k
-        if vec:
-            for key, off, co in terms:
-                row, co, off = acc[key], sign * co, off + shift
-                for k, x in vec:
-                    row[off + k] = row.get(off + k, 0) + co * x
-
-    # alpha_{lam+mu}(u, e_c) reads u at columns dim * k + c
-    ast_cols = [[tuple((dim * k, x) for k, x in ast[a][b]) for b in n] for a in n]
-    # the circ commutator; a stored bracket tensor is not read
-    comm_cols = [[tuple((dim * k, x) for k, x in _lincomb(((1, circ[a][b]), (-1, circ[b][a]))))
-                  for b in n] for a in n]
-    # the lam^0 one-variable terms: beta * (c ld b) + b circ c, times bd
-    low = [[_lincomb(((bn, ld[c][b]), (bd, circ[b][c]))) for c in n] for b in n]
+    lam = {(n, e): [((i + e, n), off, -1) for i, off in offs] for n, e in shifts}
+    mu = {(n, e): [((n, i + e), off, 1) for i, off in offs] for n, e in shifts}
     rows = []
-    for (a, b), c in itertools.product(itertools.combinations_with_replacement(n, 2), n):
+    for (a, b), c in itertools.product(pairs, range(dim)):
         acc = defaultdict(dict)
-        expand(acc, both[1, 0], ast_cols[a][b], bd, c)
-        expand(acc, both[0, 1], ast_cols[b][a], -bd, c)
-        if a != b:
-            expand(acc, both[0, 0], comm_cols[a][b], bd, c)
-        expand(acc, lam[1, 0], ld[c][b], -bd, dim * a)
-        expand(acc, lam[0, 1], star[b][c], -bd, dim * a)
-        expand(acc, lam[0, 0], low[b][c], -1, dim * a)
-        # minus the swapped side
-        expand(acc, mu[0, 1], ld[c][a], bd, dim * b)
-        expand(acc, mu[1, 0], star[a][c], bd, dim * b)
-        expand(acc, mu[0, 0], low[a][c], 1, dim * b)
+        for expansion, imgs, shift in ((both, outer[a, b], c), (lam, inner[b, c], dim * a),
+                                       (mu, inner[a, c], dim * b)):
+            for s, vec in imgs.items():
+                for key, off, co in expansion[s]:
+                    row, off = acc[key], off + shift
+                    for k, x in vec:
+                        row[off + k] = row.get(off + k, 0) + co * x
         for key in sorted(acc):
             if a == b and key[0] >= key[1]:
                 continue

@@ -13,7 +13,7 @@ For basis elements the product is
 with the central coefficient alpha from an optional cocycle (any object
 with forms, see cohomology.CocycleFamily).  _brackets writes it out once: the
 lam^n parts of e_i _lam e_j for every basis pair, as sparse integers scaled
-by alg.den.  Three readers share that table:
+by alg.den.  Four readers share that table:
 
 * the lam-product, extended to the whole module by the sesquilinearity rules
   (d x)_lam y = -lam x_lam y and x_lam (d y) = (d + lam) x_lam y;
@@ -24,7 +24,8 @@ by alg.den.  Three readers share that table:
 
   with d x (x) t^e = -e x (x) t^{e-1} and the centre at t^{-1}; products
   leaving the window are tracked separately, never dropped;
-* cohomology.coboundary_space, which applies functionals to the V-part.
+* cohomology.coboundary_space, which applies functionals to the V-part;
+* cohomology.generate_cocycle_system, which reads d inside the forms.
 """
 
 from __future__ import annotations
@@ -120,7 +121,9 @@ def _brackets(alg, cocycle=None, pairs=None):
     pairs (default: all), each part (n, row, central) with row holding
     ((d-degree, k), int) pairs, all scaled by alg.den: d(e_j ld e_i) +
     e_i circ e_j + alpha_0 c at n = 0, e_i star e_j + alpha_1 c at n = 1 and
-    alpha_n c above."""
+    alpha_n c above.  The default table is kept, read-only, in alg._rows."""
+    if cocycle is None and pairs is None and _brackets in alg._rows:
+        return alg._rows[_brackets]
     den = alg.den
     ld, circ, star = alg.rows("ld"), alg.rows("circ"), alg.rows("star")
     forms = cocycle.forms if cocycle is not None else ()
@@ -131,6 +134,8 @@ def _brackets(alg, cocycle=None, pairs=None):
         parts = ((q, (v0, v1)[q] if q < 2 else (), den * forms[q][i][j] if q < len(forms) else 0)
                  for q in range(max(2, len(forms))))
         table[i, j] = tuple(p for p in parts if p[1] or p[2])
+    if cocycle is None and pairs is None:
+        alg._rows[_brackets] = table
     return table
 
 

@@ -85,7 +85,7 @@ def ideal_closure(alg, seed, ops=PRE_GD_OPS):
     dim = alg.dim
     gens = multiplication_operators(alg, ops)
     closure = seed.copy() if isinstance(seed, Subspace) else Subspace(dim, seed)
-    todo = [int_row(b) for b in closure.basis]
+    todo = list(closure._rows.values())
     while todo and not closure.is_full():
         x = todo.pop()
         for g in gens:
@@ -169,7 +169,7 @@ def find_proper_ideal(alg, ops=PRE_GD_OPS):
 
 def _verify_ideal(alg, sub, ops):
     gens = multiplication_operators(alg, ops)
-    for x in map(int_row, sub.basis):
+    for x in sub._rows.values():
         for n, g in enumerate(gens):
             if not sub.contains(_apply(g, x)):
                 side = "right" if n % 2 else "left"
@@ -265,7 +265,9 @@ def certify_conformal_simplicity(alg, trials=20, rng_seed=0):
             if check_identity(probe, "NOVIKOV_POISSON").passed:
                 log.append("ld together with circ satisfies the "
                            "Novikov-Poisson laws")
-                # rd = 0 and E(ld, rd, circ) is full, so E(ld, circ) is too
+                # rd = 0 and E(ld, rd, circ) is full, so E(ld, circ) is too.  No known
+                # input reaches this rule (ROADMAP item 4: a 2-dim search, a 1,190-input
+                # probe); it stays until a proof that none can, or an input that does.
                 return SimplicityCertificate("simple", "novikov_poisson_simple",
                                              details=tuple(log))
 

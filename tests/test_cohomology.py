@@ -198,14 +198,32 @@ def test_cocycle_system_matches_fraction_oracle(alg, t, beta, cap):
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(pre_gd_zoo_specs()),
        st.sampled_from([F(1), F(1, 2), F(-2, 3), F(3, 2)]),
-       st.sampled_from([F(0), F(1), F(-1, 2), F(2, 3)]),
-       st.integers(0, 4))
+       st.sampled_from([F(0), F(1), F(-1, 2), F(2, 3), F(-3)]),
+       st.integers(0, 5))
 def test_cocycle_system_matches_six_expansion_oracle(alg, t, beta, cap):
     # three alpha_{lam+mu} expansions over the associated GD products give
     # the rows of the six over ld, rd and circ exactly, in the same order
     alg = _scaled(alg, t)
     assert (generate_cocycle_system(alg, beta, cap)
             == oracles.six_expansion_cocycle_system(alg, beta, cap))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([alg for alg in pre_gd_zoo_specs() if alg.dim <= 2]),
+       st.sampled_from([F(0), F(1, 2), F(-3)]), st.data())
+def test_conformal_left_symmetry_holds_exactly_on_z2(alg, beta, data):
+    # the converse of the Z2-basis test: a random combination of the Z2
+    # basis, perturbed in one coordinate on half the draws, keeps the
+    # lambda-product left-symmetric exactly when it lies in Z2
+    basis = [family_to_coords(fam, 3, alg.dim) for fam in h2(alg, beta, 3).cocycle_basis]
+    z2 = Subspace(ncols(3, alg.dim), basis)
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=z2.dim, max_size=z2.dim))
+    v = [sum((c * row[col] for c, row in zip(coeffs, basis)), F(0))
+         for col in range(z2.ambient_dim)]
+    if data.draw(st.booleans()):
+        v[data.draw(st.integers(0, len(v) - 1))] += data.draw(st.sampled_from([-2, -1, 1, 2]))
+    fam = family_from_coords(3, alg.dim, v)
+    assert check_conformal_left_symmetry(alg, cocycle=fam, beta=beta).passed == z2.contains(v)
 
 
 def test_cocycle_system_ignores_a_stored_bracket(pre_gd_zoo):
