@@ -73,11 +73,6 @@ def _load_input(path):
     return load_algebra(path, digest=digest), digest.hexdigest()
 
 
-def _labels(alg, idx):
-    return tuple(alg.basis[i] if isinstance(i, int) and 0 <= i < alg.dim else i
-                 for i in idx)
-
-
 def _violation_lines(violations, line, limit=5):
     """line(v) for the first `limit` violations, then how many are left."""
     lines = [line(v) for v in violations[:limit]]
@@ -98,7 +93,7 @@ def cmd_check(args):
            "passed": report.passed, "skipped": report.skipped,
            "violations": [
                {"identity": label,
-                "at": list(_labels(alg, idx)),
+                "at": [alg.basis[i] for i in idx],
                 "residual": [str(x) for x in residual]}
                for label, idx, residual in report.violations]}
     if report.passed:
@@ -274,7 +269,7 @@ def cmd_coeff_check(args):
     cocycle = None
     if args.cocycle:
         cocycle = load_cocycle(args.cocycle, dim=alg.dim)
-    report = check_coeff_left_symmetry(alg, args.window, cocycle=cocycle)
+    report = check_coeff_left_symmetry(alg, args.window, cocycle=cocycle, beta=args.beta)
     violations = []
     for idx, exps, residual in report.violations:
         # a residual's central term is keyed ("central",), its others (k, exponent)
@@ -294,8 +289,9 @@ def cmd_coeff_check(args):
                 f"residual [{terms}], central {v['central']}")
 
     status = "PASS" if report.passed else "FAIL"
+    beta = f", beta {args.beta}" if args.beta else ""
     _emit(args, doc, lambda: [f"{status} coefficient left-symmetry on {alg.name} "
-                              f"(window {args.window}, skipped {report.skipped})"]
+                              f"(window {args.window}{beta}, skipped {report.skipped})"]
           + _violation_lines(violations, line))
     return PASS if report.passed else FAIL
 
@@ -367,6 +363,7 @@ def build_parser():
                                            "coefficient algebra")
     c.add_argument("file")
     c.add_argument("--window", type=_cli_count, required=True)
+    c.add_argument("--beta", type=_cli_rational, default=Fraction(0))
     c.add_argument("--cocycle")
     c.add_argument("--json", action="store_true")
     c.set_defaults(func=cmd_coeff_check)

@@ -161,19 +161,22 @@ def generate_cocycle_system(alg, beta, degree_cap):
                        for p in range(i + 1)] for dl, dm in shifts}
     lam = {(n, e): [((i + e, n), off, -1) for i, off in offs] for n, e in shifts}
     mu = {(n, e): [((n, i + e), off, 1) for i, off in offs] for n, e in shifts}
+    # a diagonal triple expands into the monomials lam^i mu^j with i < j only
+    full = (both, lam, mu)
+    diagonal = tuple({s: [t for t in exp if t[0][0] < t[0][1]] for s, exp in side.items()}
+                     for side in full)
     rows = []
     for (a, b), c in itertools.product(pairs, range(dim)):
         acc = defaultdict(dict)
-        for expansion, imgs, shift in ((both, outer[a, b], c), (lam, inner[b, c], dim * a),
-                                       (mu, inner[a, c], dim * b)):
+        for expansion, imgs, shift in zip(diagonal if a == b else full,
+                                          (outer[a, b], inner[b, c], inner[a, c]),
+                                          (c, dim * a, dim * b)):
             for s, vec in imgs.items():
                 for key, off, co in expansion[s]:
                     row, off = acc[key], off + shift
                     for k, x in vec:
                         row[off + k] = row.get(off + k, 0) + co * x
         for key in sorted(acc):
-            if a == b and key[0] >= key[1]:
-                continue
             row = {col: x for col, x in acc[key].items() if x}
             if row:
                 rows.append(row)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb, prod
+from math import comb, factorial, prod
 
 from .algebras import (AlgebraError, AlgebraSpec, IdentityReport,
                        require_identity, tensor)
@@ -278,14 +278,21 @@ class WindowedElement:
                 f"central={self.central!r}, escapes={self.escapes!r})")
 
 
-def _pair_table(alg, window, cocycle, pairs):
-    """(e_i (x) t^m)(e_j (x) t^n) for each pair ((i, m), (j, n)), as
-    [terms], [escapes], central, all scaled by alg.den: terms and escapes
-    are ((k, exponent), int) pairs inside and outside the window.  The
-    lam^q part of e_i _lam e_j, times m(m-1)...(m-q+1), lands at t^{m+n-q}."""
-    brackets = _brackets(alg, cocycle)
-    table = {}
-    for (i, m), (j, n) in pairs:
+def _pair_table(alg, window, cocycle, beta, pairs=None):
+    """(e_i (x) t^m)(e_j (x) t^n) for the basis elements at the flat indices
+    x = i * (2 window + 1) + m + window and y likewise, at x * N + y with
+    N = dim * (2 window + 1): a list over all pairs, or a dict over the given
+    (x, y) pairs.  An entry is (terms, escapes, central), scaled by alg.den:
+    terms hold (flat index, int) pairs inside the window, escapes
+    ((k, exponent), int) pairs outside it.  The lam^q part of e_i _lam e_j,
+    times m(m-1)...(m-q+1), lands at t^{m+n-q}.  Its central part folds into
+    c t^{-1}: d c = beta c makes c t^{-1-j} = (beta^j / j!) c t^{-1} and
+    c t^e = 0 for e >= 0."""
+    brackets, width = _brackets(alg, cocycle), 2 * window + 1
+    keys = list(itertools.product(range(alg.dim), range(-window, window + 1)))
+
+    def entry(x, y):
+        (i, m), (j, n) = keys[x], keys[y]
         out, central = {}, 0
         for q, row, cen in brackets[i, j]:
             f, e = prod(range(m, m - q, -1)), m + n - q
@@ -293,83 +300,109 @@ def _pair_table(alg, window, cocycle, pairs):
                 out[k, e - d] = out.get((k, e - d), 0) + (-e if d else 1) * f * v
             if e == -1:
                 central += f * cen
-        parts = ([], [])
-        for key, v in out.items():
-            if v:
-                parts[abs(key[1]) > window].append((key, v))
-        table[(i, m), (j, n)] = (*parts, central)
-    return table
+            elif e < -1 and cen and beta:
+                central += f * cen * beta ** (-1 - e) / factorial(-1 - e)
+        terms = [(key, v) for key, v in out.items() if v]
+        return (tuple((k * width + e + window, v) for (k, e), v in terms if abs(e) <= window),
+                tuple(((k, e), v) for (k, e), v in terms if abs(e) > window), central)
+
+    if pairs is None:
+        return [entry(x, y) for x in range(len(keys)) for y in range(len(keys))]
+    return {x * len(keys) + y: entry(x, y) for x, y in pairs}
 
 
-def _accumulate(table, xs, ys, terms, escapes):
-    """Add the product of the (basis key, coefficient) sums xs and ys, read
+def _accumulate(table, size, xs, ys, terms, escapes):
+    """Add the product of the (flat index, coefficient) sums xs and ys, read
     off the pair table, into terms and escapes; return its central part.
     Escaped terms are summed before anyone looks at them: they can cancel."""
     central = 0
-    for kx, cx in xs:
-        for ky, cy in ys:
-            s = cx * cy
-            inside, outside, c = table[kx, ky]
-            for key, v in inside:
-                terms[key] = terms.get(key, 0) + s * v
-            for key, v in outside:
-                escapes[key] = escapes.get(key, 0) + s * v
+    for u, cu in xs:
+        for v, cv in ys:
+            s = cu * cv
+            inside, outside, c = table[u * size + v]
+            for key, w in inside:
+                terms[key] = terms.get(key, 0) + s * w
+            for key, w in outside:
+                escapes[key] = escapes.get(key, 0) + s * w
             if c:
                 central += s * c
     return central
 
 
 def coeff_product(alg, x, y, cocycle=None):
+    """x y in the windowed coefficient algebra, the centre at t^-1 (d c = 0)."""
     if x.window != y.window:
         raise WindowMismatch(f"windows differ: {x.window} vs {y.window}")
     if x.escapes or y.escapes:
         raise WindowMismatch("operand carries escaped terms; result undefined")
-    table = _pair_table(alg, x.window, cocycle, itertools.product(x.terms, y.terms))
+    window, width = x.window, 2 * x.window + 1
+    xs, ys = ([(i * width + m + window, c) for (i, m), c in u.terms.items()] for u in (x, y))
+    table = _pair_table(alg, window, cocycle, ZERO, {(u, v) for u, _ in xs for v, _ in ys})
     terms, escapes = {}, {}
-    central = _accumulate(table, x.terms.items(), y.terms.items(), terms, escapes)
+    central = _accumulate(table, alg.dim * width, xs, ys, terms, escapes)
     den = alg.den
     # the table is scaled by alg.den; dividing back is exact
-    return WindowedElement(x.window, {k: Fraction(v, den) for k, v in terms.items()},
-                           Fraction(central, den),
+    return WindowedElement(window, {(k // width, k % width - window): Fraction(v, den)
+                                    for k, v in terms.items()}, Fraction(central, den),
                            {k: Fraction(v, den) for k, v in escapes.items()})
 
 
-def check_coeff_left_symmetry(alg, window, cocycle=None):
-    """Left-symmetry of the windowed coefficient algebra.
+def check_coeff_left_symmetry(alg, window, cocycle=None, beta=ZERO):
+    """Left-symmetry of the windowed coefficient algebra, d c = beta c.
 
     Exponent triples whose intermediate or final products leave the window
-    are skipped (and counted), never truncated.  The products are integer
-    combinations of pair-table entries, scaled by alg.den ** 2.
+    are skipped (and counted), never truncated.  Basis elements are swept
+    by flat index (e_i (x) t^m at i * (2 window + 1) + m + window), and the
+    products are integer combinations of pair-table entries, scaled by
+    alg.den ** 2.  The residual (xy)z - x(yz) - (yx)z + y(xz) is
+    antisymmetric in x and y for any bilinear product, and swapping x and y
+    only permutes its four products, so a skip at (x, y, z) is a skip at
+    (y, x, z).  So the residual is computed once, at x < y, and negated at
+    x > y; at x = y it is zero, and only the skip decision is computed.
     """
-    exps = range(-window, window + 1)
-    basis = list(itertools.product(range(alg.dim), exps))
-    table = _pair_table(alg, window, cocycle, itertools.product(basis, repeat=2))
-    scale = alg.den ** 2
-    violations = []
-    skipped = 0
+    width, scale = 2 * window + 1, alg.den ** 2
+    size, table = alg.dim * width, _pair_table(alg, window, cocycle, exact(beta))
+    escaping = [bool(entry[1]) for entry in table]
+
+    def outcome(x, y, z):
+        # None if skipped, else the residual: () at x = y
+        xy, yx, yz, xz = x * size + y, y * size + x, y * size + z, x * size + z
+        if escaping[xy] or escaping[yx] or escaping[yz] or escaping[xz]:
+            return None
+        # (xy)z - x(yz) - (yx)z + y(xz), the signs carried by the basis factor;
+        # at x = y the last two products repeat the first two
+        products = ((table[xy][0], ((z, 1),)), (((x, -1),), table[yz][0]),
+                    (table[yx][0], ((z, -1),)), (((y, 1),), table[xz][0]))
+        res, rc = {}, 0
+        for xs, ys in products[:2] if x == y else products:
+            escapes = {}
+            rc += _accumulate(table, size, xs, ys, res, escapes)
+            if any(escapes.values()):
+                return None
+        if x == y:
+            return ()
+        residual = tuple(((k // width, k % width - window), Fraction(v, scale))
+                         for k, v in sorted(res.items()) if v)
+        if rc:
+            residual += ((("central",), Fraction(rc, scale)),)
+        return residual
+
+    violations, skipped, mirrored = [], 0, {}
     for i, j, k in itertools.product(range(alg.dim), repeat=3):
-        for m, n, p in itertools.product(exps, repeat=3):
-            x, y, z = (i, m), (j, n), (k, p)
-            xy, yx, yz, xz = table[x, y], table[y, x], table[y, z], table[x, z]
-            if xy[1] or yx[1] or yz[1] or xz[1]:
-                skipped += 1
-                continue
-            # (xy)z - x(yz) - (yx)z + y(xz), the signs carried by the basis factor
-            res, rc = {}, 0
-            for xs, ys in ((xy[0], ((z, 1),)), (((x, -1),), yz[0]),
-                           (yx[0], ((z, -1),)), (((y, 1),), xz[0])):
-                escapes = {}
-                rc += _accumulate(table, xs, ys, res, escapes)
-                if any(escapes.values()):
-                    skipped += 1
-                    break
+        for m, n, p in itertools.product(range(width), repeat=3):
+            x, y, z = i * width + m, j * width + n, k * width + p
+            # this order visits (x, y, z) before (y, x, z) whenever x < y
+            if x > y:
+                found = mirrored.pop((x, y, z))
+                found = found and tuple((key, -v) for key, v in found)
             else:
-                residual = tuple(sorted((key, Fraction(v, scale))
-                                        for key, v in res.items() if v))
-                if rc:
-                    residual += ((("central",), Fraction(rc, scale)),)
-                if residual:
-                    violations.append(((i, j, k), (m, n, p), residual))
+                found = outcome(x, y, z)
+                if x < y:
+                    mirrored[y, x, z] = found
+            if found is None:
+                skipped += 1
+            elif found:
+                violations.append(((i, j, k), (m - window, n - window, p - window), found))
     return IdentityReport("COEFF_LEFT_SYMMETRIC", not violations,
                           tuple(violations), skipped)
 

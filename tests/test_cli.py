@@ -383,6 +383,26 @@ def test_coeff_check_failure_report(capsys, tmp_path):
                              "residual": [], "central": "-3"}
 
 
+def test_coeff_check_beta_passes_a_cocycle_of_h2_at_that_beta(capsys, inputs, tmp_path):
+    """alpha_0 = 3/2, alpha_1 = 1 spans Z2 of rank_one(1) at beta = 1/2.  The
+    centre's modes fold by d c = c / 2, so the check passes at that beta; at
+    beta 0 the same family fails on the centre alone."""
+    cocycle = tmp_path / "z2.json"
+    cocycle.write_text('{"degree_cap": 1, "forms": [[["3/2"]], [["1"]]]}', encoding="utf-8")
+    code, out, _ = run(capsys, "coeff-check", inputs["r1"], "--window", "3",
+                       "--cocycle", str(cocycle), "--beta", "1/2")
+    assert code == 0 and out.splitlines() == [
+        "PASS coefficient left-symmetry on rank_one(1) (window 3, beta 1/2, skipped 239)"]
+    code, out, _ = run(capsys, "coeff-check", inputs["r1"], "--window", "3",
+                       "--cocycle", str(cocycle), "--json")
+    doc = json.loads(out)
+    assert code == 1 and doc["violations"][0]["central"] == "-2"
+    assert all(v["residual"] == [] for v in doc["violations"])
+    code, out, _ = run(capsys, "coeff-check", inputs["r1"], "--window", "3",
+                       "--cocycle", str(cocycle), "--beta", "1/2", "--json")
+    assert code == 0 and sorted(json.loads(out)) == sorted(doc)
+
+
 R1 = {"name": "r1", "dim": 1, "basis": ["L"], "ops": {"ld": {"L,L": {"L": "1"}}}}
 
 

@@ -234,9 +234,27 @@ ESCAPES_CANCEL = AlgebraSpec("escapes_cancel", 2, ("e0", "e1"), {"rd": tensor(
     2, {(0, 0, 0): F(-3, 2), (0, 0, 1): -1, (0, 1, 1): F(2, 3), (1, 1, 1): -1})})
 
 
-@settings(max_examples=30, deadline=None)
+# alpha_0 = 1 is no cocycle here: at window 2 the report holds violations at
+# both (x, y, z) and (y, x, z), x != y, with nonzero central residuals, so
+# the residual negated at x > y is compared with the oracle's
+MIRRORED = (AlgebraSpec("mirrored", 1, ("c",), {"ld": tensor(1, {(0, 0, 0): F(1, 2)}),
+                                               "rd": tensor(1, {(0, 0, 0): 1}),
+                                               "circ": tensor(1, {(0, 0, 0): 1})}),
+            CocycleFamily(0, (((1,),),)))
+
+
+def test_mirrored_example_negates_a_central_residual():
+    alg, fam = MIRRORED
+    report = check_coeff_left_symmetry(alg, 2, cocycle=fam)
+    found = {exps: dict(residual) for _, exps, residual in report.violations}
+    assert found[-2, 1, 1][("central",)] == F(-15, 2)
+    assert found[1, -2, 1] == {key: -v for key, v in found[-2, 1, 1].items()}
+
+
+@settings(max_examples=60, deadline=None)
 @given(windowed_algebras(), st.integers(0, 3))
 @example((ESCAPES_CANCEL, None), 2)
+@example(MIRRORED, 2)
 def test_check_coeff_left_symmetry_matches_fraction_oracle(case, window):
     alg, fam = case
     assert (check_coeff_left_symmetry(alg, window, cocycle=fam)
@@ -310,17 +328,18 @@ def test_associator_defect_matches_fraction_oracle(data):
 SMALL_ZOO = [alg for alg in pre_gd_zoo_specs() if alg.dim <= 2]
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_coeff_and_conformal_verdicts_agree_on_random_cocycles(data):
     """At window max(2, top nonzero degree) the coefficient algebra sees
-    every form of the family, so both routes give the same verdict.  Half
-    the families are integer combinations of an h2 cocycle basis, so both
-    verdicts occur."""
+    every form of the family, so both routes give the same verdict at the
+    same beta.  Half the families are integer combinations of an h2 cocycle
+    basis at that beta, so both verdicts occur."""
     alg = data.draw(st.sampled_from(SMALL_ZOO), label="alg")
+    beta = data.draw(BETAS, label="beta")
     if data.draw(st.booleans(), label="from h2"):
         cap = data.draw(st.integers(0, 5), label="cap")
-        basis = h2(alg, F(0), cap).cocycle_basis
+        basis = h2(alg, beta, cap).cocycle_basis
         coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=len(basis),
                                     max_size=len(basis)), label="coeffs")
         fam = CocycleFamily(cap, tuple(
@@ -332,5 +351,5 @@ def test_coeff_and_conformal_verdicts_agree_on_random_cocycles(data):
     top = max((d for d, form in enumerate(fam.forms) if any(any(row) for row in form)),
               default=0)
     window = max(2, top)
-    assert (check_coeff_left_symmetry(alg, window, cocycle=fam).passed
-            == check_conformal_left_symmetry(alg, cocycle=fam).passed)
+    assert (check_coeff_left_symmetry(alg, window, cocycle=fam, beta=beta).passed
+            == check_conformal_left_symmetry(alg, cocycle=fam, beta=beta).passed)
