@@ -26,7 +26,7 @@ from .constructions import (ConstructionDefect,
                             truncated_binomial_zinbiel, zinbiel_to_pre_gd,
                             zinbiel_to_pre_novikov)
 from .files import (FileFormatError, _write_json, algebra_to_json, dump_json, file_sha256,
-                    load_algebra, load_cocycle, load_matrix, cocycle_to_json)
+                    load_algebra, load_cocycle, load_matrix, cocycle_to_json, parse_rational)
 from .ideals import IdealVerificationError, TrivialAlgebra, certify_conformal_simplicity
 from .linalg import LinalgError
 
@@ -38,10 +38,11 @@ def _err(msg):
 
 
 def _cli_rational(text):
+    """A rational flag in the file grammar (files.parse_rational)."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
+        return parse_rational(text)
+    except FileFormatError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _cli_count(text):

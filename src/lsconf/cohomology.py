@@ -189,7 +189,8 @@ def generate_cocycle_system(alg, beta, degree_cap):
 def coboundary_space(alg, beta, degree_cap):
     """Image of phi -> alpha with alpha_n(a, b) = phi(lam^n part of a_lam b),
     d read as beta, over the functionals phi that kill every part above the
-    cap (at cap 0: phi(a star b) = 0).  Generators are integer rows scaled by
+    cap (at cap 0: phi(a star b) = 0), taken as the integer echelon rows of
+    that kernel.  Generators are integer rows scaled by
     alg.den * beta.denominator."""
     beta = exact(beta)
     cap, dim = degree_cap, alg.dim
@@ -208,12 +209,11 @@ def coboundary_space(alg, beta, degree_cap):
             for k, x in part.items():
                 images[k][col] = images[k].get(col, 0) + x
     gens = []
-    for phi in nullspace(high, dim).basis:
+    for phi in nullspace(high, dim)._rows.values():
         gen = {}
-        for c, image in zip(phi, images):
-            if c:
-                for col, x in image.items():
-                    gen[col] = gen.get(col, 0) + c * x
+        for k, c in phi.items():
+            for col, x in images[k].items():
+                gen[col] = gen.get(col, 0) + c * x
         gens.append(gen)
     return Subspace(ncols(cap, dim), gens)
 

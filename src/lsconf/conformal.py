@@ -116,25 +116,25 @@ class LambdaPoly:
 # ---------------------------------------------------------------------------
 # the bracket on basis pairs
 
-def _brackets(alg, cocycle=None, pairs=None):
-    """{(i, j): the nonzero lam^n parts of e_i _lam e_j} for the given basis
-    pairs (default: all), each part (n, row, central) with row holding
-    ((d-degree, k), int) pairs, all scaled by alg.den: d(e_j ld e_i) +
-    e_i circ e_j + alpha_0 c at n = 0, e_i star e_j + alpha_1 c at n = 1 and
-    alpha_n c above.  The default table is kept, read-only, in alg._rows."""
-    if cocycle is None and pairs is None and _brackets in alg._rows:
+def _brackets(alg, cocycle=None):
+    """{(i, j): the nonzero lam^n parts of e_i _lam e_j} for every basis
+    pair, each part (n, row, central) with row holding ((d-degree, k), int)
+    pairs, all scaled by alg.den: d(e_j ld e_i) + e_i circ e_j + alpha_0 c at
+    n = 0, e_i star e_j + alpha_1 c at n = 1 and alpha_n c above.  The table
+    without a cocycle is kept, read-only, in alg._rows."""
+    if cocycle is None and _brackets in alg._rows:
         return alg._rows[_brackets]
     den = alg.den
     ld, circ, star = alg.rows("ld"), alg.rows("circ"), alg.rows("star")
     forms = cocycle.forms if cocycle is not None else ()
     table = {}
-    for i, j in itertools.product(range(alg.dim), repeat=2) if pairs is None else pairs:
+    for i, j in itertools.product(range(alg.dim), repeat=2):
         v0 = tuple(((1, k), v) for k, v in ld[j][i]) + tuple(((0, k), v) for k, v in circ[i][j])
         v1 = tuple(((0, k), v) for k, v in star[i][j])
         parts = ((q, (v0, v1)[q] if q < 2 else (), den * forms[q][i][j] if q < len(forms) else 0)
                  for q in range(max(2, len(forms))))
         table[i, j] = tuple(p for p in parts if p[1] or p[2])
-    if cocycle is None and pairs is None:
+    if cocycle is None:
         alg._rows[_brackets] = table
     return table
 
@@ -169,8 +169,7 @@ def lambda_product(alg, x, y, cocycle=None, beta=ZERO):
     if x.central or y.central:
         raise CentralInputError("lambda products of central elements vanish; "
                                 "pass the V-part explicitly")
-    pairs = {(i, j) for _, i in x.terms for _, j in y.terms}
-    return LambdaPoly(_product(alg, _brackets(alg, cocycle, pairs), x, y, exact(beta)))
+    return LambdaPoly(_product(alg, _brackets(alg, cocycle), x, y, exact(beta)))
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +264,6 @@ class WindowedElement:
     def basis(cls, window, i, m):
         return cls(window, {(i, m): ONE})
 
-    def is_zero(self):
-        return not self.terms and not self.central and not self.escapes
-
     def __eq__(self, other):
         return (isinstance(other, WindowedElement) and self.window == other.window
                 and self.terms == other.terms and self.central == other.central
@@ -278,16 +274,15 @@ class WindowedElement:
                 f"central={self.central!r}, escapes={self.escapes!r})")
 
 
-def _pair_table(alg, window, cocycle, beta, pairs=None):
+def _pair_table(alg, window, cocycle, beta):
     """(e_i (x) t^m)(e_j (x) t^n) for the basis elements at the flat indices
-    x = i * (2 window + 1) + m + window and y likewise, at x * N + y with
-    N = dim * (2 window + 1): a list over all pairs, or a dict over the given
-    (x, y) pairs.  An entry is (terms, escapes, central), scaled by alg.den:
-    terms hold (flat index, int) pairs inside the window, escapes
-    ((k, exponent), int) pairs outside it.  The lam^q part of e_i _lam e_j,
-    times m(m-1)...(m-q+1), lands at t^{m+n-q}.  Its central part folds into
-    c t^{-1}: d c = beta c makes c t^{-1-j} = (beta^j / j!) c t^{-1} and
-    c t^e = 0 for e >= 0."""
+    x = i * (2 window + 1) + m + window and y likewise, as a list over all
+    pairs, at x * N + y with N = dim * (2 window + 1).  An entry is
+    (terms, escapes, central), scaled by alg.den: terms hold (flat index,
+    int) pairs inside the window, escapes ((k, exponent), int) pairs outside
+    it.  The lam^q part of e_i _lam e_j, times m(m-1)...(m-q+1), lands at
+    t^{m+n-q}.  Its central part folds into c t^{-1}: d c = beta c makes
+    c t^{-1-j} = (beta^j / j!) c t^{-1} and c t^e = 0 for e >= 0."""
     brackets, width = _brackets(alg, cocycle), 2 * window + 1
     keys = list(itertools.product(range(alg.dim), range(-window, window + 1)))
 
@@ -306,9 +301,7 @@ def _pair_table(alg, window, cocycle, beta, pairs=None):
         return (tuple((k * width + e + window, v) for (k, e), v in terms if abs(e) <= window),
                 tuple(((k, e), v) for (k, e), v in terms if abs(e) > window), central)
 
-    if pairs is None:
-        return [entry(x, y) for x in range(len(keys)) for y in range(len(keys))]
-    return {x * len(keys) + y: entry(x, y) for x, y in pairs}
+    return [entry(x, y) for x in range(len(keys)) for y in range(len(keys))]
 
 
 def _accumulate(table, size, xs, ys, terms, escapes):
@@ -337,7 +330,7 @@ def coeff_product(alg, x, y, cocycle=None):
         raise WindowMismatch("operand carries escaped terms; result undefined")
     window, width = x.window, 2 * x.window + 1
     xs, ys = ([(i * width + m + window, c) for (i, m), c in u.terms.items()] for u in (x, y))
-    table = _pair_table(alg, window, cocycle, ZERO, {(u, v) for u, _ in xs for v, _ in ys})
+    table = _pair_table(alg, window, cocycle, ZERO)
     terms, escapes = {}, {}
     central = _accumulate(table, alg.dim * width, xs, ys, terms, escapes)
     den = alg.den

@@ -44,12 +44,6 @@ PRE_GD_OPS = ("ld", "rd", "circ")
 
 
 @dataclass(frozen=True)
-class IdealReport:
-    closure: Subspace
-    is_proper: bool
-
-
-@dataclass(frozen=True)
 class SimplicityCertificate:
     """verdict in {simple, not_simple, inconclusive}; criterion names the
     rule that produced it; witness is a proper ideal over Q (not_simple;
@@ -82,9 +76,8 @@ def _apply(cols, x):
 def ideal_closure(alg, seed, ops=PRE_GD_OPS):
     """Least subspace containing seed with x op v, v op x inside, for
     every basis v and listed op."""
-    dim = alg.dim
     gens = multiplication_operators(alg, ops)
-    closure = seed.copy() if isinstance(seed, Subspace) else Subspace(dim, seed)
+    closure = seed.copy() if isinstance(seed, Subspace) else Subspace(alg.dim, seed)
     todo = list(closure._rows.values())
     while todo and not closure.is_full():
         x = todo.pop()
@@ -94,7 +87,7 @@ def ideal_closure(alg, seed, ops=PRE_GD_OPS):
                 if closure.is_full():
                     break
                 todo.append(v)
-    return IdealReport(closure=closure, is_proper=0 < closure.dim < dim)
+    return closure
 
 
 def associative_envelope(alg, ops=PRE_GD_OPS):
@@ -147,9 +140,9 @@ def _search(alg, ops):
     a full E = M_dim has rad(E) = 0 and every vector closes to V."""
     dim = alg.dim
     for i in range(dim):
-        rep = ideal_closure(alg, [unit(dim, i)], ops)
-        if rep.is_proper:
-            return rep.closure, None
+        closure = ideal_closure(alg, [unit(dim, i)], ops)
+        if 0 < closure.dim < dim:
+            return closure, None
     env = associative_envelope(alg, ops)
     if env.is_full():
         return None, env
@@ -179,7 +172,8 @@ def _verify_ideal(alg, sub, ops):
 
 
 def _all_products_zero(alg, ops):
-    return not any(row for op in ops for plane in alg.rows(op) for row in plane)
+    # an AlgebraSpec never stores an all-zero op
+    return not any(map(alg.has, ops))
 
 
 def _simple_on_ops(alg, ops):
@@ -251,7 +245,7 @@ def certify_conformal_simplicity(alg, trials=20, rng_seed=0):
                                              details=tuple(log))
             log.append("star products do not span V")
 
-    if not alg.has("rd") or _all_products_zero(alg, ("rd",)):
+    if not alg.has("rd"):
         a = _regular_element(alg, trials, rng_seed)
         if a is not None:
             log.append("found a with jointly injective ld multiplications")
@@ -265,9 +259,14 @@ def certify_conformal_simplicity(alg, trials=20, rng_seed=0):
             if check_identity(probe, "NOVIKOV_POISSON").passed:
                 log.append("ld together with circ satisfies the "
                            "Novikov-Poisson laws")
-                # rd = 0 and E(ld, rd, circ) is full, so E(ld, circ) is too.  No known
-                # input reaches this rule (ROADMAP item 4: a 2-dim search, a 1,190-input
-                # probe); it stays until a proof that none can, or an input that does.
+                # rd = 0 and E(ld, rd, circ) is full, so E(ld, circ) is too.  Only a
+                # nilpotent ld gets here.  By lsp1 and lsp2, eA is an (ld, circ) ideal
+                # for every idempotent e of the commutative associative ld.  A unital
+                # local ld has a unit among the basis vectors, which the unit-vector
+                # pass takes as regular.  A unital ld with two or more local factors,
+                # or a non-unital one that is not nilpotent (e lifting 1 of A/rad A),
+                # has a proper eA, so the certificate returned lifted_ideal above.
+                # No known input reaches the rule (ROADMAP item 4).
                 return SimplicityCertificate("simple", "novikov_poisson_simple",
                                              details=tuple(log))
 

@@ -3,17 +3,16 @@
 Everything downstream reduces to ranks, nullspaces and membership tests of
 matrices with Fraction entries.  A row is a dense list of Fractions or ints,
 or a sparse row {col: x} of either; int_row turns it into a gcd-primitive
-integer row, rescaling only a row that holds a Fraction.  All elimination
-happens in Subspace.add, a streaming fraction-free echelon (Bareiss 1968
+integer row, rescaling only a row that holds a Fraction.  Every echelon
+is built in Subspace.add, a streaming fraction-free echelon (Bareiss 1968
 style) of sparse integer rows: each arriving vector is reduced against the
 stored pivots by cross multiplication and re-reduced by the gcd after every
 combination, so entries stay small without leaving exact arithmetic; a
 dependent vector (a duplicate, say) is dropped on arrival.  rref, rank,
-nullspace and Subspace.contains read the same echelon.  nullspace
-builds its kernel vectors straight from the integer echelon rows, and
-Subspace.reduce walks them sparsely; neither goes through the dense
-Fraction `basis`.  Columns known to vanish on the kernel can be declared
-zero to nullspace instead of being eliminated as unit rows.
+nullspace, Subspace.contains and quotient_representatives read the same
+echelon; nullspace and quotient_representatives work on its integer
+rows, not on the Fraction `basis`.  Columns known to vanish on the kernel
+can be declared zero to nullspace instead of being eliminated as unit rows.
 """
 
 from __future__ import annotations
@@ -213,20 +212,6 @@ class Subspace:
     def is_full(self):
         return len(self._rows) == self.ambient_dim
 
-    def reduce(self, v):
-        """Residual of v after eliminating all pivot coordinates.  The rows
-        are RREF, so no row touches another's pivot: the coefficient of
-        the row at pivot p is v[p] over its pivot entry."""
-        if len(v) != self.ambient_dim:
-            raise DimensionMismatch("vector/ambient mismatch")
-        w = list(v)
-        for p, row in self._rows.items():
-            if v[p]:
-                c = Fraction(v[p], row[p])
-                for j, x in row.items():
-                    w[j] -= c * x
-        return w
-
     def contains(self, v):
         return not self._residual(v)
 
@@ -245,18 +230,30 @@ class Subspace:
 
 
 def quotient_representatives(big, small):
-    """Vectors of big whose classes form a basis of big/small.
-
-    Taken from big's canonical basis, reduced modulo small, keeping a
-    maximal independent subset in order.
+    """Vectors of big whose classes form a basis of big/small: big's
+    canonical basis rows, in pivot order, reduced modulo small and the rows
+    already kept, where nonzero.  The reduction runs on the integer echelon
+    rows.  small and the kept rows lie in big, so the pivots of their
+    echelon are among big's; big's row t at pivot p is zero at big's other
+    pivots, so only their row s at p can meet it.  The residual of the
+    basis row t / t[p] is then (s[p] t - t[p] s) / (s[p] t[p]), or t / t[p]
+    when there is no such s.
     """
     if not big.contains_subspace(small):
         raise ContainmentError("claimed subspace is not contained in the larger space")
     reps = []
     seen = small.copy()
-    for b in big.basis:
-        r = seen.reduce(b)
-        if any(r):
-            reps.append(r)
+    for p in big.pivots:
+        t, s = big._rows[p], seen._rows.get(p, {})
+        m = s.get(p, 1)
+        r = {c: m * x for c, x in t.items()}
+        for c, y in s.items():
+            r[c] = r.get(c, 0) - t[p] * y
+        r = {c: x for c, x in r.items() if x}
+        if r:
+            rep, den = [ZERO] * big.ambient_dim, m * t[p]
+            for c, x in r.items():
+                rep[c] = Fraction(x, den)
+            reps.append(rep)
             seen.add(r)
     return reps

@@ -86,7 +86,7 @@ from lsconf.algebras import (AlgebraSpec, IdentityReport, MissingMaps, UnknownOp
 from lsconf.cohomology import CohomologyError, coord_index, ncols
 from lsconf.conformal import LambdaPoly, ModuleElement, WindowedElement, WindowMismatch
 from lsconf import ideals, linalg
-from lsconf.ideals import PRE_GD_OPS, IdealReport
+from lsconf.ideals import PRE_GD_OPS
 from lsconf.linalg import ONE, ZERO, DimensionMismatch, Subspace, exact, mat_mul, unit, vzero
 
 
@@ -361,7 +361,7 @@ def ideal_closure(alg, seed, ops=PRE_GD_OPS):
                 for v in (eval_product(alg, op, e, x), eval_product(alg, op, x, e)):
                     if closure.add(v):
                         todo.append(v)
-    return IdealReport(closure=closure, is_proper=0 < closure.dim < dim)
+    return closure
 
 
 def _mult_matrix(alg, op, x, side):
@@ -420,8 +420,8 @@ def search(alg, ops, trials, rng_seed):
     envelope and kernels are the library's, each checked against its own
     oracle."""
     def proper(seed):
-        rep = ideals.ideal_closure(alg, [seed], ops)
-        return rep.closure if rep.is_proper else None
+        closure = ideals.ideal_closure(alg, [seed], ops)
+        return closure if 0 < closure.dim < alg.dim else None
 
     dim = alg.dim
     for i in range(dim):

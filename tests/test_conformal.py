@@ -34,6 +34,16 @@ def test_rank_one_lambda_product():
     assert format_lambda_poly(p, ("L",)) == "(∂ + λ + 1)·L"
 
 
+def test_sesquilinear_lambda_goldens():
+    """By hand from L_lam L = (d + lam + 1) L: (dL)_lam L is -lam times it,
+    and L_lam (dL) is (d + lam) times it.  The renderings take the d^k
+    power, a leading minus and the " - " joint."""
+    r1, dL = build_rank_one(1), ME.basis(0, ddeg=1)
+    assert format_lambda_poly(lambda_product(r1, dL, L), ("L",)) == "(-∂λ - λ^2 - λ)·L"
+    assert (format_lambda_poly(lambda_product(r1, L, dL), ("L",))
+            == "(∂^2 + 2∂λ + ∂ + λ^2 + λ)·L")
+
+
 def test_two_dim_lambda_goldens():
     lw = two_dim_lw()
     W = ME.basis(1)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lsconf import ideals
-from lsconf.algebras import AlgebraSpec, eval_product, tensor
+from lsconf.algebras import AlgebraSpec, check_identity, eval_product, tensor
 from lsconf.conformal import build_rank_one
 from lsconf.ideals import (TrivialAlgebra, associative_envelope,
                            certify_conformal_simplicity, check_star_nonzero,
@@ -31,10 +31,8 @@ LD_PAIR = AlgebraSpec("ld_pair", 2, ("e0", "e1"),
 
 
 def test_ideal_closure_examples():
-    rep = ideal_closure(rank_two(1, 1), [[0, 1]])
-    assert rep.closure.dim == 2 and not rep.is_proper   # W circ W = L + W pulls in L
-    rep = ideal_closure(rank_two(0, 0), [[0, 1]])
-    assert rep.closure.basis == [[0, 1]] and rep.is_proper
+    assert ideal_closure(rank_two(1, 1), [[0, 1]]).dim == 2   # W circ W = L + W pulls in L
+    assert ideal_closure(rank_two(0, 0), [[0, 1]]).basis == [[0, 1]]
 
 
 def test_ideal_closure_is_stable_and_idempotent():
@@ -42,15 +40,14 @@ def test_ideal_closure_is_stable_and_idempotent():
     for _ in range(10):
         alg = random_algebra(rng, 3)
         seed = [[F(rng.randint(-2, 2)) for _ in range(3)]]
-        rep = ideal_closure(alg, seed)
-        sub = rep.closure
+        sub = ideal_closure(alg, seed)
         assert sub.contains_subspace(Subspace(3, seed))
         for x in sub.basis:
             for i in range(3):
                 for op in ("ld", "rd", "circ"):
                     assert sub.contains(eval_product(alg, op, unit(3, i), x))
                     assert sub.contains(eval_product(alg, op, x, unit(3, i)))
-        assert ideal_closure(alg, sub).closure.basis == sub.basis
+        assert ideal_closure(alg, sub).basis == sub.basis
 
 
 def test_envelope_dimensions():
@@ -110,6 +107,36 @@ def test_regular_element_certificate():
     assert cert.criterion == "rd_trivial_regular_element"
     assert cert.witness == (1, 0)
     assert "three-operation algebra: simple (envelope)" in cert.details
+
+
+def test_random_regular_element_certificate_depends_on_the_draw():
+    """An (ld, circ) algebra whose three-operation algebra is simple and
+    whose two-operation part is not: no unit vector is regular, so the
+    verdict rests on the random candidates.  At 20 trials from seed 0 the
+    draw (1, -2, 2) is regular; with none drawn, the Novikov-Poisson probe
+    fails and the verdict is inconclusive.  This pins today's dependence on
+    the seed: the exact regular-element rule of ROADMAP item 4 tries a fixed
+    lattice of candidates instead and will flip the inconclusive verdict."""
+    alg = random_algebra(random.Random(1), 3, density=0.15)
+    assert sorted(alg.ops) == ["circ", "ld"]
+
+    def joint_rank(a):
+        # rank of x -> (a ld x, x ld a); 3 iff ker L_a and ker R_a meet in 0
+        images = [oracles.eval_product(alg, "ld", a, unit(3, j))
+                  + oracles.eval_product(alg, "ld", unit(3, j), a) for j in range(3)]
+        return len(oracles.rref([list(r) for r in zip(*images)], 3)[1])
+
+    cert = certify_conformal_simplicity(alg, trials=20, rng_seed=0)
+    assert (cert.verdict, cert.criterion) == ("simple", "rd_trivial_regular_element")
+    assert cert.witness == (1, -2, 2)
+    assert joint_rank(list(cert.witness)) == 3
+    assert all(joint_rank(unit(3, i)) < 3 for i in range(3))
+    cert = certify_conformal_simplicity(alg, trials=0, rng_seed=0)
+    assert (cert.verdict, cert.criterion) == ("inconclusive", "no_applicable_criterion")
+    assert "no regular element found" in cert.details
+    assert not check_identity(AlgebraSpec("np", 3, alg.basis, {"dot": alg.ops["ld"],
+                                                                "circ": alg.ops["circ"]}),
+                              "NOVIKOV_POISSON").passed
 
 
 def test_spanning_certificate():
@@ -239,10 +266,7 @@ CHAIN = AlgebraSpec("chain", 4, ("e0", "e1", "e2", "e3"),
 @example((CHAIN, unit(4, 0)), ("ld",))
 def test_ideal_closure_matches_fraction_oracle(case, ops):
     alg, seed = case
-    got = ideal_closure(alg, [seed], ops)
-    want = oracles.ideal_closure(alg, [seed], ops)
-    assert got.closure == want.closure
-    assert got.is_proper == want.is_proper
+    assert ideal_closure(alg, [seed], ops) == oracles.ideal_closure(alg, [seed], ops)
 
 
 @settings(max_examples=60, deadline=None)
