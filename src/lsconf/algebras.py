@@ -423,11 +423,11 @@ class _Scaled(dict):
 
 
 def _residuals(alg, laws, aux, leaves, domains):
-    """Yield (label, idx, residual) per law, where idx picks the law's
-    arguments a, b, c from leaves.  domains maps an arity to the index
-    tuples to visit, in their order and zero residuals included; None
-    stands for every tuple, of which only the nonzero residuals are
-    yielded, in sorted (= itertools.product) order.
+    """Yield (label, idx, residual) for each law and each index tuple idx,
+    picking the law's arguments a, b, c from leaves, at which the residual
+    is nonzero; a zero residual is never yielded.  domains maps an arity to
+    the index tuples to visit, in their order, or to None for every tuple,
+    in sorted (= itertools.product) order.
 
     Every distinct nested product is tabulated once over all tuples of
     leaves, from the integer rows (scaled by alg.den per op node).  A table
@@ -501,15 +501,13 @@ def _residuals(alg, laws, aux, leaves, domains):
                     row = acc[idx] = [0] * dim
                 for k, x in vec:
                     row[k] += coef * x
-        zero, scale = (ZERO,) * dim, alg.den ** top
+        scale = alg.den ** top
         scaled = scaled_by.setdefault(scale, _Scaled(scale)).__getitem__
         given = domains[len(law[0][2])]
         for idx in sorted(acc) if given is None else map(tuple, given):
             row = acc.get(idx)
             if row and any(row):
                 yield label, idx, tuple(map(scaled, row))
-            elif given is not None:
-                yield label, idx, zero
         # drop what no later law reads, which bounds the peak memory
         for shape, last in last_use.items():
             if last == n:
@@ -537,11 +535,7 @@ def check_identity(alg, identity_id, aux=None, triples=None, pairs=None):
     """
     key, laws = _laws(alg, identity_id, aux)
     units = [[int(i == k) for k in range(alg.dim)] for i in range(alg.dim)]
-    violations = _residuals(alg, laws, aux, units, {2: pairs, 3: triples})
-    if triples is not None or pairs is not None:
-        # a given domain yields its zero residuals too; the full one does not
-        violations = (v for v in violations if any(v[2]))
-    violations = tuple(violations)
+    violations = tuple(_residuals(alg, laws, aux, units, {2: pairs, 3: triples}))
     return IdentityReport(key, not violations, violations)
 
 
@@ -552,8 +546,9 @@ def identity_residuals(alg, identity_id, vectors, aux=None):
     _, laws = _laws(alg, identity_id, aux)
     if any(len(v) != alg.dim for v in vectors):
         raise DimensionMismatch("operand length does not match algebra dim")
-    return [(label, res) for label, _, res in
-            _residuals(alg, laws, aux, vectors, {2: [(0, 1)], 3: [(0, 1, 2)]})]
+    found = {label: res for label, _, res in
+             _residuals(alg, laws, aux, vectors, {2: [(0, 1)], 3: [(0, 1, 2)]})}
+    return [(label, found.get(label, (ZERO,) * alg.dim)) for label, _ in laws]
 
 
 def product_tensor(alg, terms, aux=None):

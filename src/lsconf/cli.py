@@ -28,7 +28,7 @@ from .constructions import (ConstructionDefect,
 from .files import (FileFormatError, _write_json, algebra_to_json, dump_json, file_sha256,
                     load_algebra, load_cocycle, load_matrix, cocycle_to_json, parse_rational)
 from .ideals import IdealVerificationError, TrivialAlgebra, certify_conformal_simplicity
-from .linalg import LinalgError
+from .linalg import LinalgError, Subspace
 
 PASS, FAIL, INPUT_ERROR, REFUSED, INCONCLUSIVE, INTERNAL_ERROR = 0, 1, 2, 3, 4, 70
 
@@ -150,20 +150,20 @@ def cmd_h2(args):
 def _witness_doc(witness):
     if witness is None:
         return None
-    if hasattr(witness, "basis") and hasattr(witness, "ambient_dim"):
+    if isinstance(witness, Subspace):
         return {"ideal_basis": [[str(x) for x in row] for row in witness.basis]}
     return {"element": [str(x) for x in witness]}
 
 
-def _witness_text(alg, witness):
-    if witness is None:
+def _witness_text(alg, doc):
+    """The text line of a _witness_doc."""
+    if doc is None:
         return "none"
-    if hasattr(witness, "basis") and hasattr(witness, "ambient_dim"):
-        rows = ["[" + ", ".join(str(x) for x in row) + "]" for row in witness.basis]
-        return "ideal with basis " + ", ".join(rows)
-    terms = [f"{c}*{alg.basis[i]}" if c != 1 else alg.basis[i]
-             for i, c in enumerate(witness) if c]
-    return "element " + (" + ".join(terms) if terms else "0")
+    if "ideal_basis" in doc:
+        return "ideal with basis " + ", ".join(f"[{', '.join(row)}]" for row in doc["ideal_basis"])
+    terms = [label if c == "1" else f"{c}*{label}"
+             for label, c in zip(alg.basis, doc["element"]) if c != "0"]
+    return "element " + (" + ".join(terms) or "0")
 
 
 def cmd_simple(args):
@@ -177,7 +177,7 @@ def cmd_simple(args):
            "details": list(cert.details)}
     _emit(args, doc, lambda: [f"verdict: {cert.verdict}",
                               f"criterion: {cert.criterion}",
-                              f"witness: {_witness_text(alg, cert.witness)}",
+                              f"witness: {_witness_text(alg, doc['witness'])}",
                               f"seed = {args.seed}, trials = {args.trials}",
                               *(f"  {d}" for d in cert.details)])
     if cert.verdict == "simple":
@@ -187,44 +187,39 @@ def cmd_simple(args):
     return INCONCLUSIVE
 
 
-def _require(args, names):
-    for n in names:
-        if getattr(args, n.replace("-", "_"), None) is None:
-            raise FileFormatError(f"construct kind {args.kind!r} needs --{n}")
+# kind -> (reads the positional file, the flags it needs, builder).  A builder
+# takes the file's algebra, the --derivation matrix (each None when the kind
+# reads neither) and args, and returns the algebra and the derivation to
+# write with --derivation-out, if any.
+CONSTRUCT_KINDS = {
+    "zinbiel-pn": (True, ("derivation", "xi"),
+                   lambda alg, D, a: (zinbiel_to_pre_novikov(alg, D, a.xi), None)),
+    "pn-pregd": (True, ("k",), lambda alg, D, a: (pre_novikov_to_pre_gd(alg, a.k), None)),
+    "zinbiel-pregd": (True, ("derivation", "xi", "k"),
+                      lambda alg, D, a: (zinbiel_to_pre_gd(alg, D, a.xi, a.k), None)),
+    "lsp-pregd": (True, (), lambda alg, D, a: (ls_poisson_to_pre_gd(alg), None)),
+    "ca-np": (True, ("derivation",),
+              lambda alg, D, a: (comm_assoc_derivation_to_novikov_poisson(alg, D), None)),
+    "rank-one": (False, ("c",), lambda alg, D, a: (build_rank_one(a.c), None)),
+    "current": (True, (), lambda alg, D, a: (build_current(alg), None)),
+    "binomial-zinbiel": (False, ("n",), lambda alg, D, a: truncated_binomial_zinbiel(a.n)),
+}
 
 
 def _construct_algebra(args):
-    kind = args.kind
-    if kind == "rank-one":
-        _require(args, ["c"])
-        return build_rank_one(args.c), None
-    if kind == "binomial-zinbiel":
-        _require(args, ["n"])
-        alg, D = truncated_binomial_zinbiel(args.n)
-        return alg, D
-    if args.file is None:
-        raise FileFormatError(f"construct kind {kind!r} needs the positional file argument")
-    alg = load_algebra(args.file)
-    if kind == "current":
-        return build_current(alg), None
-    if kind == "zinbiel-pn":
-        _require(args, ["derivation", "xi"])
+    reads_file, flags, build = CONSTRUCT_KINDS[args.kind]
+    alg = D = None
+    if reads_file:
+        if args.file is None:
+            raise FileFormatError(f"construct kind {args.kind!r} needs the positional "
+                                  "file argument")
+        alg = load_algebra(args.file)
+    for flag in flags:
+        if getattr(args, flag) is None:
+            raise FileFormatError(f"construct kind {args.kind!r} needs --{flag}")
+    if "derivation" in flags:
         D = load_matrix(args.derivation, expect_dim=alg.dim)
-        return zinbiel_to_pre_novikov(alg, D, args.xi), None
-    if kind == "pn-pregd":
-        _require(args, ["k"])
-        return pre_novikov_to_pre_gd(alg, args.k), None
-    if kind == "zinbiel-pregd":
-        _require(args, ["derivation", "xi", "k"])
-        D = load_matrix(args.derivation, expect_dim=alg.dim)
-        return zinbiel_to_pre_gd(alg, D, args.xi, args.k), None
-    if kind == "lsp-pregd":
-        return ls_poisson_to_pre_gd(alg), None
-    if kind == "ca-np":
-        _require(args, ["derivation"])
-        D = load_matrix(args.derivation, expect_dim=alg.dim)
-        return comm_assoc_derivation_to_novikov_poisson(alg, D), None
-    raise FileFormatError(f"unknown construct kind {kind!r}")
+    return build(alg, D, args)
 
 
 def cmd_construct(args):
@@ -337,9 +332,7 @@ def build_parser():
     c.set_defaults(func=cmd_simple)
 
     c = sub.add_parser("construct", help="build and verify a derived algebra")
-    c.add_argument("kind", choices=["zinbiel-pn", "pn-pregd", "zinbiel-pregd",
-                                    "lsp-pregd", "ca-np", "rank-one", "current",
-                                    "binomial-zinbiel"])
+    c.add_argument("kind", choices=list(CONSTRUCT_KINDS))
     c.add_argument("file", nargs="?")
     c.add_argument("-o", "--output", required=True)
     c.add_argument("--c", type=_cli_rational)

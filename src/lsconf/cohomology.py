@@ -51,7 +51,8 @@ from math import comb, isqrt
 
 from .algebras import IdentityError, op_tensor, products_span, require_identity
 from .conformal import _brackets
-from .linalg import ZERO, ONE, Subspace, exact, nullspace, quotient_representatives
+from .linalg import (ZERO, ONE, DimensionMismatch, Subspace, exact, nullspace,
+                     quotient_representatives)
 
 
 class SpanningConditionError(Exception):
@@ -77,8 +78,12 @@ class CocycleFamily:
     def __post_init__(self):
         forms = tuple(tuple(tuple(map(exact, row)) for row in f)
                       for f in self.forms)
-        if len(forms) != self.degree_cap + 1:
-            raise ValueError("need degree_cap + 1 forms")
+        if self.degree_cap < 0 or len(forms) != self.degree_cap + 1:
+            raise ValueError("need a degree_cap >= 0 and degree_cap + 1 forms")
+        # every form has d rows, and every row d entries
+        d = len(forms[0])
+        if set(map(len, itertools.chain(forms, *forms))) != {d}:
+            raise DimensionMismatch(f"cocycle forms are not all {d} x {d}")
         object.__setattr__(self, "forms", forms)
 
     @property
@@ -103,6 +108,8 @@ def family_from_coords(cap, dim, vec):
 def family_to_coords(fam, cap, dim):
     """Coordinates of a family in cap-sized coordinate space (cap may
     exceed the family's own degree_cap; missing forms are zero)."""
+    if fam.dim != dim:
+        raise DimensionMismatch(f"cocycle forms are {fam.dim}-dimensional, expected {dim}")
     if fam.degree_cap > cap:
         for i in range(cap + 1, fam.degree_cap + 1):
             if any(x for row in fam.forms[i] for x in row):

@@ -36,7 +36,7 @@ from math import comb, factorial, prod
 
 from .algebras import (AlgebraError, AlgebraSpec, IdentityReport,
                        require_identity, tensor)
-from .linalg import ZERO, ONE, exact
+from .linalg import ZERO, ONE, DimensionMismatch, exact
 
 PARTIAL = "∂"
 LAM = "λ"
@@ -122,8 +122,12 @@ def _brackets(alg, cocycle=None):
     pairs, all scaled by alg.den: d(e_j ld e_i) + e_i circ e_j + alpha_0 c at
     n = 0, e_i star e_j + alpha_1 c at n = 1 and alpha_n c above.  The table
     without a cocycle is kept, read-only, in alg._rows."""
-    if cocycle is None and _brackets in alg._rows:
-        return alg._rows[_brackets]
+    if cocycle is None:
+        if _brackets in alg._rows:
+            return alg._rows[_brackets]
+    elif cocycle.dim != alg.dim:
+        raise DimensionMismatch(f"cocycle forms are {cocycle.dim}-dimensional, "
+                                f"the algebra {alg.dim}-dimensional")
     den = alg.den
     ld, circ, star = alg.rows("ld"), alg.rows("circ"), alg.rows("star")
     forms = cocycle.forms if cocycle is not None else ()
@@ -403,66 +407,38 @@ def check_coeff_left_symmetry(alg, window, cocycle=None, beta=ZERO):
 # ---------------------------------------------------------------------------
 # pretty-printing
 
-def _fmt_monomial(coeff, ddeg, ldeg):
-    parts = []
-    if ddeg == 1:
-        parts.append(PARTIAL)
-    elif ddeg > 1:
-        parts.append(f"{PARTIAL}^{ddeg}")
-    if ldeg == 1:
-        parts.append(LAM)
-    elif ldeg > 1:
-        parts.append(f"{LAM}^{ldeg}")
-    body = "".join(parts)
-    if not body:
-        return str(coeff)
-    if coeff == 1:
-        return body
-    if coeff == -1:
-        return "-" + body
-    return f"{coeff}{body}"
+def _power(symbol, n):
+    return "" if not n else symbol if n == 1 else f"{symbol}^{n}"
 
 
 def _join_terms(terms):
-    out = terms[0]
-    for t in terms[1:]:
-        if t.startswith("-"):
-            out += " - " + t[1:]
-        else:
-            out += " + " + t
-    return out
-
-
-def _poly_chunk(poly, label):
-    keys = sorted(poly, key=lambda dl: (-dl[0], -dl[1]))
-    monos = [_fmt_monomial(poly[key], *key) for key in keys]
-    s = _join_terms(monos)
-    if len(monos) > 1:
-        return f"({s}){CDOT}{label}"
-    if s == "1":
-        return label
-    return f"{s}{CDOT}{label}"
+    """terms joined by " + ", or by " - " before a term with a leading minus."""
+    return terms[0] + "".join(f" - {t[1:]}" if t.startswith("-") else f" + {t}"
+                              for t in terms[1:])
 
 
 def format_lambda_poly(lp, basis):
-    """Stable rendering: per basis element, d-degree then lam-degree
-    descending; the central symbol comes last."""
-    per_basis = [dict() for _ in basis]
-    central = {}
+    """Stable rendering: a chunk per basis label, then one for the central
+    symbol, each a polynomial in d and lam, d-degree then lam-degree
+    descending."""
+    labels = (*basis, CENTRAL_SYMBOL)
+    polys = [{} for _ in labels]
     for ldeg, elt in lp.coeffs.items():
         for (d, i), coeff in elt.terms.items():
-            key = (d, ldeg)
-            per_basis[i][key] = per_basis[i].get(key, ZERO) + coeff
+            polys[i][d, ldeg] = coeff
         if elt.central:
-            central[(0, ldeg)] = central.get((0, ldeg), ZERO) + elt.central
+            polys[-1][0, ldeg] = elt.central
     chunks = []
-    for i, label in enumerate(basis):
-        poly = {k: v for k, v in per_basis[i].items() if v}
-        if poly:
-            chunks.append(_poly_chunk(poly, label))
-    central = {k: v for k, v in central.items() if v}
-    if central:
-        chunks.append(_poly_chunk(central, CENTRAL_SYMBOL))
-    if not chunks:
-        return "0"
-    return _join_terms(chunks)
+    for label, poly in zip(labels, polys):
+        monos = []
+        for (d, ldeg), c in sorted(poly.items(), reverse=True):
+            body = _power(PARTIAL, d) + _power(LAM, ldeg)
+            if body and abs(c) == 1:
+                monos.append(body if c == 1 else "-" + body)
+            else:
+                monos.append(f"{c}{body}")
+        if len(monos) > 1:
+            chunks.append(f"({_join_terms(monos)}){CDOT}{label}")
+        elif monos:
+            chunks.append(label if monos == ["1"] else f"{monos[0]}{CDOT}{label}")
+    return _join_terms(chunks) if chunks else "0"

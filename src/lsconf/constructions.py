@@ -16,6 +16,8 @@ Truncated stand-ins for infinite examples come in two flavours:
 * truncated_laurent_slice() is a vector-space section of the Laurent
   algebra, not a quotient, so it ships the index triples/pairs on which
   its products are faithful, and verification is restricted to those.
+  Only comm_assoc_derivation_to_novikov_poisson, the builder that takes
+  the slice, accepts such a domain; every other builder checks everything.
 """
 
 from __future__ import annotations
@@ -41,33 +43,33 @@ def _verified(out, identity_id, triples=None, pairs=None):
     return out
 
 
-def zinbiel_to_pre_novikov(zin, D, xi, triples=None, pairs=None):
+def zinbiel_to_pre_novikov(zin, D, xi):
     """a ld b = D(b).a + xi b.a,  a rd b = a.D(b) + xi a.b"""
     xi = exact(xi)
-    require_identity(zin, "ZINBIEL", triples=triples)
-    require_identity(zin, "DERIVATION", aux=D, pairs=pairs)
+    require_identity(zin, "ZINBIEL")
+    require_identity(zin, "DERIVATION", aux=D)
     ld = product_tensor(zin, [(1, ("dot", ("aux", "b"), "a")), (xi, ("dot", "b", "a"))], D)
     rd = product_tensor(zin, [(1, ("dot", "a", ("aux", "b"))), (xi, ("dot", "a", "b"))], D)
     out = AlgebraSpec(f"{zin.name}~pn(xi={xi})", zin.dim, zin.basis, {"ld": ld, "rd": rd})
-    return _verified(out, "PRE_NOVIKOV", triples=triples)
+    return _verified(out, "PRE_NOVIKOV")
 
 
-def pre_novikov_to_pre_gd(pn, k, triples=None):
+def pre_novikov_to_pre_gd(pn, k):
     """Adjoin circ = k(a rd b - b ld a) to a pre-Novikov algebra."""
     k = exact(k)
-    require_identity(pn, "PRE_NOVIKOV", triples=triples)
-    return _adjoin_circ(pn, k, triples)
+    require_identity(pn, "PRE_NOVIKOV")
+    return _adjoin_circ(pn, k)
 
 
-def _adjoin_circ(pn, k, triples):
+def _adjoin_circ(pn, k):
     """pre_novikov_to_pre_gd on a pn already known to be pre-Novikov."""
     ops = {op: pn.ops[op] for op in ("ld", "rd") if pn.has(op)}
     ops["circ"] = product_tensor(pn, [(k, ("rd", "a", "b")), (-k, ("ld", "b", "a"))])
     out = AlgebraSpec(f"{pn.name}~pregd(k={k})", pn.dim, pn.basis, ops)
-    return _verified(out, "PRE_GD", triples=triples)
+    return _verified(out, "PRE_GD")
 
 
-def zinbiel_to_pre_gd(zin, D, xi, k, triples=None, pairs=None):
+def zinbiel_to_pre_gd(zin, D, xi, k):
     """Composite of the two constructions.
 
     The direct expansion of circ is k(a.D(b) - D(a).b): the xi parts of
@@ -77,8 +79,8 @@ def zinbiel_to_pre_gd(zin, D, xi, k, triples=None, pairs=None):
     once, as the first construction's output.
     """
     xi, k = exact(xi), exact(k)
-    pn = zinbiel_to_pre_novikov(zin, D, xi, triples=triples, pairs=pairs)
-    out = _adjoin_circ(pn, k, triples)
+    pn = zinbiel_to_pre_novikov(zin, D, xi)
+    out = _adjoin_circ(pn, k)
     direct = product_tensor(zin, [(k, ("dot", "a", ("aux", "b"))),
                                   (-k, ("dot", ("aux", "a"), "b"))], D)
     composed = op_tensor(out, "circ")
@@ -89,16 +91,16 @@ def zinbiel_to_pre_gd(zin, D, xi, k, triples=None, pairs=None):
     return AlgebraSpec(f"{zin.name}~pregd(xi={xi},k={k})", zin.dim, zin.basis, dict(out.ops))
 
 
-def ls_poisson_to_pre_gd(lsp, triples=None, pairs=None):
+def ls_poisson_to_pre_gd(lsp):
     """ld = dot, rd = 0, circ carried over."""
-    require_identity(lsp, "LS_POISSON", triples=triples, pairs=pairs)
+    require_identity(lsp, "LS_POISSON")
     ops = {}
     if lsp.has("dot"):
         ops["ld"] = lsp.ops["dot"]
     if lsp.has("circ"):
         ops["circ"] = lsp.ops["circ"]
     out = AlgebraSpec(f"{lsp.name}~pregd", lsp.dim, lsp.basis, ops)
-    return _verified(out, "PRE_GD", triples=triples)
+    return _verified(out, "PRE_GD")
 
 
 def comm_assoc_derivation_to_novikov_poisson(A, D, triples=None, pairs=None):

@@ -232,6 +232,20 @@ def test_simple_verdicts(capsys, inputs):
     assert code == 2 and "vanish" in err
 
 
+@pytest.mark.parametrize("witness, text", [
+    ((1, -2, F(1, 2), 0), "element a + -2*b + 1/2*c"),
+    ((0, 1, 0, F(-3, 4)), "element b + -3/4*d"),
+    ((0, 0, 0, 0), "element 0"),
+    (Subspace(4, [[1, F(1, 2), 0, 0], [0, 0, 1, -2]]),
+     "ideal with basis [1, 1/2, 0, 0], [0, 0, 1, -2]"),
+    (None, "none"),
+], ids=["rational-element", "unit-and-rational", "zero-element", "ideal", "none"])
+def test_simple_witness_text(witness, text):
+    # the text line is read off the JSON witness, with the same bytes
+    alg = AlgebraSpec("w", 4, ("a", "b", "c", "d"), {})
+    assert cli._witness_text(alg, cli._witness_doc(witness)) == text
+
+
 @pytest.mark.parametrize("spec", [gaussian_rationals(), split_quadratic()],
                          ids=["gaussian", "split"])
 def test_simple_verdict_does_not_depend_on_the_seed(capsys, tmp_path, spec):
@@ -302,6 +316,36 @@ def test_construct_failures(capsys, inputs):
                        "-o", inputs["dir"] + "/x.json")
     assert code == 2 and "single product (circ)" in err
     assert not os.path.exists(inputs["dir"] + "/x.json")
+
+
+CONSTRUCT_FLAGS = {"c": ["--c", "1"], "n": ["--n", "3"], "k": ["--k", "1"],
+                   "xi": ["--xi", "1/2"], "derivation": ["--derivation", "{zin3_D}"]}
+
+
+def construct_refusals():
+    """(kind, argv, message) for every construct kind without its file, with
+    an unreadable file, and without each flag it needs: a missing file comes
+    first, then the file's own errors, then the first missing flag."""
+    kinds = {"zinbiel-pn": (True, ["derivation", "xi"]), "pn-pregd": (True, ["k"]),
+             "zinbiel-pregd": (True, ["derivation", "xi", "k"]), "lsp-pregd": (True, []),
+             "ca-np": (True, ["derivation"]), "rank-one": (False, ["c"]),
+             "current": (True, []), "binomial-zinbiel": (False, ["n"])}
+    for kind, (reads_file, flags) in kinds.items():
+        if reads_file:
+            yield kind, [], f"construct kind {kind!r} needs the positional file argument"
+            yield kind, ["{bad}"], "zero denominator: '1/0' (at ops.ld.L,L.L)"
+        for missing in flags:
+            argv = ["{zin3}"] if reads_file else []
+            argv += sum((CONSTRUCT_FLAGS[f] for f in flags if f != missing), [])
+            yield kind, argv, f"construct kind {kind!r} needs --{missing}"
+
+
+@pytest.mark.parametrize("kind, argv, message", list(construct_refusals()))
+def test_construct_refusal_messages(capsys, inputs, kind, argv, message):
+    out = inputs["dir"] + "/refused.json"
+    code, _, err = run(capsys, "construct", kind, *(a.format(**inputs) for a in argv), "-o", out)
+    assert (code, err) == (2, f"error: {message}\n")
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("argv, unwritable", [

@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 
 from lsconf.algebras import (AlgebraError, AlgebraSpec, IdentityError, check_identity,
                              tensor)
-from lsconf.cohomology import CocycleFamily, h2
+from lsconf.cohomology import CocycleFamily, family_to_coords, h2
 from lsconf.conformal import (CentralInputError, LambdaPoly, ModuleElement,
                               WindowMismatch, WindowedElement, build_current,
                               build_rank_one, check_coeff_left_symmetry,
                               check_conformal_left_symmetry, coeff_product,
                               conformal_associator_defect, format_lambda_poly,
                               lambda_product)
+from lsconf.linalg import DimensionMismatch
 
 from conftest import pre_gd_zoo_specs, random_algebra, two_dim_lw
 import oracles
@@ -42,6 +43,32 @@ def test_sesquilinear_lambda_goldens():
     assert format_lambda_poly(lambda_product(r1, dL, L), ("L",)) == "(-∂λ - λ^2 - λ)·L"
     assert (format_lambda_poly(lambda_product(r1, L, dL), ("L",))
             == "(∂^2 + 2∂λ + ∂ + λ^2 + λ)·L")
+
+
+@pytest.mark.parametrize("coeffs, rendered", [
+    ({0: ME({(0, 0): 1})}, "L"),
+    ({0: ME({(0, 0): -1})}, "-1·L"),
+    ({1: ME({(2, 0): F(3, 2)})}, "3/2∂^2λ·L"),
+    ({0: ME({(0, 1): F(-2, 3)})}, "-2/3·W"),
+    ({0: ME({(1, 0): 1, (0, 0): F(1, 2)}), 2: ME({(0, 0): -1})}, "(∂ - λ^2 + 1/2)·L"),
+    ({1: ME({(1, 0): -1}), 0: ME({(0, 0): 3})}, "(-∂λ + 3)·L"),
+    ({0: ME({(0, 0): -1, (1, 1): 2})}, "-1·L + 2∂·W"),
+    ({1: ME({(0, 0): 1, (0, 1): -1})}, "λ·L - λ·W"),
+    ({0: ME({(0, 0): 1, (1, 1): -1})}, "L - ∂·W"),
+    ({0: ME({(1, 0): 1, (0, 1): -1})}, "∂·L - 1·W"),
+    ({0: ME(central=1)}, "c"),
+    ({0: ME(central=F(-1, 2))}, "-1/2·c"),
+    ({0: ME({(0, 0): 1}), 2: ME(central=1), 3: ME(central=-1)}, "L + (-λ^3 + λ^2)·c"),
+    ({1: ME({(0, 1): 1}, central=-1)}, "λ·W - λ·c"),
+    ({}, "0"),
+], ids=["bare-label", "minus-one-constant", "rational-with-powers", "rational-constant",
+        "multi-monomial", "leading-minus-in-chunk", "negative-first-chunk",
+        "negative-later-chunk", "minus-body-later", "minus-one-later", "centre-only",
+        "centre-rational", "centre-with-lambda-powers", "centre-after-basis", "zero"])
+def test_format_lambda_poly_table(coeffs, rendered):
+    """Every branch of the renderer: coefficients 1, -1 and other rationals,
+    constant monomials, bare and -1· chunks, signs between chunks, the centre."""
+    assert format_lambda_poly(LambdaPoly(coeffs), ("L", "W")) == rendered
 
 
 def test_two_dim_lambda_goldens():
@@ -363,3 +390,30 @@ def test_coeff_and_conformal_verdicts_agree_on_random_cocycles(data):
     window = max(2, top)
     assert (check_coeff_left_symmetry(alg, window, cocycle=fam, beta=beta).passed
             == check_conformal_left_symmetry(alg, cocycle=fam, beta=beta).passed)
+
+
+def test_ragged_cocycle_forms_are_refused():
+    for forms in (([[1, 2]],), ([[1]], [[1, 0], [0, 1]]), ([[1, 0], [0]],)):
+        with pytest.raises(DimensionMismatch):
+            CocycleFamily(len(forms) - 1, forms)
+    with pytest.raises(ValueError):
+        CocycleFamily(-1, ())
+
+
+def test_cocycle_of_another_dimension_is_refused():
+    """Forms whose size is not the algebra's dimension are refused rather
+    than read by their corner."""
+    two = CocycleFamily(0, ([[1, 0], [0, 1]],))
+    r1, lw = build_rank_one(1), two_dim_lw()
+    calls = [lambda: lambda_product(r1, L, L, cocycle=two),
+             lambda: conformal_associator_defect(r1, L, L, L, cocycle=two),
+             lambda: check_conformal_left_symmetry(r1, cocycle=two),
+             lambda: check_coeff_left_symmetry(r1, 1, cocycle=two),
+             lambda: coeff_product(r1, WindowedElement.basis(1, 0, 0),
+                                   WindowedElement.basis(1, 0, 0), cocycle=two),
+             lambda: lambda_product(lw, L, L, cocycle=alpha2_cocycle()),
+             lambda: family_to_coords(two, 0, 1),
+             lambda: family_to_coords(alpha2_cocycle(), 2, 2)]
+    for call in calls:
+        with pytest.raises(DimensionMismatch):
+            call()
