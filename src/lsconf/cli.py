@@ -25,8 +25,9 @@ from .constructions import (ConstructionDefect,
                             ls_poisson_to_pre_gd, pre_novikov_to_pre_gd,
                             truncated_binomial_zinbiel, zinbiel_to_pre_gd,
                             zinbiel_to_pre_novikov)
-from .files import (FileFormatError, _write_json, algebra_to_json, dump_json, file_sha256,
-                    load_algebra, load_cocycle, load_matrix, cocycle_to_json, parse_rational)
+from .files import (FileFormatError, _write_json, algebra_to_json, cocycle_to_json, dump_json,
+                    file_sha256, load_algebra, load_cocycle, load_matrix, matrix_to_json,
+                    parse_rational)
 from .ideals import IdealVerificationError, TrivialAlgebra, certify_conformal_simplicity
 from .linalg import LinalgError, Subspace
 
@@ -67,11 +68,19 @@ def _emit(args, doc, text_lines):
         os.close(devnull)
 
 
-def _load_input(path):
-    """The algebra in path and the sha256 of the very bytes it was parsed
-    from, so a file rewritten during a long run cannot change the hash."""
+def _load_input(args):
+    """The algebra in args.file and the header of the command's report,
+    whose sha256 is that of the very bytes the algebra was parsed from, so a
+    file rewritten during a long run cannot change the hash."""
     digest = hashlib.sha256()
-    return load_algebra(path, digest=digest), digest.hexdigest()
+    alg = load_algebra(args.file, digest=digest)
+    return alg, {"command": args.command, "input": args.file,
+                 "input_sha256": digest.hexdigest()}
+
+
+def _load_cocycle(args, alg):
+    """The --cocycle family, or None without the flag."""
+    return load_cocycle(args.cocycle, alg.dim) if args.cocycle else None
 
 
 def _violation_lines(violations, line, limit=5):
@@ -83,20 +92,15 @@ def _violation_lines(violations, line, limit=5):
 
 
 def cmd_check(args):
-    alg, sha256 = _load_input(args.file)
-    aux = None
-    if args.derivation:
-        aux = load_matrix(args.derivation, expect_dim=alg.dim)
+    alg, doc = _load_input(args)
+    aux = load_matrix(args.derivation, alg.dim) if args.derivation else None
     ident = normalize_identity_id(args.identity)
     report = check_identity(alg, ident, aux=aux)
-    doc = {"command": "check", "input": args.file,
-           "input_sha256": sha256, "identity": ident,
-           "passed": report.passed, "skipped": report.skipped,
-           "violations": [
-               {"identity": label,
-                "at": [alg.basis[i] for i in idx],
-                "residual": [str(x) for x in residual]}
-               for label, idx, residual in report.violations]}
+    doc.update(identity=ident, passed=report.passed, skipped=report.skipped,
+               violations=[{"identity": label,
+                            "at": [alg.basis[i] for i in idx],
+                            "residual": [str(x) for x in residual]}
+                           for label, idx, residual in report.violations])
     if report.passed:
         _emit(args, doc, lambda: [f"PASS {ident} on {alg.name}"])
         return PASS
@@ -119,7 +123,7 @@ def family_text(alg, fam):
 
 
 def cmd_h2(args):
-    alg, sha256 = _load_input(args.file)
+    alg, doc = _load_input(args)
     result = h2(alg, args.beta, degree_cap=args.degree_cap)
 
     def text_lines():
@@ -136,13 +140,10 @@ def cmd_h2(args):
             lines.append(f"representative {k}: {family_text(alg, fam)}")
         return lines
 
-    doc = {"command": "h2", "input": args.file,
-           "input_sha256": sha256, "beta": str(result.beta),
-           "degree_cap": result.degree_cap, "cap_limited": result.cap_limited,
-           "spanning": list(result.spanning),
-           "dim_Z2": result.dim_Z2, "dim_B2": result.dim_B2,
-           "dim_H2": result.dim_H2,
-           "representatives": [cocycle_to_json(f) for f in result.representatives]}
+    doc.update(beta=str(result.beta), degree_cap=result.degree_cap,
+               cap_limited=result.cap_limited, spanning=list(result.spanning),
+               dim_Z2=result.dim_Z2, dim_B2=result.dim_B2, dim_H2=result.dim_H2,
+               representatives=[cocycle_to_json(f) for f in result.representatives])
     _emit(args, doc, text_lines)
     return PASS
 
@@ -167,14 +168,11 @@ def _witness_text(alg, doc):
 
 
 def cmd_simple(args):
-    alg, sha256 = _load_input(args.file)
+    alg, doc = _load_input(args)
     cert = certify_conformal_simplicity(alg, trials=args.trials, rng_seed=args.seed)
-    doc = {"command": "simple", "input": args.file,
-           "input_sha256": sha256,
-           "seed": args.seed, "trials": args.trials,
-           "verdict": cert.verdict, "criterion": cert.criterion,
-           "witness": _witness_doc(cert.witness),
-           "details": list(cert.details)}
+    doc.update(seed=args.seed, trials=args.trials, verdict=cert.verdict,
+               criterion=cert.criterion, witness=_witness_doc(cert.witness),
+               details=list(cert.details))
     _emit(args, doc, lambda: [f"verdict: {cert.verdict}",
                               f"criterion: {cert.criterion}",
                               f"witness: {_witness_text(alg, doc['witness'])}",
@@ -218,7 +216,7 @@ def _construct_algebra(args):
         if getattr(args, flag) is None:
             raise FileFormatError(f"construct kind {args.kind!r} needs --{flag}")
     if "derivation" in flags:
-        D = load_matrix(args.derivation, expect_dim=alg.dim)
+        D = load_matrix(args.derivation, alg.dim)
     return build(alg, D, args)
 
 
@@ -230,8 +228,7 @@ def cmd_construct(args):
         return FAIL
     outputs = [(algebra_to_json(alg), args.output)]
     if D is not None and args.derivation_out:
-        outputs.append(({"matrix": [[str(x) for x in row] for row in D.matrix]},
-                        args.derivation_out))
+        outputs.append((matrix_to_json(D), args.derivation_out))
     _write_json(*outputs)
     doc = {"command": "construct", "kind": args.kind, "output": args.output,
            "output_sha256": file_sha256(args.output),
@@ -241,31 +238,23 @@ def cmd_construct(args):
 
 
 def cmd_lambda(args):
-    alg, sha256 = _load_input(args.file)
+    alg, doc = _load_input(args)
     for label in (args.left, args.right):
         if label not in alg.basis:
             raise FileFormatError(f"unknown basis label {label!r}")
-    cocycle = None
-    if args.cocycle:
-        cocycle = load_cocycle(args.cocycle, dim=alg.dim)
     x = ModuleElement.basis(alg.index(args.left))
     y = ModuleElement.basis(alg.index(args.right))
-    poly = lambda_product(alg, x, y, cocycle=cocycle, beta=args.beta)
+    poly = lambda_product(alg, x, y, cocycle=_load_cocycle(args, alg), beta=args.beta)
     rendered = format_lambda_poly(poly, alg.basis)
-    doc = {"command": "lambda", "input": args.file,
-           "input_sha256": sha256,
-           "left": args.left, "right": args.right, "beta": str(args.beta),
-           "result": rendered}
+    doc.update(left=args.left, right=args.right, beta=str(args.beta), result=rendered)
     _emit(args, doc, lambda: [rendered])
     return PASS
 
 
 def cmd_coeff_check(args):
-    alg, sha256 = _load_input(args.file)
-    cocycle = None
-    if args.cocycle:
-        cocycle = load_cocycle(args.cocycle, dim=alg.dim)
-    report = check_coeff_left_symmetry(alg, args.window, cocycle=cocycle, beta=args.beta)
+    alg, doc = _load_input(args)
+    report = check_coeff_left_symmetry(alg, args.window, cocycle=_load_cocycle(args, alg),
+                                       beta=args.beta)
     violations = []
     for idx, exps, residual in report.violations:
         # a residual's central term is keyed ("central",), its others (k, exponent)
@@ -274,10 +263,8 @@ def cmd_coeff_check(args):
         violations.append({"basis": [alg.basis[i] for i in idx], "exponents": list(exps),
                            "residual": [[alg.basis[k], e, str(v)] for (k, e), v in terms.items()],
                            "central": str(central)})
-    doc = {"command": "coeff-check", "input": args.file,
-           "input_sha256": sha256, "window": args.window,
-           "passed": report.passed, "skipped": report.skipped,
-           "violations": violations}
+    doc.update(window=args.window, passed=report.passed, skipped=report.skipped,
+               violations=violations)
 
     def line(v):
         terms = ", ".join(f"{label} t^{e}: {x}" for label, e, x in v["residual"])
@@ -377,10 +364,7 @@ def main(argv=None):
     except SpanningConditionError as exc:
         _err(str(exc))
         return REFUSED
-    except TrivialAlgebra as exc:
-        _err(str(exc))
-        return INPUT_ERROR
-    except (FileFormatError, AlgebraError, LinalgError, ValueError) as exc:
+    except (FileFormatError, AlgebraError, LinalgError, TrivialAlgebra, ValueError) as exc:
         _err(str(exc))
         return INPUT_ERROR
     except (CohomologyError, IdealVerificationError, ConstructionDefect) as exc:

@@ -6,6 +6,11 @@ cleanly:
     {"name": "...", "dim": 2, "basis": ["L", "W"],
      "ops": {"ld": {"L,L": {"L": "1"}, "W,L": {"W": "1"}}}}
 
+A label is a string with no "," that equals its own strip(), so that a
+pair key carries any two; load and save both refuse other labels.
+Derivations {"matrix": rows} and cocycle forms {"degree_cap": cap,
+"forms": [rows, ...]} are square in the dimension their loader is given.
+
 Rationals travel as strings matching -?digits[/digits]; they are
 canonicalized on load, so load -> save -> load is identity on the
 canonical spec.  A numeral (a JSON integer, or the numerator or the
@@ -107,9 +112,9 @@ def load_algebra(path, digest=None):
         raise FileFormatError("name must be a string", "name")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise FileFormatError("dim must be a positive integer", "dim")
-    if (not isinstance(basis, list) or len(basis) != dim
-            or not all(isinstance(b, str) for b in basis)):
+    if not isinstance(basis, list) or len(basis) != dim:
         raise FileFormatError("basis must list dim label strings", "basis")
+    _check_labels(basis)
     if len(set(basis)) != dim:
         raise FileFormatError("basis labels must be distinct", "basis")
     index = {lab: i for i, lab in enumerate(basis)}
@@ -141,7 +146,15 @@ def load_algebra(path, digest=None):
     return AlgebraSpec(name, dim, tuple(basis), ops)
 
 
+def _check_labels(basis):
+    """The one label rule, checked on load and before any save."""
+    if not all(isinstance(b, str) and "," not in b and b == b.strip() for b in basis):
+        raise FileFormatError("basis labels must be strings with no ',' and no "
+                              "surrounding whitespace", "basis")
+
+
 def algebra_to_json(alg):
+    _check_labels(alg.basis)
     ops = {}
     for op in sorted(alg.ops):
         if op not in FILE_OPS:
@@ -232,25 +245,27 @@ def save_algebra(alg, path):
     _write_json((algebra_to_json(alg), path))
 
 
-def load_matrix(path, expect_dim=None):
-    doc = _load_json(path)
-    rows = doc.get("matrix")
-    if not isinstance(rows, list) or not rows:
-        raise FileFormatError("missing 'matrix' array", path)
-    n = len(rows)
-    out = []
+def _square(rows, n, location):
+    """rows as an n x n tuple of rational tuples; a fault is located at
+    location, or at its offending row or entry."""
+    if not isinstance(rows, list) or len(rows) != n:
+        raise FileFormatError(f"need a list of {n} rows (the algebra's dimension)", location)
     for r, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n:
-            raise FileFormatError("matrix must be square", f"matrix[{r}]")
-        out.append([_rational_cell(x, f"matrix[{r}][{c}]")
-                    for c, x in enumerate(row)])
-    if expect_dim is not None and n != expect_dim:
-        raise FileFormatError(f"matrix is {n}x{n}, expected {expect_dim}",
-                              "matrix")
-    return LinearMapSpec(tuple(tuple(r) for r in out))
+            raise FileFormatError(f"need a list of {n} entries", f"{location}[{r}]")
+    return tuple(tuple(_rational_cell(x, f"{location}[{r}][{c}]") for c, x in enumerate(row))
+                 for r, row in enumerate(rows))
 
 
-def load_cocycle(path, dim=None):
+def load_matrix(path, dim):
+    return LinearMapSpec(_square(_load_json(path).get("matrix"), dim, "matrix"))
+
+
+def matrix_to_json(m):
+    return {"matrix": [[str(x) for x in row] for row in m.matrix]}
+
+
+def load_cocycle(path, dim):
     doc = _load_json(path)
     cap = doc.get("degree_cap")
     forms = doc.get("forms")
@@ -259,22 +274,8 @@ def load_cocycle(path, dim=None):
                               "degree_cap")
     if not isinstance(forms, list) or len(forms) != cap + 1:
         raise FileFormatError("need degree_cap + 1 forms", "forms")
-    parsed = []
-    for i, f in enumerate(forms):
-        if (not isinstance(f, list) or len(f) != len(forms[0])
-                or not all(isinstance(row, list) and len(row) == len(f) for row in f)):
-            raise FileFormatError("forms must be square matrices (lists of rows) "
-                                  "of one size", f"forms[{i}]")
-        mat = []
-        for a, row in enumerate(f):
-            mat.append([_rational_cell(x, f"forms[{i}][{a}][{b}]")
-                        for b, x in enumerate(row)])
-        parsed.append(tuple(tuple(r) for r in mat))
-    fam = CocycleFamily(cap, tuple(parsed))
-    if dim is not None and fam.dim != dim:
-        raise FileFormatError(f"cocycle forms are {fam.dim}-dimensional, "
-                              f"expected {dim}", "forms")
-    return fam
+    return CocycleFamily(cap, tuple(_square(f, dim, f"forms[{i}]")
+                                    for i, f in enumerate(forms)))
 
 
 def cocycle_to_json(fam):

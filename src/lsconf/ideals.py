@@ -74,10 +74,10 @@ def _apply(cols, x):
 
 
 def ideal_closure(alg, seed, ops=PRE_GD_OPS):
-    """Least subspace containing seed with x op v, v op x inside, for
-    every basis v and listed op."""
+    """Least subspace containing the seed vectors with x op v, v op x
+    inside, for every basis v and listed op."""
     gens = multiplication_operators(alg, ops)
-    closure = seed.copy() if isinstance(seed, Subspace) else Subspace(alg.dim, seed)
+    closure = Subspace(alg.dim, seed)
     todo = list(closure._rows.values())
     while todo and not closure.is_full():
         x = todo.pop()

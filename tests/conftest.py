@@ -65,6 +65,18 @@ def split_quadratic():
                                          (1, 0, 1): 1, (1, 1, 0): 1})})
 
 
+def matrices_star_zero():
+    """M_2(Q) as ld on e11, e12, e21, e22, with rd = -ld^op, so that
+    a star b = a rd b + b ld a = 0: simple on every operation set, while
+    the star products span nothing."""
+    at = {(i, j): 2 * i + j for i in range(2) for j in range(2)}
+    ld = {(at[i, j], at[j, k], at[i, k]): 1
+          for i in range(2) for j in range(2) for k in range(2)}
+    rd = {(b, a, c): -v for (a, b, c), v in ld.items()}
+    return AlgebraSpec("M2_star_zero", 4, ("e11", "e12", "e21", "e22"),
+                       {"ld": tensor(4, ld), "rd": tensor(4, rd)})
+
+
 def small_fraction(rng):
     return Fraction(rng.randint(-3, 3), rng.choice([1, 1, 1, 2, 3]))
 

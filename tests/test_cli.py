@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -22,8 +23,8 @@ from lsconf.constructions import truncated_binomial_zinbiel
 from lsconf.files import dump_json, file_sha256, load_algebra, save_algebra
 from lsconf.linalg import Subspace, nullspace, unit
 
-from conftest import (gaussian_rationals, is_direct_route, perturbed_product_tensor, rank_two,
-                      split_quadratic, two_dim_lw)
+from conftest import (gaussian_rationals, is_direct_route, matrices_star_zero,
+                      perturbed_product_tensor, rank_two, split_quadratic, two_dim_lw)
 
 F = Fraction
 
@@ -215,6 +216,24 @@ def test_parser_is_shared_and_keeps_no_state(capsys, inputs):
     assert (doc["seed"], doc["trials"]) == (0, 20)
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_commands_parse(capsys):
+    """Every `lsconf ...` line of README's console blocks, comment cut,
+    is a command line the parser accepts."""
+    blocks = re.findall(r"```console\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    commands = [shlex.split(line, comments=True)[1:] for block in blocks
+                for line in block.splitlines() if line.startswith("lsconf ")]
+    assert commands
+    for argv in commands:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"lsconf {shlex.join(argv)}: {capsys.readouterr().err}")
+        assert args.command == argv[0]
+
+
 def test_simple_verdicts(capsys, inputs):
     code, out, _ = run(capsys, "simple", inputs["rank_two"])
     assert code == 0
@@ -274,6 +293,17 @@ def test_simple_json(capsys, inputs):
     assert doc["verdict"] == "simple"
     assert doc["criterion"] == "pre_novikov_simple_spanning"
     assert doc["witness"] is None
+
+
+def test_simple_inconclusive_exits_4(capsys, tmp_path):
+    path = str(tmp_path / "m2.json")
+    save_algebra(matrices_star_zero(), path)
+    code, out, err = run(capsys, "simple", path, "--json")
+    doc = json.loads(out)
+    assert (code, err) == (4, "")
+    assert (doc["verdict"], doc["criterion"], doc["witness"]) == (
+        "inconclusive", "no_applicable_criterion", None)
+    assert doc["details"][-1] == "star products do not span V"
 
 
 def test_construct_rank_one_and_chain(capsys, inputs):

@@ -99,6 +99,23 @@ def test_load_algebra_rejections(tmp_path):
         load_algebra(tmp_path / "absent.json")
 
 
+@pytest.mark.parametrize("basis", [("a,b", "c"), (" c", "d"), ("c ", "d"), (("a", "L"), "c")],
+                         ids=["comma", "leading-space", "trailing-space", "tuple"])
+def test_labels_a_pair_key_cannot_carry_are_refused_both_ways(tmp_path, basis):
+    """A label is a str with no ',' that equals its own strip(): saving any
+    other is refused before a file is opened, and loading one is refused
+    at basis."""
+    path = tmp_path / "labels.json"
+    alg = AlgebraSpec("labels", 2, basis, {"ld": tensor(2, {(0, 1, 0): 1})})
+    with pytest.raises(FileFormatError, match=r"\(at basis\)$"):
+        save_algebra(alg, path)
+    assert not path.exists()
+    path.write_text(json.dumps({"name": "labels", "dim": 2, "basis": list(basis)}),
+                    encoding="utf-8")
+    with pytest.raises(FileFormatError, match=r"\(at basis\)$"):
+        load_algebra(path)
+
+
 def test_ops_without_file_form_are_refused():
     alg = AlgebraSpec("b", 1, ("e",), {"bracket": tensor(1, {(0, 0, 0): 1})})
     with pytest.raises(FileFormatError):
@@ -108,13 +125,13 @@ def test_ops_without_file_form_are_refused():
 def test_load_matrix(tmp_path):
     path = tmp_path / "m.json"
     path.write_text(dump_json({"matrix": [["1", "0"], ["-1/2", 3]]}), encoding="utf-8")
-    m = load_matrix(path, expect_dim=2)
+    m = load_matrix(path, dim=2)
     assert oracles.apply(m, [1, 1]) == [1, F(5, 2)]
     with pytest.raises(FileFormatError):
-        load_matrix(path, expect_dim=3)
+        load_matrix(path, dim=3)
     path.write_text(dump_json({"matrix": [["1", "0"]]}), encoding="utf-8")
     with pytest.raises(FileFormatError):
-        load_matrix(path)
+        load_matrix(path, dim=2)
 
 
 def test_cocycle_round_trip(tmp_path):
@@ -126,7 +143,7 @@ def test_cocycle_round_trip(tmp_path):
         load_cocycle(path, dim=2)
     path.write_text(dump_json({"degree_cap": 2, "forms": [[["0"]]]}), encoding="utf-8")
     with pytest.raises(FileFormatError):
-        load_cocycle(path)
+        load_cocycle(path, dim=1)
 
 
 @settings(max_examples=300, deadline=None)

@@ -16,8 +16,8 @@ from lsconf.linalg import Subspace, mat_mul, unit
 
 from lsconf import constructions as cons
 
-from conftest import (gaussian_rationals, random_algebra, rank_two, split_quadratic,
-                      two_dim_lw, unital_one_dim)
+from conftest import (gaussian_rationals, matrices_star_zero, random_algebra, rank_two,
+                      split_quadratic, two_dim_lw, unital_one_dim)
 import oracles
 
 F = Fraction
@@ -47,7 +47,7 @@ def test_ideal_closure_is_stable_and_idempotent():
                 for op in ("ld", "rd", "circ"):
                     assert sub.contains(eval_product(alg, op, unit(3, i), x))
                     assert sub.contains(eval_product(alg, op, x, unit(3, i)))
-        assert ideal_closure(alg, sub).basis == sub.basis
+        assert ideal_closure(alg, sub.basis).basis == sub.basis
 
 
 def test_envelope_dimensions():
@@ -153,6 +153,17 @@ def test_not_simple_certificates():
     assert cert.witness.basis == [[0, 1]]
     cert = certify_conformal_simplicity(two_dim_lw())
     assert cert.verdict == "not_simple" and cert.criterion == "lifted_ideal"
+
+
+def test_simple_parts_without_spanning_star_are_inconclusive():
+    """Both searches find M_2(Q) simple, but star = 0 spans nothing and rd
+    is present, so no sufficient criterion applies."""
+    cert = certify_conformal_simplicity(matrices_star_zero())
+    assert (cert.verdict, cert.criterion, cert.witness) == (
+        "inconclusive", "no_applicable_criterion", None)
+    assert cert.details == ("three-operation algebra: simple (envelope)",
+                            "two-operation part: simple (envelope)",
+                            "star products do not span V")
 
 
 def test_certificates_never_lie_on_random_input():
