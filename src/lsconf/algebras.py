@@ -16,10 +16,13 @@ Derived (never stored, except bracket on GD output):
     star     a (*) b = a |> b + b <| a
     bracket  [a, b] = a o b - b o a   (when no bracket tensor is stored)
 
-`ops` is read-only.  `rows(op)` builds any op, derived ones included, once
-per algebra as sparse integer rows scaled by `den`, the lcm of all stored
-denominators.  Spans, kernels and ranks (ideal closures, envelopes, cocycle
-systems) read the integers; readers whose values reach an answer divide back.
+A spec stores each op once, as sparse integer rows scaled by `den`, the
+lcm of all stored denominators: only the nonzero entries, so its size
+follows them and not dim^3.  `rows(op)` gives them, and builds a derived op
+the same way on first use.  Every kernel reads the rows.  Spans, kernels and
+ranks (ideal closures, envelopes, cocycle systems) read the integers;
+readers whose values reach an answer divide back.  `ops` is a read-only
+dense view derived from the rows, for callers that want tensors.
 
 The identity catalog evaluates residuals on basis triples; by
 multilinearity that is exhaustive.  Its product tables hold only their
@@ -34,9 +37,10 @@ extension A + M (`semidirect`).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import cache, cached_property
+from math import gcd, lcm
 from operator import itemgetter
 from types import MappingProxyType
 
@@ -97,47 +101,85 @@ def _freeze_tensor(t, dim):
     return tuple(tuple(tuple(map(exact, row)) for row in plane) for plane in t)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AlgebraSpec:
-    """Immutable algebra: basis labels plus a read-only mapping of
-    structure tensors per op; `den` and `rows` give the integer form.
-    Entries are ints or Fractions; a float or a bool raises TypeError."""
+    """Immutable algebra: basis labels plus, per stored op, the sparse
+    integer rows of its structure tensor scaled by `den`, the lcm of all
+    stored denominators (see `rows`).  An op with no nonzero entry is not
+    stored.  `AlgebraSpec(name, dim, basis, ops)` takes dense tensors (see
+    `tensor`), whose entries are ints or Fractions (a float or a bool raises
+    TypeError), and converts them once; `from_rows` takes rows.  Two specs
+    are equal when name, dim, basis, den and the stored rows are: the
+    integer form is canonical, so that is equality of the tensors."""
 
     name: str
     dim: int
     basis: tuple
-    ops: dict = field(default_factory=dict)
+    den: int
+    stored_rows: MappingProxyType
 
-    def __post_init__(self):
-        basis = tuple(self.basis)
-        if len(basis) != self.dim:
-            raise DimensionMismatch(f"{len(basis)} labels for dim {self.dim}")
-        if len(set(basis)) != self.dim:
-            raise ValueError("basis labels must be pairwise distinct")
-        clean = {}
-        dens = set()
-        for op, t in self.ops.items():
+    def __init__(self, name, dim, basis, ops=None):
+        frozen = {}
+        for op, t in (ops or {}).items():
             if op not in STORED_OPS:
                 raise UnknownOp(f"cannot store op {op!r}")
-            ft = _freeze_tensor(t, self.dim)
-            # one walk for both: a zero has denominator 1, so only the
-            # nonzero entries can change den
-            op_dens = {x.denominator for plane in ft for row in plane for x in row if x}
-            if op_dens:
-                clean[op] = ft
-                dens |= op_dens
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "ops", MappingProxyType(clean))
-        object.__setattr__(self, "den", lcm(*dens))
-        object.__setattr__(self, "_rows", {})
+            frozen[op] = _freeze_tensor(t, dim)
+        den = lcm(*{x.denominator for t in frozen.values() for plane in t
+                    for row in plane for x in row})
+        self._init(name, dim, basis, den,
+                   {op: tuple(tuple(tuple((k, int(x * den)) for k, x in enumerate(row) if x)
+                                    for row in plane) for plane in t)
+                    for op, t in frozen.items()})
+        # the frozen tensors are the dense view, so a given Fraction is kept as it is
+        object.__setattr__(self, "ops", MappingProxyType(
+            {op: frozen[op] for op in self.stored_rows}))
+
+    @classmethod
+    def from_rows(cls, name, dim, basis, den, rows):
+        """The spec whose op has the integer rows rows[op], scaled by den,
+        laid out as `rows` gives them (entries sorted by coordinate, none
+        zero).  den may be any common denominator; it is reduced here."""
+        spec = cls.__new__(cls)
+        spec._init(name, dim, basis, den, rows)
+        return spec
+
+    def _init(self, name, dim, basis, den, rows):
+        basis = tuple(basis)
+        if len(basis) != dim:
+            raise DimensionMismatch(f"{len(basis)} labels for dim {dim}")
+        if len(set(basis)) != dim:
+            raise ValueError("basis labels must be pairwise distinct")
+        for op in rows:
+            if op not in STORED_OPS:
+                raise UnknownOp(f"cannot store op {op!r}")
+        rows = {op: r for op, r in rows.items() if any(row for plane in r for row in plane)}
+        # the least den divides out whatever den shares with every entry
+        g = gcd(den, *(x for r in rows.values() for plane in r for row in plane for _, x in row))
+        if g > 1:
+            den //= g
+            rows = {op: tuple(tuple(tuple((k, x // g) for k, x in row) for row in plane)
+                              for plane in r) for op, r in rows.items()}
+        for attr, value in (("name", name), ("dim", dim), ("basis", basis), ("den", den),
+                            ("stored_rows", MappingProxyType(rows)), ("_rows", dict(rows))):
+            object.__setattr__(self, attr, value)
 
     def rows(self, op):
         """e_i op e_j scaled by den, as rows[i][j] = ((k, int), ...) over
-        its nonzero coordinates k; built on first use and kept."""
+        its nonzero coordinates k in increasing order: stored, or for a
+        derived op built on first use and kept."""
         rows = self._rows.get(op)
         if rows is None:
             rows = self._rows[op] = _int_rows(self, op)
         return rows
+
+    @cached_property
+    def ops(self):
+        """A read-only dense view of the stored ops, as dim^3 nested tuples
+        of Fractions: the tensors given to the constructor, else built from
+        the rows on first read.  No kernel reads it."""
+        return MappingProxyType({op: tuple(tuple(tuple(_dense(self, row)) for row in plane)
+                                           for plane in r)
+                                 for op, r in self.stored_rows.items()})
 
     def index(self, label):
         try:
@@ -146,7 +188,7 @@ class AlgebraSpec:
             raise KeyError(f"unknown basis label {label!r}") from None
 
     def has(self, op):
-        return op in self.ops
+        return op in self.stored_rows
 
 
 @dataclass(frozen=True)
@@ -201,14 +243,10 @@ class IdentityReport:
 # products
 
 def _int_rows(alg, op):
-    """The rows of AlgebraSpec.rows, computed."""
-    n = range(alg.dim)
-    if op in alg.ops:
-        t = alg.ops[op]
-        return tuple(tuple(tuple((k, int(x * alg.den)) for k, x in enumerate(t[i][j]) if x)
-                           for j in n) for i in n)
+    """The rows of AlgebraSpec.rows for an op it does not store."""
     if op not in STORED_OPS and op not in DERIVED:
         raise UnknownOp(f"unknown op {op!r}")
+    n = range(alg.dim)
     # an absent stored op has no parts: it is zero
     parts = [(sign, alg.rows(base), swap) for sign, base, swap in DERIVED.get(op, ())]
     return tuple(tuple(tuple(sorted(_lincomb((sign, r[j][i] if swap else r[i][j])
@@ -422,12 +460,38 @@ class _Scaled(dict):
         return value
 
 
-def _residuals(alg, laws, aux, leaves, domains):
-    """Yield (label, idx, residual) for each law and each index tuple idx,
-    picking the law's arguments a, b, c from leaves, at which the residual
-    is nonzero; a zero residual is never yielded.  domains maps an arity to
-    the index tuples to visit, in their order, or to None for every tuple,
-    in sorted (= itertools.product) order.
+def _plan(laws):
+    """The laws of an identity system (or one ad-hoc law) shaped for
+    `_residuals`: per law (label, arity, top, terms, done), with top the
+    most op nodes in one of its terms, a term (coef, shape, top minus the
+    term's op nodes, the getter that maps a table key back to its idx), and
+    done the shapes that no later law reads."""
+    shaped = [(label, [(coef, *_shape(tree)) for coef, tree in terms])
+              for label, terms in laws]
+    last_use = {shape: n for n, (_, law) in enumerate(shaped) for _, shape, _ in law}
+    plan = []
+    for n, (label, law) in enumerate(shaped):
+        top = max(_products(shape) for _, shape, _ in law)
+        terms = tuple((coef, shape, top - _products(shape),
+                       itemgetter(*sorted(range(len(letters)), key=letters.__getitem__)))
+                      for coef, shape, letters in law)
+        plan.append((label, len(law[0][2]), top, terms,
+                     tuple(shape for shape, last in last_use.items() if last == n)))
+    return tuple(plan)
+
+
+@cache
+def _catalog_plan(key):
+    """The plan of CATALOG[key], shaped on first use."""
+    return _plan(CATALOG[key])
+
+
+def _residuals(alg, plan, aux, leaves, domains):
+    """Yield (label, idx, residual) for each law of plan (see `_plan`) and
+    each index tuple idx, picking the law's arguments a, b, c from leaves,
+    at which the residual is nonzero; a zero residual is never yielded.
+    domains maps an arity to the index tuples to visit, in their order, or
+    to None for every tuple, in sorted (= itertools.product) order.
 
     Every distinct nested product is tabulated once over all tuples of
     leaves, from the integer rows (scaled by alg.den per op node).  A table
@@ -484,16 +548,11 @@ def _residuals(alg, laws, aux, leaves, domains):
                 tables[shape] = out
         return tables[shape]
 
-    shaped = [(label, [(coef, *_shape(tree)) for coef, tree in terms])
-              for label, terms in laws]
-    last_use = {shape: n for n, (_, law) in enumerate(shaped) for _, shape, _ in law}
-    dim, scaled_by = alg.dim, {}
-    for n, (label, law) in enumerate(shaped):
-        top = max(_products(shape) for _, shape, _ in law)
+    dim, den, scaled_by = alg.dim, alg.den, {}
+    for label, arity, top, terms, done in plan:
         acc = {}
-        for coef, shape, letters in law:
-            coef *= alg.den ** (top - _products(shape))
-            back = itemgetter(*sorted(range(len(letters)), key=letters.__getitem__))
+        for coef, shape, power, back in terms:
+            coef *= den ** power
             for key, vec in table(shape).items():
                 idx = back(key)
                 row = acc.get(idx)
@@ -501,17 +560,16 @@ def _residuals(alg, laws, aux, leaves, domains):
                     row = acc[idx] = [0] * dim
                 for k, x in vec:
                     row[k] += coef * x
-        scale = alg.den ** top
+        scale = den ** top
         scaled = scaled_by.setdefault(scale, _Scaled(scale)).__getitem__
-        given = domains[len(law[0][2])]
+        given = domains[arity]
         for idx in sorted(acc) if given is None else map(tuple, given):
             row = acc.get(idx)
             if row and any(row):
                 yield label, idx, tuple(map(scaled, row))
         # drop what no later law reads, which bounds the peak memory
-        for shape, last in last_use.items():
-            if last == n:
-                del tables[shape]
+        for shape in done:
+            del tables[shape]
 
 
 def _laws(alg, identity_id, aux):
@@ -533,9 +591,9 @@ def check_identity(alg, identity_id, aux=None, triples=None, pairs=None):
     everything over basis^arity is checked, which is complete by
     multilinearity.
     """
-    key, laws = _laws(alg, identity_id, aux)
+    key, _ = _laws(alg, identity_id, aux)
     units = [[int(i == k) for k in range(alg.dim)] for i in range(alg.dim)]
-    violations = tuple(_residuals(alg, laws, aux, units, {2: pairs, 3: triples}))
+    violations = tuple(_residuals(alg, _catalog_plan(key), aux, units, {2: pairs, 3: triples}))
     return IdentityReport(key, not violations, violations)
 
 
@@ -543,11 +601,11 @@ def identity_residuals(alg, identity_id, vectors, aux=None):
     """[(label, residual)] for each law of an identity system at the
     arguments a, b, c = vectors, arbitrary coordinate vectors, computed by
     the same contraction check_identity runs on basis tuples."""
-    _, laws = _laws(alg, identity_id, aux)
+    key, laws = _laws(alg, identity_id, aux)
     if any(len(v) != alg.dim for v in vectors):
         raise DimensionMismatch("operand length does not match algebra dim")
-    found = {label: res for label, _, res in
-             _residuals(alg, laws, aux, vectors, {2: [(0, 1)], 3: [(0, 1, 2)]})}
+    found = {label: res for label, _, res in _residuals(
+        alg, _catalog_plan(key), aux, vectors, {2: [(0, 1)], 3: [(0, 1, 2)]})}
     return [(label, found.get(label, (ZERO,) * alg.dim)) for label, _ in laws]
 
 
@@ -566,7 +624,8 @@ def product_tensor(alg, terms, aux=None):
     units = [[int(i == k) for k in range(alg.dim)] for i in range(alg.dim)]
     out = tensor(alg.dim)
     if terms:  # an empty sum is zero, and has no letters to read the arity from
-        for _, (i, j), res in _residuals(alg, [("product", terms)], aux, units, {2: None}):
+        for _, (i, j), res in _residuals(alg, _plan([("product", terms)]), aux, units,
+                                             {2: None}):
             out[i][j] = list(res)
     return out
 
@@ -670,12 +729,9 @@ def check_representation(alg, rep, kind):
 
 def associated(alg, which):
     """The Novikov algebra (ast) or GD algebra (ast, bracket) of a pre-spec."""
-    if which == "novikov":
-        t = op_tensor(alg, "ast")
-        return AlgebraSpec(f"{alg.name}~novikov", alg.dim, alg.basis, {"circ": t})
+    if which not in ("novikov", "gd"):
+        raise MissingOps(f"associated() takes 'novikov' or 'gd', got {which!r}")
+    rows = {"circ": alg.rows("ast")}
     if which == "gd":
-        t = op_tensor(alg, "ast")
-        br = op_tensor(alg, "bracket")
-        return AlgebraSpec(f"{alg.name}~gd", alg.dim, alg.basis,
-                           {"circ": t, "bracket": br})
-    raise MissingOps(f"associated() takes 'novikov' or 'gd', got {which!r}")
+        rows["bracket"] = alg.rows("bracket")
+    return AlgebraSpec.from_rows(f"{alg.name}~{which}", alg.dim, alg.basis, alg.den, rows)

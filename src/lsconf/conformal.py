@@ -236,10 +236,8 @@ def build_current(alg):
         if alg.has(op):
             raise AlgebraError("current construction expects a single product (circ)")
     require_identity(alg, "LEFT_SYMMETRIC")
-    ops = {}
-    if alg.has("circ"):
-        ops["circ"] = [[list(row) for row in plane] for plane in alg.ops["circ"]]
-    return AlgebraSpec(f"{alg.name}~current", alg.dim, alg.basis, ops)
+    return AlgebraSpec.from_rows(f"{alg.name}~current", alg.dim, alg.basis, alg.den,
+                                 {"circ": alg.rows("circ")})
 
 
 # ---------------------------------------------------------------------------

@@ -88,18 +88,15 @@ def zinbiel_to_pre_gd(zin, D, xi, k):
         i = next(i for i, plane in enumerate(direct) if plane != composed[i])
         j = next(j for j, row in enumerate(direct[i]) if row != composed[i][j])
         raise ConstructionDefect(f"direct and composed circ tensors disagree at ({i}, {j})")
-    return AlgebraSpec(f"{zin.name}~pregd(xi={xi},k={k})", zin.dim, zin.basis, dict(out.ops))
+    return AlgebraSpec.from_rows(f"{zin.name}~pregd(xi={xi},k={k})", zin.dim, zin.basis,
+                                 out.den, out.stored_rows)
 
 
 def ls_poisson_to_pre_gd(lsp):
     """ld = dot, rd = 0, circ carried over."""
     require_identity(lsp, "LS_POISSON")
-    ops = {}
-    if lsp.has("dot"):
-        ops["ld"] = lsp.ops["dot"]
-    if lsp.has("circ"):
-        ops["circ"] = lsp.ops["circ"]
-    out = AlgebraSpec(f"{lsp.name}~pregd", lsp.dim, lsp.basis, ops)
+    out = AlgebraSpec.from_rows(f"{lsp.name}~pregd", lsp.dim, lsp.basis, lsp.den,
+                                {"ld": lsp.rows("dot"), "circ": lsp.rows("circ")})
     return _verified(out, "PRE_GD")
 
 

@@ -7,7 +7,10 @@ cleanly:
      "ops": {"ld": {"L,L": {"L": "1"}, "W,L": {"W": "1"}}}}
 
 A label is a string with no "," that equals its own strip(), so that a
-pair key carries any two; load and save both refuse other labels.
+pair key carries any two; load and save both refuse other labels.  A key
+repeated in one JSON object, or a basis pair named by two keys of one op
+table ("L,L" and "L, L"), is refused with its location: json.loads would
+silently keep the last value.
 Derivations {"matrix": rows} and cocycle forms {"degree_cap": cap,
 "forms": [rows, ...]} are square in the dimension their loader is given.
 
@@ -34,10 +37,10 @@ import os
 import re
 from fractions import Fraction
 from json.encoder import encode_basestring
+from math import gcd, lcm
 
 from .algebras import AlgebraSpec, LinearMapSpec
 from .cohomology import CocycleFamily
-from .linalg import ZERO
 
 RATIONAL_RE = re.compile(r"-?\d+(/\d+)?$")
 # CPython's default int/str conversion limit
@@ -54,22 +57,30 @@ class FileFormatError(Exception):
         self.location = location
 
 
-def parse_rational(text, location=None):
+def _rational(text, location):
+    """A rational string as its reduced (numerator, denominator) pair."""
     if not isinstance(text, str) or not RATIONAL_RE.match(text):
         raise FileFormatError(f"not a rational string: {text!r}", location)
     if len(text) > MAX_DIGITS and any(len(part) > MAX_DIGITS
                                       for part in text.lstrip("-").split("/")):
         raise FileFormatError(f"a numeral has more than {MAX_DIGITS} digits", location)
-    if "/" in text and text.split("/")[1].lstrip("0") == "":
+    num, _, den = text.partition("/")
+    num, den = int(num), int(den) if den else 1
+    if not den:
         raise FileFormatError(f"zero denominator: {text!r}", location)
-    return Fraction(text)
+    g = gcd(num, den)
+    return num // g, den // g
 
 
-def _rational_cell(value, location):
-    """Accept rational strings and plain JSON integers."""
+def parse_rational(text, location=None):
+    return Fraction(*_rational(text, location))
+
+
+def _cell(value, location):
+    """A rational string or a plain JSON integer, as _rational's pair."""
     if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    return parse_rational(value, location)
+        return value, 1
+    return _rational(value, location)
 
 
 def _parse_int(text):
@@ -80,9 +91,44 @@ def _parse_int(text):
     return int(text)
 
 
+class _RepeatedKey(Exception):
+    """Some JSON object repeats a key; _repeated_key names it."""
+
+
+def _unique_keys(pairs):
+    """json's object_pairs_hook: the object as a dict, refusing a repeated
+    key (json.loads would keep its last value)."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        raise _RepeatedKey
+    return obj
+
+
+class _Object(list):
+    """A JSON object read as its list of (key, value) pairs."""
+
+
+def _repeated_key(x, where=""):
+    """(key, its location) for a repeated key in x, a document read with
+    _Object for objects, or None."""
+    if isinstance(x, _Object):
+        seen = set()
+        for key, _ in x:
+            if key in seen:
+                return key, f"{where}.{key}" if where else key
+            seen.add(key)
+        items = ((f"{where}.{key}" if where else key, v) for key, v in x)
+    elif isinstance(x, list):
+        items = ((f"{where}[{n}]", v) for n, v in enumerate(x))
+    else:
+        return None
+    return next(filter(None, (_repeated_key(v, loc) for loc, v in items)), None)
+
+
 def _load_json(path, digest=None):
     """The JSON object in path, read once; digest (a hashlib object), when
-    given, is updated with exactly the bytes that were parsed."""
+    given, is updated with exactly the bytes that were parsed.  A repeated
+    key is refused with its location."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -91,18 +137,25 @@ def _load_json(path, digest=None):
     if digest is not None:
         digest.update(data)
     try:
-        doc = json.loads(data.decode("utf-8"), parse_int=_parse_int)
+        text = data.decode("utf-8")
+        doc = json.loads(text, parse_int=_parse_int, object_pairs_hook=_unique_keys)
     except UnicodeDecodeError as exc:
         raise FileFormatError(f"not UTF-8: {exc}", path) from exc
     except ValueError as exc:  # a JSONDecodeError, or an over-long integer
         raise FileFormatError(f"invalid JSON: {exc}", path) from exc
+    except _RepeatedKey:
+        key, where = _repeated_key(json.loads(text, parse_int=_parse_int,
+                                              object_pairs_hook=_Object))
+        raise FileFormatError(f"repeated key {key!r}", where) from None
     if not isinstance(doc, dict):
         raise FileFormatError("top-level JSON value must be an object", path)
     return doc
 
 
 def load_algebra(path, digest=None):
-    """The algebra in path; digest as in _load_json."""
+    """The algebra in path; digest as in _load_json.  Each cell is read to
+    a reduced fraction, and the spec's integer rows are built from those
+    directly, with no dense tensor in between."""
     doc = _load_json(path, digest)
     for key in ("name", "dim", "basis"):
         if key not in doc:
@@ -121,29 +174,40 @@ def load_algebra(path, digest=None):
     tables = doc.get("ops", {})
     if not isinstance(tables, dict):
         raise FileFormatError("ops must be an object", "ops")
-    ops = {}
+    # op -> {(i, j): [(k, numerator, denominator), ...]} over the nonzero cells
+    entries = {}
     for op, table in tables.items():
         if op not in FILE_OPS:
             raise FileFormatError(f"unknown op {op!r}", f"ops.{op}")
-        tensor = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
         if not isinstance(table, dict):
             raise FileFormatError("op table must be an object", f"ops.{op}")
+        cells = entries[op] = {}
         for pair, cell in table.items():
+            where = f"ops.{op}.{pair}"
             parts = [p.strip() for p in pair.split(",")]
-            if len(parts) != 2 or not all(p in index for p in parts):
-                raise FileFormatError(f"bad basis pair {pair!r}", f"ops.{op}.{pair}")
-            i, j = index[parts[0]], index[parts[1]]
+            if len(parts) != 2 or parts[0] not in index or parts[1] not in index:
+                raise FileFormatError(f"bad basis pair {pair!r}", where)
+            ij = index[parts[0]], index[parts[1]]
+            if ij in cells:
+                raise FileFormatError(f"basis pair {pair!r} repeats an earlier key", where)
             if not isinstance(cell, dict):
-                raise FileFormatError("entry must map labels to rationals",
-                                      f"ops.{op}.{pair}")
+                raise FileFormatError("entry must map labels to rationals", where)
+            row = cells[ij] = []
             for lab, val in cell.items():
-                if lab not in index:
-                    raise FileFormatError(f"unknown label {lab!r}",
-                                          f"ops.{op}.{pair}.{lab}")
-                tensor[i][j][index[lab]] = _rational_cell(
-                    val, f"ops.{op}.{pair}.{lab}")
-        ops[op] = tensor
-    return AlgebraSpec(name, dim, tuple(basis), ops)
+                k = index.get(lab)
+                if k is None:
+                    raise FileFormatError(f"unknown label {lab!r}", f"{where}.{lab}")
+                num, den = _cell(val, f"{where}.{lab}")
+                if num:
+                    row.append((k, num, den))
+    den = lcm(*{d for cells in entries.values() for row in cells.values() for _, _, d in row})
+    rows = {}
+    for op, cells in entries.items():
+        planes = [[()] * dim for _ in range(dim)]
+        for (i, j), row in cells.items():
+            planes[i][j] = tuple(sorted((k, num * (den // d)) for k, num, d in row))
+        rows[op] = tuple(map(tuple, planes))
+    return AlgebraSpec.from_rows(name, dim, basis, den, rows)
 
 
 def _check_labels(basis):
@@ -155,22 +219,14 @@ def _check_labels(basis):
 
 def algebra_to_json(alg):
     _check_labels(alg.basis)
-    ops = {}
-    for op in sorted(alg.ops):
+    basis, ops = alg.basis, {}
+    for op, rows in alg.stored_rows.items():
         if op not in FILE_OPS:
             raise FileFormatError(f"op {op!r} has no file representation", op)
-        table = {}
-        t = alg.ops[op]
-        for i in range(alg.dim):
-            for j in range(alg.dim):
-                cell = {alg.basis[k]: str(t[i][j][k])
-                        for k in range(alg.dim) if t[i][j][k]}
-                if cell:
-                    table[f"{alg.basis[i]},{alg.basis[j]}"] = cell
-        if table:
-            ops[op] = table
-    return {"name": alg.name, "dim": alg.dim,
-            "basis": list(alg.basis), "ops": ops}
+        ops[op] = {f"{basis[i]},{basis[j]}": {basis[k]: str(Fraction(x, alg.den))
+                                              for k, x in row}
+                   for i, plane in enumerate(rows) for j, row in enumerate(plane) if row}
+    return {"name": alg.name, "dim": alg.dim, "basis": list(basis), "ops": ops}
 
 
 def dump_json(doc):
@@ -253,7 +309,7 @@ def _square(rows, n, location):
     for r, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n:
             raise FileFormatError(f"need a list of {n} entries", f"{location}[{r}]")
-    return tuple(tuple(_rational_cell(x, f"{location}[{r}][{c}]") for c, x in enumerate(row))
+    return tuple(tuple(Fraction(*_cell(x, f"{location}[{r}][{c}]")) for c, x in enumerate(row))
                  for r, row in enumerate(rows))
 
 

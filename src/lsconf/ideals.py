@@ -59,9 +59,13 @@ class SimplicityCertificate:
 def multiplication_operators(alg, ops=PRE_GD_OPS):
     """Left and right multiplication by every basis element, per op, each
     as its columns, scaled by alg.den (see mult_columns); scaling changes
-    no span."""
-    return [mult_columns(alg, op, i, side)
-            for op in sorted(set(ops)) for i in range(alg.dim) for side in "lr"]
+    no span.  Built once per spec and op set, and kept with its rows."""
+    key = (multiplication_operators, tuple(sorted(set(ops))))
+    gens = alg._rows.get(key)
+    if gens is None:
+        gens = alg._rows[key] = tuple(mult_columns(alg, op, i, side) for op in key[1]
+                                      for i in range(alg.dim) for side in "lr")
+    return gens
 
 
 def _apply(cols, x):
@@ -254,8 +258,8 @@ def certify_conformal_simplicity(alg, trials=20, rng_seed=0):
         log.append("no regular element found")
 
         if alg.has("ld") and alg.has("circ"):
-            probe = AlgebraSpec(alg.name + "~np?", alg.dim, alg.basis,
-                                {"dot": alg.ops["ld"], "circ": alg.ops["circ"]})
+            probe = AlgebraSpec.from_rows(alg.name + "~np?", alg.dim, alg.basis, alg.den,
+                                          {"dot": alg.rows("ld"), "circ": alg.rows("circ")})
             if check_identity(probe, "NOVIKOV_POISSON").passed:
                 log.append("ld together with circ satisfies the "
                            "Novikov-Poisson laws")

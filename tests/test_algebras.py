@@ -315,6 +315,19 @@ def test_product_tensor_matches_dense_oracle_on_binomial_zoo(case, terms):
     assert product_tensor(alg, terms, aux=D) == dense_product_tensor(alg, terms, D)
 
 
+def test_catalog_laws_are_shaped_once_per_identity(monkeypatch):
+    """check_identity shapes a catalog system on its first use only; an
+    ad-hoc product_tensor formula is shaped on every call."""
+    from lsconf import algebras
+    check_identity(two_dim_lw(), "PRE_GD")
+    shaped, shape = [], algebras._shape
+    monkeypatch.setattr(algebras, "_shape", lambda tree: shaped.append(tree) or shape(tree))
+    assert not check_identity(rank_two(1, 1), "pre-gd").violations
+    assert shaped == []
+    product_tensor(two_dim_lw(), [(1, ("ld", "a", "b"))])
+    assert shaped
+
+
 def test_product_tensor_refuses_trees_not_bilinear_in_a_and_b():
     alg = rank_two(1, 1)
     for tree in (("ld", "a", "a"), ("aux", "a"), ("ld", "a", ("ld", "b", "c")),

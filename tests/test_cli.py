@@ -498,6 +498,15 @@ R1 = {"name": "r1", "dim": 1, "basis": ["L"], "ops": {"ld": {"L,L": {"L": "1"}}}
     pytest.param("algebra", b'{"name": "r1", "dim": ' + b"9" * 5000 + b"}",
                  id="algebra-long-integer"),
     pytest.param("algebra", b'{"name": "r\xff"}', id="algebra-not-utf8"),
+    pytest.param("algebra", b'{"name": "r1", "dim": 1, "dim": 1, "basis": ["L"]}',
+                 id="algebra-repeated-key"),
+    pytest.param("algebra", b'{"name": "r1", "dim": 1, "basis": ["L"], '
+                 b'"ops": {"ld": {"L,L": {"L": "1"}, "L, L": {"L": "2"}}}}',
+                 id="algebra-repeated-pair"),
+    pytest.param("derivation", b'{"matrix": [["1"]], "matrix": [["2"]]}',
+                 id="derivation-repeated-key"),
+    pytest.param("cocycle", b'{"degree_cap": 0, "forms": [[["1"]]], "forms": [[["0"]]]}',
+                 id="cocycle-repeated-key"),
 ])
 def test_malformed_files_exit_2_with_location(capsys, tmp_path, kind, content):
     paths = {}
@@ -543,6 +552,48 @@ def test_answer_past_the_int_str_limit_is_printed(capsys, tmp_path):
     finally:
         if lift:
             lift(limit)
+
+
+def respelled(doc):
+    """doc spelled another way: keys and ops in reverse order, spaced pair
+    keys, an integer entry as a JSON integer, p/q as 2p/2q, and a "-0"
+    entry in every cell with room for one."""
+    def entry(text):
+        x = F(text)
+        return x.numerator if x.denominator == 1 else f"{2 * x.numerator}/{2 * x.denominator}"
+
+    ops = {}
+    for op, table in reversed(doc["ops"].items()):
+        ops[op] = {}
+        for pair, cell in reversed(table.items()):
+            left, right = pair.split(",")
+            ops[op][f" {left} ,  {right}"] = spelled = {
+                lab: entry(text) for lab, text in reversed(cell.items())}
+            spelled.update([(lab, "-0") for lab in doc["basis"] if lab not in cell][:1])
+    return {"ops": ops, **{key: doc[key] for key in ("basis", "dim", "name")}}
+
+
+@pytest.mark.parametrize("alg", [rank_two(F(1, 2), -3), matrices_star_zero(),
+                                 constructions.zinbiel_to_pre_gd(
+                                     *truncated_binomial_zinbiel(3), F(1, 2), -3)],
+                         ids=["rank_two", "matrices", "zinbiel"])
+def test_answers_do_not_depend_on_how_a_file_spells_the_algebra(capsys, tmp_path, alg):
+    """Every --json report, and every refusal, is byte-identical but for
+    input_sha256."""
+    path = str(tmp_path / "alg.json")
+    save_algebra(alg, path)
+    canonical = json.loads(Path(path).read_text(encoding="utf-8"))
+    reports = []
+    for doc in (canonical, respelled(canonical)):
+        Path(path).write_text(json.dumps(doc), encoding="utf-8")
+        assert load_algebra(path) == alg
+        reports.append([])
+        for argv in (["check", "--identity", "pre-gd"], ["check", "--identity", "quadratic-9"],
+                     ["h2", "--degree-cap", "2", "--beta", "1/2"], ["simple"]):
+            code, out, err = run(capsys, argv[0], path, *argv[1:], "--json")
+            reports[-1].append((code, out.replace(file_sha256(path), ""), err))
+    assert reports[0] == reports[1]
+    assert all(out for _, out, _ in reports[0][:2])
 
 
 @pytest.mark.parametrize("argv", [

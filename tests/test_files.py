@@ -1,18 +1,20 @@
 import json
+import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lsconf.algebras import AlgebraSpec, tensor
+from lsconf.algebras import DERIVED, STORED_OPS, AlgebraSpec, tensor
 from lsconf.cli import main
 from lsconf.cohomology import CocycleFamily
 from lsconf.files import (FileFormatError, algebra_to_json, cocycle_to_json,
                           dump_json, file_sha256, load_algebra, load_cocycle,
                           load_matrix, parse_rational, save_algebra)
 
-from conftest import rank_two, two_dim_lw
+from conftest import pre_gd_zoo_specs, random_tensor, rank_two, two_dim_lw
 import oracles
 
 F = Fraction
@@ -97,6 +99,102 @@ def test_load_algebra_rejections(tmp_path):
         load_algebra(path)
     with pytest.raises(FileFormatError):
         load_algebra(tmp_path / "absent.json")
+
+
+ONE_L = '"name": "r1", "dim": 1, "basis": ["L"]'
+
+
+@pytest.mark.parametrize("text, location", [
+    ('{"name": "a", %s}' % ONE_L, "name"),
+    ('{%s, "ops": {"ld": {}, "rd": {}, "ld": {}}}' % ONE_L, "ops.ld"),
+    ('{%s, "ops": {"ld": {"L,L": {"L": "1", "L": "2"}}}}' % ONE_L, "ops.ld.L,L.L"),
+    # two spellings of one basis pair: the later key is the fault
+    ('{%s, "ops": {"ld": {"L,L": {"L": "1"}, "L, L": {"L": "2"}}}}' % ONE_L, "ops.ld.L, L"),
+    ('{%s, "ops": {"ld": {" L,L": {"L": "1"}, "L ,L": {}}}}' % ONE_L, "ops.ld.L ,L"),
+], ids=["field", "op", "label", "pair", "spaced-pairs"])
+def test_repeated_keys_are_refused_at_their_location(tmp_path, text, location):
+    """json.loads keeps the last value of a repeated key, and a pair key is
+    read through strip(): either would let a file say two things at once."""
+    path = tmp_path / "repeated.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(FileFormatError) as err:
+        load_algebra(path)
+    assert err.value.location == location
+
+
+def test_repeated_keys_are_refused_in_matrix_and_cocycle_files(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text('{"matrix": [["1"]], "matrix": [["2"]]}', encoding="utf-8")
+    with pytest.raises(FileFormatError, match=r"repeated key 'matrix' \(at matrix\)$"):
+        load_matrix(path, dim=1)
+    path.write_text('{"degree_cap": 0, "forms": [[["1"]]], "note": [{"a": 1, "a": 2}]}',
+                    encoding="utf-8")
+    with pytest.raises(FileFormatError, match=r"\(at note\[0\]\.a\)$"):
+        load_cocycle(path, dim=1)
+
+
+def assert_same_spec(got, want):
+    """Equal specs, with equal den, rows of every op and dense views."""
+    assert got == want
+    assert got.den == want.den
+    for op in STORED_OPS + tuple(DERIVED):
+        assert got.rows(op) == want.rows(op), op
+    assert dict(got.ops) == dict(want.ops)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_dense_rows_and_file_routes_build_the_same_spec(tmp_path, seed):
+    """Dims 1-5, entries with denominators 1, 2 and 3, every stored op,
+    one of them all zero: the dense constructor, from_rows at a common
+    denominator six times too large and a saved-and-loaded file all give
+    one spec.  A file carries no bracket, so that route drops it."""
+    rng = random.Random(seed)
+    dim = 1 + seed % 5
+    basis = tuple(f"e{i}" for i in range(dim))
+    dense = {op: random_tensor(rng, dim, 0.4) for op in STORED_OPS}
+    dense[rng.choice(STORED_OPS)] = tensor(dim)
+    alg = AlgebraSpec("routes", dim, basis, dense)
+    zero = (((),) * dim,) * dim
+    scaled = {op: tuple(tuple(tuple((k, 6 * x) for k, x in row) for row in plane)
+                        for plane in alg.stored_rows.get(op, zero)) for op in STORED_OPS}
+    assert_same_spec(AlgebraSpec.from_rows("routes", dim, basis, 6 * alg.den, scaled), alg)
+    filed = AlgebraSpec("routes", dim, basis, {op: dense[op] for op in STORED_OPS
+                                               if op != "bracket"})
+    path = tmp_path / "routes.json"
+    save_algebra(filed, path)
+    assert_same_spec(load_algebra(path), filed)
+
+
+def test_the_pre_gd_zoo_reads_back_from_its_files(tmp_path):
+    path = tmp_path / "zoo.json"
+    for alg in pre_gd_zoo_specs():
+        dense = AlgebraSpec(alg.name, alg.dim, alg.basis, dict(alg.ops))
+        assert_same_spec(dense, alg)
+        save_algebra(alg, path)
+        assert_same_spec(load_algebra(path), dense)
+
+
+def test_a_sparse_file_loads_in_memory_that_follows_its_entries(tmp_path):
+    """dim 120 with one entry per op: a dense dim^3 tensor per op would
+    hold 1.7 million entries; the rows hold four."""
+    dim = 120
+    basis = [f"e{i}" for i in range(dim)]
+    ops = {op: {f"e{n},e{n + 1}": {f"e{n + 2}": "1/2"}}
+           for n, op in enumerate(("ld", "rd", "circ", "dot"))}
+    path = tmp_path / "sparse.json"
+    path.write_text(json.dumps({"name": "sparse", "dim": dim, "basis": basis, "ops": ops}),
+                    encoding="utf-8")
+    tracemalloc.start()
+    try:
+        alg = load_algebra(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+    assert alg.den == 2
+    for n, op in enumerate(("ld", "rd", "circ", "dot")):
+        assert alg.rows(op)[n][n + 1] == ((n + 2, 1),)
+        assert sum(map(len, (row for plane in alg.rows(op) for row in plane))) == 1
 
 
 @pytest.mark.parametrize("basis", [("a,b", "c"), (" c", "d"), ("c ", "d"), (("a", "L"), "c")],

@@ -53,7 +53,12 @@ def test_ideal_closure_is_stable_and_idempotent():
 def test_envelope_dimensions():
     assert associative_envelope(rank_two(1, 1)).dim == 4
     assert associative_envelope(build_rank_one(1)).dim == 1
-    assert len(multiplication_operators(rank_two(1, 1))) == 12
+    alg = rank_two(1, 1)
+    gens = multiplication_operators(alg)
+    assert len(gens) == 12
+    # built once per spec and op set, which is read sorted and without repeats
+    assert multiplication_operators(alg, ("rd", "circ", "ld", "ld")) is gens
+    assert multiplication_operators(alg, ("ld",)) == gens[4:8]
 
 
 def test_find_proper_ideal():
