@@ -44,7 +44,7 @@ from math import gcd, lcm
 from operator import itemgetter
 from types import MappingProxyType
 
-from .linalg import ZERO, DimensionMismatch, exact, rank, vzero
+from .linalg import ZERO, DimensionMismatch, exact, exact_array, rank, vzero
 
 
 class AlgebraError(Exception):
@@ -94,13 +94,6 @@ def tensor(dim, entries=None):
     return t
 
 
-def _freeze_tensor(t, dim):
-    """t as nested tuples; Fraction entries are kept, ints converted."""
-    if len(t) != dim or any(len(p) != dim or any(len(r) != dim for r in p) for p in t):
-        raise DimensionMismatch(f"tensor is not {dim} x {dim} x {dim}")
-    return tuple(tuple(tuple(map(exact, row)) for row in plane) for plane in t)
-
-
 @dataclass(frozen=True, init=False)
 class AlgebraSpec:
     """Immutable algebra: basis labels plus, per stored op, the sparse
@@ -119,20 +112,13 @@ class AlgebraSpec:
     stored_rows: MappingProxyType
 
     def __init__(self, name, dim, basis, ops=None):
-        frozen = {}
-        for op, t in (ops or {}).items():
-            if op not in STORED_OPS:
-                raise UnknownOp(f"cannot store op {op!r}")
-            frozen[op] = _freeze_tensor(t, dim)
+        frozen = {op: exact_array(t, (dim, dim, dim)) for op, t in (ops or {}).items()}
         den = lcm(*{x.denominator for t in frozen.values() for plane in t
                     for row in plane for x in row})
         self._init(name, dim, basis, den,
                    {op: tuple(tuple(tuple((k, int(x * den)) for k, x in enumerate(row) if x)
                                     for row in plane) for plane in t)
                     for op, t in frozen.items()})
-        # the frozen tensors are the dense view, so a given Fraction is kept as it is
-        object.__setattr__(self, "ops", MappingProxyType(
-            {op: frozen[op] for op in self.stored_rows}))
 
     @classmethod
     def from_rows(cls, name, dim, basis, den, rows):
@@ -175,8 +161,8 @@ class AlgebraSpec:
     @cached_property
     def ops(self):
         """A read-only dense view of the stored ops, as dim^3 nested tuples
-        of Fractions: the tensors given to the constructor, else built from
-        the rows on first read.  No kernel reads it."""
+        of Fractions built from the rows on first read.  No kernel reads
+        it."""
         return MappingProxyType({op: tuple(tuple(tuple(_dense(self, row)) for row in plane)
                                            for plane in r)
                                  for op, r in self.stored_rows.items()})
@@ -198,12 +184,8 @@ class LinearMapSpec:
     matrix: tuple
 
     def __post_init__(self):
-        m = tuple(tuple(map(exact, row)) for row in self.matrix)
-        n = len(m)
-        for row in m:
-            if len(row) != n:
-                raise DimensionMismatch("derivation matrix must be square")
-        object.__setattr__(self, "matrix", m)
+        n = len(self.matrix)
+        object.__setattr__(self, "matrix", exact_array(self.matrix, (n, n)))
 
     @property
     def dim(self):
@@ -218,14 +200,9 @@ class RepresentationSpec:
     maps: dict
 
     def __post_init__(self):
-        clean = {}
-        for key, mats in self.maps.items():
-            fam = tuple(tuple(tuple(map(exact, row)) for row in m) for m in mats)
-            for m in fam:
-                if len(m) != self.module_dim or any(len(r) != self.module_dim for r in m):
-                    raise DimensionMismatch("representation matrix shape mismatch")
-            clean[key] = fam
-        object.__setattr__(self, "maps", clean)
+        n = self.module_dim
+        object.__setattr__(self, "maps", {key: exact_array(mats, (len(mats), n, n))
+                                          for key, mats in self.maps.items()})
 
 
 @dataclass(frozen=True)

@@ -51,8 +51,8 @@ from math import comb, isqrt
 
 from .algebras import IdentityError, op_tensor, products_span, require_identity
 from .conformal import _brackets
-from .linalg import (ZERO, ONE, DimensionMismatch, Subspace, exact, nullspace,
-                     quotient_representatives)
+from .linalg import (ZERO, ONE, DimensionMismatch, Subspace, exact, exact_array,
+                     nullspace, quotient_representatives)
 
 
 class SpanningConditionError(Exception):
@@ -76,15 +76,11 @@ class CocycleFamily:
     forms: tuple
 
     def __post_init__(self):
-        forms = tuple(tuple(tuple(map(exact, row)) for row in f)
-                      for f in self.forms)
+        forms = self.forms
         if self.degree_cap < 0 or len(forms) != self.degree_cap + 1:
             raise ValueError("need a degree_cap >= 0 and degree_cap + 1 forms")
-        # every form has d rows, and every row d entries
         d = len(forms[0])
-        if set(map(len, itertools.chain(forms, *forms))) != {d}:
-            raise DimensionMismatch(f"cocycle forms are not all {d} x {d}")
-        object.__setattr__(self, "forms", forms)
+        object.__setattr__(self, "forms", exact_array(forms, (len(forms), d, d)))
 
     @property
     def dim(self):

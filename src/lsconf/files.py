@@ -7,10 +7,10 @@ cleanly:
      "ops": {"ld": {"L,L": {"L": "1"}, "W,L": {"W": "1"}}}}
 
 A label is a string with no "," that equals its own strip(), so that a
-pair key carries any two; load and save both refuse other labels.  A key
-repeated in one JSON object, or a basis pair named by two keys of one op
-table ("L,L" and "L, L"), is refused with its location: json.loads would
-silently keep the last value.
+pair key carries any two; load and save both refuse other labels.  A file
+is parsed once, and one walk turns its objects into dicts, refusing a key
+repeated in one object with its location (json.loads would keep the last
+value); so is a basis pair named by two keys of one op table.
 Derivations {"matrix": rows} and cocycle forms {"degree_cap": cap,
 "forms": [rows, ...]} are square in the dimension their loader is given.
 
@@ -26,7 +26,7 @@ direct writer, `dump_json`, whose bytes equal those of
 json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) plus a
 newline.  It takes only str-keyed dicts, lists, tuples, strings, ints,
 bools and None; anything else (a float or a Fraction, say) is a defect
-and raises TypeError.
+and raises TypeError.  Two outputs that name one file are refused.
 """
 
 from __future__ import annotations
@@ -91,44 +91,31 @@ def _parse_int(text):
     return int(text)
 
 
-class _RepeatedKey(Exception):
-    """Some JSON object repeats a key; _repeated_key names it."""
-
-
-def _unique_keys(pairs):
-    """json's object_pairs_hook: the object as a dict, refusing a repeated
-    key (json.loads would keep its last value)."""
-    obj = dict(pairs)
-    if len(obj) < len(pairs):
-        raise _RepeatedKey
-    return obj
-
-
 class _Object(list):
     """A JSON object read as its list of (key, value) pairs."""
 
 
-def _repeated_key(x, where=""):
-    """(key, its location) for a repeated key in x, a document read with
-    _Object for objects, or None."""
+def _dicts(x, where=""):
+    """x, a document read with _Object for objects, with each _Object made
+    a dict; a repeated key (json.loads would keep its last value) is
+    refused with its location."""
     if isinstance(x, _Object):
-        seen = set()
-        for key, _ in x:
-            if key in seen:
-                return key, f"{where}.{key}" if where else key
-            seen.add(key)
-        items = ((f"{where}.{key}" if where else key, v) for key, v in x)
-    elif isinstance(x, list):
-        items = ((f"{where}[{n}]", v) for n, v in enumerate(x))
-    else:
-        return None
-    return next(filter(None, (_repeated_key(v, loc) for loc, v in items)), None)
+        obj = {}
+        for key, v in x:
+            loc = f"{where}.{key}" if where else key
+            if key in obj:
+                raise FileFormatError(f"repeated key {key!r}", loc)
+            obj[key] = _dicts(v, loc)
+        return obj
+    if isinstance(x, list):
+        return [_dicts(v, f"{where}[{n}]") for n, v in enumerate(x)]
+    return x
 
 
 def _load_json(path, digest=None):
-    """The JSON object in path, read once; digest (a hashlib object), when
-    given, is updated with exactly the bytes that were parsed.  A repeated
-    key is refused with its location."""
+    """The JSON object in path, read and parsed once; digest (a hashlib
+    object), when given, is updated with exactly the bytes that were
+    parsed.  A repeated key is refused with its location."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -137,16 +124,12 @@ def _load_json(path, digest=None):
     if digest is not None:
         digest.update(data)
     try:
-        text = data.decode("utf-8")
-        doc = json.loads(text, parse_int=_parse_int, object_pairs_hook=_unique_keys)
+        doc = json.loads(data.decode("utf-8"), parse_int=_parse_int, object_pairs_hook=_Object)
     except UnicodeDecodeError as exc:
         raise FileFormatError(f"not UTF-8: {exc}", path) from exc
     except ValueError as exc:  # a JSONDecodeError, or an over-long integer
         raise FileFormatError(f"invalid JSON: {exc}", path) from exc
-    except _RepeatedKey:
-        key, where = _repeated_key(json.loads(text, parse_int=_parse_int,
-                                              object_pairs_hook=_Object))
-        raise FileFormatError(f"repeated key {key!r}", where) from None
+    doc = _dicts(doc)
     if not isinstance(doc, dict):
         raise FileFormatError("top-level JSON value must be an object", path)
     return doc
@@ -279,12 +262,16 @@ def _dump(x, out, nl):
 
 def _write_json(*outputs):
     """Write dump_json(doc) for each (doc, path) pair, opening every path
-    (without truncating) before writing any; on failure, remove the files
+    (without truncating) before writing any, and refusing a path that
+    names the same file as an earlier one; on failure, remove the files
     this call created and report the path as an input error."""
     opened = []
     try:
         for _, path in outputs:
             opened.append((not os.path.exists(path), open(path, "a", encoding="utf-8")))
+            fd = opened[-1][1].fileno()
+            if any(os.path.sameopenfile(fd, fh.fileno()) for _, fh in opened[:-1]):
+                raise OSError("names the same file as another output")
         for (doc, path), (_, fh) in zip(outputs, opened):
             with fh:
                 fh.truncate(0)

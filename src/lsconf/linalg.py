@@ -1,5 +1,6 @@
 """Exact linear algebra over the rationals.
 
+Input is made exact by `exact` (an entry) and `exact_array` (an array).
 Everything downstream reduces to ranks, nullspaces and membership tests of
 matrices with Fraction entries.  A row is a dense list of Fractions or ints,
 or a sparse row {col: x} of either; int_row turns it into a gcd-primitive
@@ -44,6 +45,17 @@ def exact(x):
     if type(x) is int:
         return Fraction(x)
     raise TypeError(f"expected an int or Fraction, got {type(x).__name__} {x!r}")
+
+
+def exact_array(x, shape):
+    """x, nested sequences of the given shape (a tuple of lengths), as
+    nested tuples of exact entries (see exact); a wrong length raises
+    DimensionMismatch."""
+    if len(x) != shape[0]:
+        raise DimensionMismatch(f"expected length {shape[0]}, got {len(x)}")
+    if len(shape) == 1:
+        return tuple(map(exact, x))
+    return tuple(exact_array(y, shape[1:]) for y in x)
 
 
 # ---------------------------------------------------------------------------

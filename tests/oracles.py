@@ -67,6 +67,10 @@
   before it resolved forced-zero columns: it drops every row that is a
   scalar multiple of an earlier one.  Tests use it to compare systems up
   to scale and to count the rows a system repeats.
+* `random_basis_change`, `change_basis`, `change_cocycle_basis` and
+  `change_map_basis` move an algebra, a cocycle family and a linear map to
+  the basis given by the columns of a random P in GL_n(Q), written out
+  dense from the definitions, for the basis-change tests.
 * `hardcoded_cocycle_system` holds the explicitly listed cap-3 equation
   systems (general, pre-Novikov, pre-Novikov at beta = 0, LS-Poisson),
   written out by hand as a cross-check of the mechanical expansion in
@@ -80,10 +84,10 @@ from fractions import Fraction
 from math import comb, gcd, prod
 from operator import itemgetter
 
-from lsconf.algebras import (AlgebraSpec, IdentityReport, MissingMaps, UnknownOp,
-                             _laws, _lincomb, _products, _shape, _sparse,
+from lsconf.algebras import (AlgebraSpec, IdentityReport, LinearMapSpec, MissingMaps,
+                             UnknownOp, _laws, _lincomb, _products, _shape, _sparse,
                              novikov_star, products_span, require_identity, tensor)
-from lsconf.cohomology import CohomologyError, coord_index, ncols
+from lsconf.cohomology import CocycleFamily, CohomologyError, coord_index, ncols
 from lsconf.conformal import LambdaPoly, ModuleElement, WindowedElement, WindowMismatch
 from lsconf import ideals, linalg
 from lsconf.ideals import PRE_GD_OPS
@@ -1185,3 +1189,39 @@ def check_representation(alg, rep, kind):
                 record("rep_g2", a, b, msub(lhs, M("r", br)))
     kindkey = "REPRESENTATION_" + kind.upper()
     return IdentityReport(kindkey, not violations, tuple(violations))
+
+
+# ---------------------------------------------------------------------------
+# changes of basis
+
+def random_basis_change(rng, n):
+    """(P, P^-1) for a random P in GL_n(Q) with integer entries in [-2, 2],
+    read off the rref [I | P^-1] of [P | I]."""
+    while True:
+        p = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        rows, pivots = rref([row + unit(n, i) for i, row in enumerate(p)], 2 * n)
+        if pivots == list(range(n)):
+            return p, [row[n:] for row in rows]
+
+
+def change_basis(alg, p, p_inv):
+    """alg on the basis whose i-th vector has the old coordinates of column
+    i of p: x op' y = p_inv (p x op p y), so x -> p x maps it onto alg."""
+    n = range(alg.dim)
+    ops = {op: [[mat_vec(p_inv, [sum(p[a][i] * p[b][j] * t[a][b][k] for a in n for b in n)
+                                 for k in n]) for j in n] for i in n]
+           for op, t in alg.ops.items()}
+    return AlgebraSpec(alg.name, alg.dim, alg.basis, ops)
+
+
+def change_cocycle_basis(fam, p):
+    """fam on change_basis's new basis: alpha'_i(x, y) = alpha_i(p x, p y)."""
+    n = range(fam.dim)
+    return CocycleFamily(fam.degree_cap, tuple(
+        tuple(tuple(sum(p[c][a] * p[d][b] * f[c][d] for c in n for d in n) for b in n)
+              for a in n) for f in fam.forms))
+
+
+def change_map_basis(m, p, p_inv):
+    """The LinearMapSpec m on change_basis's new basis: p_inv m p."""
+    return LinearMapSpec(mat_mul(p_inv, mat_mul(m.matrix, p)))

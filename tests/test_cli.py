@@ -234,6 +234,19 @@ def test_readme_commands_parse(capsys):
         assert args.command == argv[0]
 
 
+def test_readme_python_examples_run(capsys, monkeypatch, tmp_path):
+    """Every python block of README runs without raising, in an empty
+    working directory, and prints exactly the values its `print(...)  # v`
+    lines promise, in order."""
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert blocks
+    monkeypatch.chdir(tmp_path)
+    for n, block in enumerate(blocks):
+        promised = re.findall(r"^print\(.*\)\s+# (.*)$", block, re.M)
+        exec(compile(block, f"README.md python block {n}", "exec"), {})
+        assert capsys.readouterr().out.splitlines() == promised, block
+
+
 def test_simple_verdicts(capsys, inputs):
     code, out, _ = run(capsys, "simple", inputs["rank_two"])
     assert code == 0
@@ -382,6 +395,11 @@ def test_construct_refusal_messages(capsys, inputs, kind, argv, message):
     (["rank-one", "--c", "1", "-o", "{missing}/out.json"], "{missing}/out.json"),
     (["binomial-zinbiel", "--n", "3", "-o", "{dir}/zin3.json",
       "--derivation-out", "{missing}/d.json"], "{missing}/d.json"),
+    # one file named twice, by the same path or another spelling of it
+    (["binomial-zinbiel", "--n", "3", "-o", "{dir}/zin3.json",
+      "--derivation-out", "{dir}/zin3.json"], "{dir}/zin3.json"),
+    (["binomial-zinbiel", "--n", "3", "-o", "{dir}/zin3.json",
+      "--derivation-out", "{dir}/./zin3.json"], "{dir}/./zin3.json"),
 ])
 def test_construct_unwritable_output_exits_2(capsys, tmp_path, argv, unwritable):
     paths = {"dir": str(tmp_path), "missing": str(tmp_path / "missing")}
@@ -397,6 +415,22 @@ def test_construct_refusal_leaves_existing_output_unchanged(capsys, tmp_path):
     code, _, _ = run(capsys, "construct", "binomial-zinbiel", "--n", "3", "-o", str(out),
                      "--derivation-out", str(tmp_path / "missing" / "d.json"))
     assert code == 2 and out.read_text(encoding="utf-8") == "old\n"
+
+
+@pytest.mark.parametrize("derivation_out", ["zin3.json", "./zin3.json", "link.json"])
+def test_construct_refuses_an_existing_output_named_twice(capsys, tmp_path, monkeypatch,
+                                                          derivation_out):
+    """--derivation-out naming the existing -o file, by any spelling or by
+    a hard link, exits 2 there and leaves the file as it was."""
+    monkeypatch.chdir(tmp_path)
+    Path("zin3.json").write_text("old\n", encoding="utf-8")
+    os.link("zin3.json", "link.json")
+    code, _, err = run(capsys, "construct", "binomial-zinbiel", "--n", "3", "-o", "zin3.json",
+                       "--derivation-out", derivation_out, "--json")
+    assert (code, err) == (2, "error: names the same file as another output "
+                              f"(at {derivation_out})\n")
+    assert Path("zin3.json").read_text(encoding="utf-8") == "old\n"
+    assert sorted(os.listdir()) == ["link.json", "zin3.json"]
 
 
 def test_lambda_command(capsys, inputs):

@@ -372,10 +372,12 @@ def test_float_and_bool_are_not_exact_inputs():
                      lambda: cons.zinbiel_to_pre_gd(zin, D, 0, bad)):
             with pytest.raises(TypeError):
                 call()
-    # int and Fraction entries are exact; a given Fraction is kept as it is
+    # int and Fraction entries are exact; a given Fraction is kept as it is,
+    # except in an algebra's dense view, which is rebuilt from its rows
     half = F(1, 2)
     alg = AlgebraSpec("x", 1, ("a",), {"ld": [[[half]]], "rd": [[[3]]]})
-    assert alg.ops["ld"][0][0][0] is half and type(alg.ops["rd"][0][0][0]) is F
+    assert alg.ops["ld"][0][0][0] == half and type(alg.ops["ld"][0][0][0]) is F
+    assert type(alg.ops["rd"][0][0][0]) is F
     assert LinearMapSpec(((2,),)).matrix == ((F(2),),)
     assert RepresentationSpec(1, {"l": (((half,),),)}).maps["l"][0][0][0] is half
     assert h2(r1, F(1, 10), 1).beta == F(1, 10)

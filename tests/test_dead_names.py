@@ -1,7 +1,9 @@
 """Every function, class and method defined in src/lsconf is named somewhere
-other than on a line that defines that name: in src/, tests/, scripts/ or
-perfbench/.  A definition nothing names is dead code that every cold start
-still compiles."""
+outside the lines of its own definitions (from the def or class line to the
+last line of its body): in src/, tests/, scripts/ or perfbench/.  A
+definition nothing names is dead code that every cold start still compiles,
+and one named only inside itself (a self-recursive helper whose caller is
+gone, or a name in its own error message) is named by nothing."""
 
 import ast
 import re
@@ -13,13 +15,15 @@ SEARCHED = ("src", "tests", "scripts", "perfbench")
 
 
 def definitions():
-    """{name: {(path, line)}} of every def and class in src/lsconf, dunders excepted."""
+    """{name: {(path, line)}}: every line spanned by a def or class of that
+    name in src/lsconf, dunders excepted."""
     found = defaultdict(set)
     for path in sorted((ROOT / "src" / "lsconf").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                     and not (node.name.startswith("__") and node.name.endswith("__"))):
-                found[node.name].add((path, node.lineno))
+                found[node.name].update((path, line)
+                                        for line in range(node.lineno, node.end_lineno + 1))
     return found
 
 

@@ -133,6 +133,25 @@ def test_repeated_keys_are_refused_in_matrix_and_cocycle_files(tmp_path):
         load_cocycle(path, dim=1)
 
 
+@pytest.mark.parametrize("text", [
+    '{%s, "ops": {"ld": {"L,L": {"L": "1"}}}}' % ONE_L,
+    '{%s, "ops": {"ld": {"L,L": {"L": "1", "L": "2"}}}}' % ONE_L,
+], ids=["valid", "repeated-key"])
+def test_each_file_is_parsed_once(tmp_path, monkeypatch, text):
+    """A file is parsed once, whether it loads or is refused for a
+    repeated key."""
+    calls = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda *a, **k: calls.append(a) or loads(*a, **k))
+    path = tmp_path / "a.json"
+    path.write_text(text, encoding="utf-8")
+    try:
+        load_algebra(path)
+    except FileFormatError:
+        pass
+    assert len(calls) == 1
+
+
 def assert_same_spec(got, want):
     """Equal specs, with equal den, rows of every op and dense views."""
     assert got == want
