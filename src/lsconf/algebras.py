@@ -212,9 +212,6 @@ class IdentityReport:
     violations: tuple = ()
     skipped: int = 0
 
-    def first(self):
-        return self.violations[0] if self.violations else None
-
 
 # ---------------------------------------------------------------------------
 # products
@@ -540,7 +537,7 @@ def _residuals(alg, plan, aux, leaves, domains):
         scale = den ** top
         scaled = scaled_by.setdefault(scale, _Scaled(scale)).__getitem__
         given = domains[arity]
-        for idx in sorted(acc) if given is None else map(tuple, given):
+        for idx in sorted(acc) if given is None else given:
             row = acc.get(idx)
             if row and any(row):
                 yield label, idx, tuple(map(scaled, row))
@@ -566,11 +563,19 @@ def check_identity(alg, identity_id, aux=None, triples=None, pairs=None):
     triples / pairs restrict the checked index tuples (used for truncated
     instances whose products are only faithful on a sub-domain); by default
     everything over basis^arity is checked, which is complete by
-    multilinearity.
+    multilinearity.  Each law reads the whole domain, so an iterator is
+    read once, up front.  A tuple of another length, or with an index outside
+    range(dim), names no basis tuple and would pass unchecked: it is refused.
     """
     key, _ = _laws(alg, identity_id, aux)
+    domains = {arity: None if given is None else tuple(map(tuple, given))
+               for arity, given in ((2, pairs), (3, triples))}
+    for arity, given in domains.items():
+        for idx in given or ():
+            if len(idx) != arity or not all(i in range(alg.dim) for i in idx):
+                raise DimensionMismatch(f"{idx!r} is not a tuple of {arity} basis indices")
     units = [[int(i == k) for k in range(alg.dim)] for i in range(alg.dim)]
-    violations = tuple(_residuals(alg, _catalog_plan(key), aux, units, {2: pairs, 3: triples}))
+    violations = tuple(_residuals(alg, _catalog_plan(key), aux, units, domains))
     return IdentityReport(key, not violations, violations)
 
 
@@ -579,6 +584,8 @@ def identity_residuals(alg, identity_id, vectors, aux=None):
     arguments a, b, c = vectors, arbitrary coordinate vectors, computed by
     the same contraction check_identity runs on basis tuples."""
     key, laws = _laws(alg, identity_id, aux)
+    if len(vectors) != 3:
+        raise DimensionMismatch(f"need the three vectors a, b, c, got {len(vectors)}")
     if any(len(v) != alg.dim for v in vectors):
         raise DimensionMismatch("operand length does not match algebra dim")
     found = {label: res for label, _, res in _residuals(
@@ -610,7 +617,7 @@ def product_tensor(alg, terms, aux=None):
 def require_identity(alg, identity_id, aux=None, triples=None, pairs=None):
     rep = check_identity(alg, identity_id, aux=aux, triples=triples, pairs=pairs)
     if not rep.passed:
-        label, idx, res = rep.first()
+        label, idx, res = rep.violations[0]
         raise IdentityError(
             f"{alg.name or 'algebra'} fails {rep.identity_id}/{label} at {idx}: residual {res}",
             rep)

@@ -16,19 +16,18 @@ import sys
 from fractions import Fraction
 
 from .algebras import AlgebraError, IdentityError, check_identity, normalize_identity_id
-from .cohomology import CohomologyError, SpanningConditionError, h2
+from .cohomology import SpanningConditionError, h2
 from .conformal import (ModuleElement, build_current, build_rank_one,
                         check_coeff_left_symmetry, format_lambda_poly,
                         lambda_product)
-from .constructions import (ConstructionDefect,
-                            comm_assoc_derivation_to_novikov_poisson,
+from .constructions import (comm_assoc_derivation_to_novikov_poisson,
                             ls_poisson_to_pre_gd, pre_novikov_to_pre_gd,
                             truncated_binomial_zinbiel, zinbiel_to_pre_gd,
                             zinbiel_to_pre_novikov)
 from .files import (FileFormatError, _write_json, algebra_to_json, cocycle_to_json, dump_json,
                     file_sha256, load_algebra, load_cocycle, load_matrix, matrix_to_json,
                     parse_rational)
-from .ideals import IdealVerificationError, TrivialAlgebra, certify_conformal_simplicity
+from .ideals import TrivialAlgebra, certify_conformal_simplicity
 from .linalg import LinalgError, Subspace
 
 PASS, FAIL, INPUT_ERROR, REFUSED, INCONCLUSIVE, INTERNAL_ERROR = 0, 1, 2, 3, 4, 70
@@ -367,8 +366,8 @@ def main(argv=None):
     except (FileFormatError, AlgebraError, LinalgError, TrivialAlgebra, ValueError) as exc:
         _err(str(exc))
         return INPUT_ERROR
-    except (CohomologyError, IdealVerificationError, ConstructionDefect) as exc:
-        _err(f"internal: {exc}")
+    except Exception as exc:  # any other exception is a defect, never a finding
+        _err(f"internal: {type(exc).__name__}: {exc}")
         return INTERNAL_ERROR
     finally:
         if limit is not None:

@@ -68,10 +68,6 @@ class ModuleElement:
     def basis(cls, i, ddeg=0):
         return cls({(ddeg, i): ONE})
 
-    @classmethod
-    def from_vector(cls, vec, ddeg=0):
-        return cls({(ddeg, i): c for i, c in enumerate(vec) if c})
-
     def is_zero(self):
         return not self.terms and not self.central
 

@@ -115,7 +115,8 @@ def _dicts(x, where=""):
 def _load_json(path, digest=None):
     """The JSON object in path, read and parsed once; digest (a hashlib
     object), when given, is updated with exactly the bytes that were
-    parsed.  A repeated key is refused with its location."""
+    parsed.  A repeated key is refused with its location, and so is
+    nesting too deep for the parser or the walk to recurse through."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -124,12 +125,14 @@ def _load_json(path, digest=None):
     if digest is not None:
         digest.update(data)
     try:
-        doc = json.loads(data.decode("utf-8"), parse_int=_parse_int, object_pairs_hook=_Object)
+        doc = _dicts(json.loads(data.decode("utf-8"), parse_int=_parse_int,
+                                object_pairs_hook=_Object))
     except UnicodeDecodeError as exc:
         raise FileFormatError(f"not UTF-8: {exc}", path) from exc
     except ValueError as exc:  # a JSONDecodeError, or an over-long integer
         raise FileFormatError(f"invalid JSON: {exc}", path) from exc
-    doc = _dicts(doc)
+    except RecursionError as exc:
+        raise FileFormatError("JSON nested too deeply", path) from exc
     if not isinstance(doc, dict):
         raise FileFormatError("top-level JSON value must be an object", path)
     return doc

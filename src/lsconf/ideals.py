@@ -3,7 +3,7 @@
 An ideal for an operation set is a subspace invariant under the
 associative envelope E of the multiplication operators.  Verdicts are
 over C, the conformal algebra's ground field; witnesses are over Q.  Per
-operation set (see _search): a proper closure of a basis vector is the
+operation set (see simple_on_ops): a proper closure of a basis vector is the
 witness; a full E (dimension dim^2) leaves no invariant subspace over any
 field, so simple; any other E is not simple over C (Burnside).  Its
 radical, by Dickson's criterion the kernel of the trace form tr(xy) on E
@@ -138,32 +138,6 @@ def envelope_radical(env, dim):
     return rad
 
 
-def _search(alg, ops):
-    """(proper ideal or None, envelope or None): the first proper closure
-    of a unit vector, else the envelope E with rad(E)V if it is nonzero;
-    a full E = M_dim has rad(E) = 0 and every vector closes to V."""
-    dim = alg.dim
-    for i in range(dim):
-        closure = ideal_closure(alg, [unit(dim, i)], ops)
-        if 0 < closure.dim < dim:
-            return closure, None
-    env = associative_envelope(alg, ops)
-    if env.is_full():
-        return None, env
-    image = Subspace(dim, [{k // dim: c for k, c in x.items() if k % dim == s}
-                           for x in envelope_radical(env, dim)._rows.values()
-                           for s in range(dim)])
-    return (image if image.dim else None), env
-
-
-def find_proper_ideal(alg, ops=PRE_GD_OPS):
-    """A verified proper ideal over Q for the given ops, or None."""
-    found, _ = _search(alg, ops)
-    if found is not None:
-        _verify_ideal(alg, found, ops)
-    return found
-
-
 def _verify_ideal(alg, sub, ops):
     gens = multiplication_operators(alg, ops)
     for x in sub._rows.values():
@@ -175,33 +149,35 @@ def _verify_ideal(alg, sub, ops):
         raise IdealVerificationError("claimed ideal is not proper")
 
 
-def _all_products_zero(alg, ops):
-    # an AlgebraSpec never stores an all-zero op
-    return not any(map(alg.has, ops))
-
-
-def _simple_on_ops(alg, ops):
-    if _all_products_zero(alg, ops):
+def simple_on_ops(alg, ops=PRE_GD_OPS):
+    """The simplicity certificate for one operation set: the first proper
+    closure of a unit vector, else the envelope E (a full E = M_dim has
+    rad(E) = 0 and every vector closes to V), with rad(E)V as the witness
+    when it is nonzero."""
+    if not any(map(alg.has, ops)):  # an AlgebraSpec never stores an all-zero op
         raise TrivialAlgebra(f"all products vanish for ops {sorted(set(ops))}")
-    found, env = _search(alg, ops)
-    if found is not None:
-        _verify_ideal(alg, found, ops)
-        return SimplicityCertificate("not_simple", "witness_ideal", witness=found)
-    full = alg.dim * alg.dim
-    if env.dim == full:
-        return SimplicityCertificate(
-            "simple", "envelope",
-            details=(f"multiplication envelope has full dimension {full}",))
-    return SimplicityCertificate(
-        "not_simple", "envelope_not_full",
-        details=(f"multiplication envelope has dimension {env.dim} < {full} and "
-                 "zero radical: a proper ideal exists over C by Burnside's "
-                 "theorem; no witness over Q is named",))
-
-
-def is_simple_pre_gd(alg):
-    """Simplicity of the three-operation algebra itself."""
-    return _simple_on_ops(alg, PRE_GD_OPS)
+    dim = alg.dim
+    for i in range(dim):
+        found = ideal_closure(alg, [unit(dim, i)], ops)
+        if 0 < found.dim < dim:
+            break
+    else:
+        env = associative_envelope(alg, ops)
+        if env.is_full():
+            return SimplicityCertificate(
+                "simple", "envelope",
+                details=(f"multiplication envelope has full dimension {dim * dim}",))
+        found = Subspace(dim, [{k // dim: c for k, c in x.items() if k % dim == s}
+                               for x in envelope_radical(env, dim)._rows.values()
+                               for s in range(dim)])
+        if not found.dim:
+            return SimplicityCertificate(
+                "not_simple", "envelope_not_full",
+                details=(f"multiplication envelope has dimension {env.dim} < {dim * dim} and "
+                         "zero radical: a proper ideal exists over C by Burnside's "
+                         "theorem; no witness over Q is named",))
+    _verify_ideal(alg, found, ops)
+    return SimplicityCertificate("not_simple", "witness_ideal", witness=found)
 
 
 def _regular_element(alg, trials, rng_seed):
@@ -226,9 +202,8 @@ def certify_conformal_simplicity(alg, trials=20, rng_seed=0):
     """Simplicity of the quadratic conformal algebra built on alg;
     `trials` and `rng_seed` bound only the regular-element rule."""
     log = []
-    pn_cert = (None if _all_products_zero(alg, ("ld", "rd"))
-               else _simple_on_ops(alg, ("ld", "rd")))
-    gd_cert = pn_cert if pn_cert and pn_cert.verdict == "simple" else is_simple_pre_gd(alg)
+    pn_cert = simple_on_ops(alg, ("ld", "rd")) if alg.has("ld") or alg.has("rd") else None
+    gd_cert = pn_cert if pn_cert and pn_cert.verdict == "simple" else simple_on_ops(alg)
     log.append(f"three-operation algebra: {gd_cert.verdict} ({gd_cert.criterion})")
     if gd_cert.verdict == "not_simple":
         log.extend(gd_cert.details)
@@ -276,9 +251,3 @@ def certify_conformal_simplicity(alg, trials=20, rng_seed=0):
 
     return SimplicityCertificate("inconclusive", "no_applicable_criterion",
                                  details=tuple(log))
-
-
-def check_star_nonzero(alg):
-    """Some basis pair has a rd b != -(b ld a), i.e. a nonzero star
-    product; holds for every simple pre-Novikov algebra."""
-    return any(row for plane in alg.rows("star") for row in plane)

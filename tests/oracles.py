@@ -24,6 +24,10 @@
   it searched the (ld, rd) operators first: the three-operation search
   always runs, (ld, rd) is searched after it, and the Novikov-Poisson rule
   runs its own (ld, circ) search.
+* `check_star_nonzero` tests the necessary condition that every simple
+  pre-Novikov algebra meets, a nonzero star product.  The library carried
+  it in `lsconf.ideals` until only the tests called it: its certificate
+  reads the stronger spanning rule instead.
 * `nullspace`, `coboundary_space` and `h2` are Z2, B2 and H2 as the
   library computed them before it kept them on integer rows: the kernel
   read off the dense `rref`, coboundaries as dense Fraction matrix-vector
@@ -419,7 +423,7 @@ def _random_vector(rng, dim):
 
 
 def search(alg, ops, trials, rng_seed):
-    """The old random `lsconf.ideals._search`, random trials ahead of the
+    """The old random search of `lsconf.ideals`, random trials ahead of the
     envelope: (proper ideal or None, envelope_full flag).  Closures,
     envelope and kernels are the library's, each checked against its own
     oracle."""
@@ -457,7 +461,7 @@ def certify_conformal_simplicity(alg, trials=20, rng_seed=0):
     (ld, rd) a second time, and a Novikov-Poisson search of (ld, circ).
     The searches and rules are the library's."""
     log = []
-    gd_cert = ideals.is_simple_pre_gd(alg)
+    gd_cert = ideals.simple_on_ops(alg)
     log.append(f"three-operation algebra: {gd_cert.verdict} ({gd_cert.criterion})")
     if gd_cert.verdict == "not_simple":
         log.extend(gd_cert.details)
@@ -467,10 +471,10 @@ def certify_conformal_simplicity(alg, trials=20, rng_seed=0):
                                             witness=gd_cert.witness,
                                             details=tuple(log))
 
-    if ideals._all_products_zero(alg, ("ld", "rd")):
+    if not (alg.has("ld") or alg.has("rd")):
         log.append("two-operation part is trivial; spanning rule skipped")
     else:
-        pn_cert = ideals._simple_on_ops(alg, ("ld", "rd"))
+        pn_cert = ideals.simple_on_ops(alg, ("ld", "rd"))
         log.append(f"two-operation part: {pn_cert.verdict} ({pn_cert.criterion})")
         if pn_cert.verdict == "simple":
             if products_span(alg, "star"):
@@ -479,7 +483,7 @@ def certify_conformal_simplicity(alg, trials=20, rng_seed=0):
                     "simple", "pre_novikov_simple_spanning", details=tuple(log))
             log.append("star products do not span V")
 
-    if not alg.has("rd") or ideals._all_products_zero(alg, ("rd",)):
+    if not alg.has("rd"):
         a = ideals._regular_element(alg, trials, rng_seed)
         if a is not None:
             log.append("found a with jointly injective ld multiplications")
@@ -494,7 +498,7 @@ def certify_conformal_simplicity(alg, trials=20, rng_seed=0):
             if ideals.check_identity(probe, "NOVIKOV_POISSON").passed:
                 log.append("ld together with circ satisfies the "
                            "Novikov-Poisson laws")
-                np_cert = ideals._simple_on_ops(alg, ("ld", "circ"))
+                np_cert = ideals.simple_on_ops(alg, ("ld", "circ"))
                 if np_cert.verdict == "simple":
                     return ideals.SimplicityCertificate(
                         "simple", "novikov_poisson_simple", details=tuple(log))
@@ -502,6 +506,12 @@ def certify_conformal_simplicity(alg, trials=20, rng_seed=0):
 
     return ideals.SimplicityCertificate("inconclusive", "no_applicable_criterion",
                                         details=tuple(log))
+
+
+def check_star_nonzero(alg):
+    """Some basis pair has a rd b != -(b ld a), i.e. a nonzero star
+    product; holds for every simple pre-Novikov algebra."""
+    return any(row for plane in alg.rows("star") for row in plane)
 
 
 def _add(acc, key, col, coeff):

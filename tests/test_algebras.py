@@ -63,7 +63,7 @@ def test_rd_only_fails_pre_novikov_at_diagonal():
     assert not rep.passed
     labels = {v[0] for v in rep.violations}
     assert "pn3" in labels
-    assert rep.first()[1] == (0, 0, 0)
+    assert rep.violations[0][1] == (0, 0, 0)
 
 
 def test_zero_algebra_passes_all_product_identities():
@@ -133,6 +133,34 @@ def test_residuals_at_vectors_match_basis_residuals():
            identity_residuals(alg, "PRE_GD", (units[0], units[1], units[0]))
            if any(res)]
     assert got == [v for v in rep.violations if v[1] == (0, 1, 0)]
+
+
+# x o x = y, y o x = x: circ fails left-symmetry at (x, y, x) and (y, x, x)
+NOT_LS = AlgebraSpec("not_ls", 2, ("x", "y"), {"circ": tensor(2, {(0, 0, 1): 1, (1, 0, 0): 1})})
+
+
+@pytest.mark.parametrize("domain", [{"triples": [(0, 0, 99)]}, {"triples": [(0, 1)]},
+                                    {"triples": [(-1, 0, 0)]}, {"pairs": [(0, 1, 1)]}])
+def test_a_domain_tuple_that_names_no_basis_tuple_is_refused(domain):
+    assert not check_identity(NOT_LS, "LEFT_SYMMETRIC").passed
+    with pytest.raises(DimensionMismatch):
+        check_identity(NOT_LS, "LEFT_SYMMETRIC", **domain)
+
+
+def test_an_iterator_domain_is_read_by_every_law():
+    # rd_only fails only pn3, the third law of PRE_NOVIKOV
+    bad = AlgebraSpec("rd_only", 1, ("L",), {"rd": tensor(1, {(0, 0, 0): 1})})
+    assert (check_identity(bad, "PRE_NOVIKOV", triples=iter([(0, 0, 0)]))
+            == check_identity(bad, "PRE_NOVIKOV"))
+
+
+def test_residuals_need_three_vectors():
+    x, y = [F(1), F(0)], [F(0), F(1)]
+    assert identity_residuals(NOT_LS, "LEFT_SYMMETRIC", (x, y, x)) == [
+        ("left_symmetry", (F(0), F(-2)))]
+    for vectors in ((x, y), (x, y, x, y), ()):
+        with pytest.raises(DimensionMismatch):
+            identity_residuals(NOT_LS, "LEFT_SYMMETRIC", vectors)
 
 
 @settings(max_examples=30, deadline=None)

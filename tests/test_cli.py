@@ -107,8 +107,9 @@ def test_json_reports_build_no_text(capsys, monkeypatch, inputs):
     monkeypatch.setattr(cli, "family_text", no_text)
     code, out, _ = run(capsys, "h2", inputs["lw"], "--json")
     assert code == 0 and json.loads(out)["dim_H2"] == 2
-    with pytest.raises(AssertionError, match="text built"):
-        run(capsys, "h2", inputs["lw"])
+    # main reports the planted AssertionError as an internal error
+    code, _, err = run(capsys, "h2", inputs["lw"])
+    assert code == 70 and "AssertionError: text built under --json" in err
 
 
 def test_h2_refusal_and_cap_override(capsys, inputs):
@@ -139,8 +140,8 @@ def _full_coboundaries(alg, beta, degree_cap):
     return nullspace([], ncols(degree_cap, alg.dim))
 
 
-def _wrong_ideal(alg, ops):
-    return Subspace(alg.dim, [unit(alg.dim, 0)]), None
+def _wrong_ideal(alg, seed, ops):
+    return Subspace(alg.dim, [unit(alg.dim, 0)])
 
 
 # a defect planted at one call site: (module, attribute, fake, argv); a
@@ -152,7 +153,7 @@ ZINBIEL_PREGD = ["construct", "zinbiel-pregd", "{zin3}", "--derivation", "{zin3_
 
 @pytest.mark.parametrize("module, attr, fake, argv", [
     (cohomology, "coboundary_space", _full_coboundaries, ["h2", "{r1}"]),
-    (ideals, "_search", _wrong_ideal, ["simple", "{degenerate}"]),
+    (ideals, "ideal_closure", _wrong_ideal, ["simple", "{degenerate}"]),
     (constructions, "product_tensor", perturbed_product_tensor(lambda terms: True),
      ZINBIEL_PREGD),
     (constructions, "product_tensor", perturbed_product_tensor(is_direct_route),
@@ -164,6 +165,18 @@ def test_internal_defects_exit_70(capsys, monkeypatch, inputs, module, attr,
     code, _, err = run(capsys, *[a.format(**inputs) for a in argv])
     assert code == 70
     assert err.startswith("error: internal: ") and "Traceback" not in err
+
+
+def test_unforeseen_exceptions_exit_70(capsys, monkeypatch, inputs):
+    """An exception lsconf does not classify is a defect too, never the
+    exit 1 of a negative finding."""
+    def h2(*args, **kwargs):
+        raise KeyError("planted")
+
+    monkeypatch.setattr(cli, "h2", h2)
+    code, out, err = run(capsys, "h2", inputs["r1"])
+    assert (code, out) == (70, "")
+    assert err.splitlines()[0] == "error: internal: KeyError: 'planted'"
 
 
 def test_h2_json_is_byte_stable(capsys, inputs):
@@ -556,6 +569,29 @@ def test_malformed_files_exit_2_with_location(capsys, tmp_path, kind, content):
     code, _, err = run(capsys, options[0], paths["algebra"], *options[1:])
     assert code == 2
     assert "Traceback" not in err and "(at " in err
+
+
+@pytest.mark.parametrize("depth", [500, 100_000])
+@pytest.mark.parametrize("kind", ["algebra", "cocycle"])
+def test_deeply_nested_json_exits_2_at_the_file(capsys, tmp_path, kind, depth):
+    """An ignored field nested depth lists deep.  At 100,000 the parser runs
+    out of recursion; at 500 the walk that makes the dicts does, on CPython
+    before 3.12, where a comprehension takes a frame of its own.  Either is
+    refused at the file, never the exit 1 of a RecursionError; a file that
+    can be read is read."""
+    doc = R1 if kind == "algebra" else {"degree_cap": 0, "forms": [[["0"]]]}
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(doc)[:-1] + ', "note": ' + "[" * depth + "]" * depth + "}",
+                    encoding="utf-8")
+    algebra = tmp_path / "r1.json"
+    algebra.write_text(json.dumps(R1), encoding="utf-8")
+    argv = (["check", str(path), "--identity", "pre-gd"] if kind == "algebra" else
+            ["coeff-check", str(algebra), "--window", "1", "--cocycle", str(path)])
+    code, _, err = run(capsys, *argv)
+    if depth > 500 or sys.version_info < (3, 12):
+        assert (code, err) == (2, f"error: JSON nested too deeply (at {path})\n")
+    else:
+        assert (code, err) == (0, "")
 
 
 def test_answer_past_the_int_str_limit_is_printed(capsys, tmp_path):

@@ -109,8 +109,8 @@ def test_sesquilinearity_first_slot():
 def test_sesquilinearity_second_slot(coords):
     # x_lam (d y) = (d + lam)(x_lam y)
     lw = two_dim_lw()
-    x = ME.from_vector(coords[:2])
-    y = ME.from_vector(coords[2:])
+    x = ME({(0, i): c for i, c in enumerate(coords[:2])})
+    y = ME({(0, i): c for i, c in enumerate(coords[2:])})
     p = lambda_product(lw, x, y)
     expect = {}
     for n, elt in p.coeffs.items():

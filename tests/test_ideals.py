@@ -9,9 +9,8 @@ from lsconf import ideals
 from lsconf.algebras import AlgebraSpec, check_identity, eval_product, tensor
 from lsconf.conformal import build_rank_one
 from lsconf.ideals import (TrivialAlgebra, associative_envelope,
-                           certify_conformal_simplicity, check_star_nonzero,
-                           find_proper_ideal, ideal_closure, is_simple_pre_gd,
-                           multiplication_operators)
+                           certify_conformal_simplicity, ideal_closure,
+                           multiplication_operators, simple_on_ops)
 from lsconf.linalg import Subspace, mat_mul, unit
 
 from lsconf import constructions as cons
@@ -61,18 +60,19 @@ def test_envelope_dimensions():
     assert multiplication_operators(alg, ("ld",)) == gens[4:8]
 
 
-def test_find_proper_ideal():
-    assert find_proper_ideal(build_rank_one(1)) is None
-    found = find_proper_ideal(rank_two(0, 0))
-    assert found.basis == [[0, 1]]
+def test_simple_on_ops_witnesses():
+    assert simple_on_ops(build_rank_one(1)).witness is None
+    cert = simple_on_ops(rank_two(0, 0))
+    assert (cert.verdict, cert.criterion) == ("not_simple", "witness_ideal")
+    assert cert.witness.basis == [[0, 1]]
     # restricting the ops can surface ideals the full op set closes up
-    assert find_proper_ideal(rank_two(1, 1)) is None
-    assert find_proper_ideal(rank_two(1, 1), ops=("ld", "rd")) is not None
+    assert simple_on_ops(rank_two(1, 1)).verdict == "simple"
+    assert simple_on_ops(rank_two(1, 1), ops=("ld", "rd")).witness is not None
     # only the envelope's radical finds this one (see LD_PAIR)
-    assert find_proper_ideal(LD_PAIR, ("ld",)) == Subspace(2, [[3, 2]])
+    assert simple_on_ops(LD_PAIR, ("ld",)).witness == Subspace(2, [[3, 2]])
     # fields and semisimple envelopes: not simple over C, no witness over Q
-    assert find_proper_ideal(gaussian_rationals()) is None
-    assert find_proper_ideal(split_quadratic()) is None
+    assert simple_on_ops(gaussian_rationals()).witness is None
+    assert simple_on_ops(split_quadratic()).witness is None
 
 
 def test_trials_cost_no_closures_once_envelopes_are_full(monkeypatch):
@@ -103,7 +103,7 @@ def test_trials_cost_no_closures_once_envelopes_are_full(monkeypatch):
 
 def test_trivial_algebra_is_refused():
     with pytest.raises(TrivialAlgebra):
-        is_simple_pre_gd(AlgebraSpec("z", 2, ("a", "b"), {}))
+        simple_on_ops(AlgebraSpec("z", 2, ("a", "b"), {}))
 
 
 def test_regular_element_certificate():
@@ -197,21 +197,19 @@ def test_simple_pre_novikov_has_nonzero_star():
                   build_rank_one(0),
                   cons.zinbiel_to_pre_novikov(zin, D, F(1, 2))]
     for alg in candidates:
-        pn_ideal = find_proper_ideal(alg, ops=("ld", "rd"))
-        env = associative_envelope(alg, ops=("ld", "rd"))
-        if pn_ideal is None and env.dim == alg.dim * alg.dim:
+        if simple_on_ops(alg, ops=("ld", "rd")).verdict == "simple":
             simple_seen += 1
-            assert check_star_nonzero(alg), alg.name
+            assert oracles.check_star_nonzero(alg), alg.name
     assert simple_seen >= 2
 
 
 def test_star_detector():
-    assert check_star_nonzero(two_dim_lw())
+    assert oracles.check_star_nonzero(two_dim_lw())
     # a rd b = -(b ld a) everywhere forces star to vanish
     killed = AlgebraSpec("sym", 2, ("a", "b"),
                          {"ld": tensor(2, {(0, 0, 1): 1}),
                           "rd": tensor(2, {(0, 0, 1): -1})})
-    assert not check_star_nonzero(killed)
+    assert not oracles.check_star_nonzero(killed)
 
 
 # --- integer kernels against the Fraction oracles ----------------------------
@@ -331,7 +329,7 @@ def test_envelope_radical_examples():
     for alg in (gaussian_rationals(), split_quadratic()):
         env = associative_envelope(alg)
         assert env.dim == 2 and ideals.envelope_radical(env, 2).dim == 0
-        cert = is_simple_pre_gd(alg)
+        cert = simple_on_ops(alg)
         assert (cert.verdict, cert.criterion, cert.witness) == (
             "not_simple", "envelope_not_full", None)
         assert "Burnside" in cert.details[0]
@@ -348,7 +346,7 @@ def test_verdict_is_exact_and_keeps_every_random_search_find(alg, ops, trials, r
     (oracles.search) finds is still a not_simple verdict; every witness
     re-verifies."""
     try:
-        cert = ideals._simple_on_ops(alg, ops)
+        cert = simple_on_ops(alg, ops)
     except TrivialAlgebra:
         return
     assert cert.verdict in ("simple", "not_simple")
@@ -359,7 +357,6 @@ def test_verdict_is_exact_and_keeps_every_random_search_find(alg, ops, trials, r
         ideals._verify_ideal(alg, cert.witness, ops)
     if cert.criterion == "envelope_not_full":
         assert ideals.envelope_radical(associative_envelope(alg, ops), alg.dim).dim == 0
-    assert find_proper_ideal(alg, ops) == cert.witness
 
 
 def _drop_rd(alg):
