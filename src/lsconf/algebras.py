@@ -44,7 +44,7 @@ from math import gcd, lcm
 from operator import itemgetter
 from types import MappingProxyType
 
-from .linalg import ZERO, DimensionMismatch, exact, exact_array, rank, vzero
+from .linalg import ZERO, DimensionMismatch, Subspace, exact, exact_array, vzero
 
 
 class AlgebraError(Exception):
@@ -274,9 +274,14 @@ def op_tensor(alg, op):
 
 
 def products_span(alg, op):
-    """Do the products e_i op e_j span the whole space?"""
-    return rank([dict(row) for plane in alg.rows(op) for row in plane],
-                alg.dim) == alg.dim
+    """Do the products e_i op e_j span the whole space?  Not when some
+    coordinate occurs in none of them; else they are added to one span
+    until it is full."""
+    rows = [row for plane in alg.rows(op) for row in plane if row]
+    if len({k for row in rows for k, _ in row}) < alg.dim:
+        return False
+    span = Subspace(alg.dim)
+    return any(span.add(dict(row)) and span.is_full() for row in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,10 @@ radical, by Dickson's criterion the kernel of the trace form tr(xy) on E
 (characteristic 0), is nilpotent, so when it is nonzero rad(E)V is a
 proper ideal over Q, the witness; when it is zero no witness is named.
 
+Closures, envelopes and the re-verification apply only the nonzero
+multiplication operators: a zero one sends every vector to 0, which every
+subspace holds, so skipping it changes no verdict, witness or check.
+
 Every witness is re-verified.  The conformal certificate searches (ld, rd)
 first, unless its products all vanish: E(ld, rd) lies in E(ld, rd, circ),
 so a full (ld, rd) envelope is the three-operation certificate too.  Else
@@ -77,10 +81,22 @@ def _apply(cols, x):
     return out
 
 
+def _apply_to_word(cols, m, dim):
+    """The product of the operator with these columns and the flat sparse
+    dim x dim matrix m ({k * dim + j: entry}), in the same form."""
+    out = {}
+    for lj, x in m.items():
+        l, j = divmod(lj, dim)
+        for k, c in cols[l]:
+            kj = k * dim + j
+            out[kj] = out.get(kj, 0) + x * c
+    return out
+
+
 def ideal_closure(alg, seed, ops=PRE_GD_OPS):
     """Least subspace containing the seed vectors with x op v, v op x
     inside, for every basis v and listed op."""
-    gens = multiplication_operators(alg, ops)
+    gens = [g for g in multiplication_operators(alg, ops) if any(g)]
     closure = Subspace(alg.dim, seed)
     todo = list(closure._rows.values())
     while todo and not closure.is_full():
@@ -95,24 +111,20 @@ def ideal_closure(alg, seed, ops=PRE_GD_OPS):
 
 
 def associative_envelope(alg, ops=PRE_GD_OPS):
-    """Span of all words in the multiplication operators (with identity),
-    as a subspace of flattened dim x dim matrices; a word is kept as its
-    sparse columns."""
+    """Span of all words in the nonzero multiplication operators (with
+    identity), as a subspace of flattened dim x dim matrices, entry (k, j)
+    at k * dim + j; a word is kept as that flat sparse matrix."""
     dim = alg.dim
-    gens = multiplication_operators(alg, ops)
-
-    def flat(m):
-        return {k * dim + j: x for j, col in enumerate(m) for k, x in col.items()}
-
-    one = [{j: 1} for j in range(dim)]
-    span = Subspace(dim * dim, [flat(one)])
+    gens = [g for g in multiplication_operators(alg, ops) if any(g)]
+    one = {j * dim + j: 1 for j in range(dim)}
+    span = Subspace(dim * dim, [one])
     frontier = [one]
     while frontier:
         fresh = []
         for m in frontier:
             for g in gens:
-                gm = [_apply(g, col) for col in m]
-                if span.add(flat(gm)):
+                gm = _apply_to_word(g, m, dim)
+                if span.add(gm):
                     if span.is_full():
                         return span
                     fresh.append(gm)
@@ -142,7 +154,7 @@ def _verify_ideal(alg, sub, ops):
     gens = multiplication_operators(alg, ops)
     for x in sub._rows.values():
         for n, g in enumerate(gens):
-            if not sub.contains(_apply(g, x)):
+            if any(g) and not sub.contains(_apply(g, x)):
                 side = "right" if n % 2 else "left"
                 raise IdealVerificationError(f"claimed ideal is not {side}-stable")
     if not 0 < sub.dim < alg.dim:

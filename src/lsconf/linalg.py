@@ -105,7 +105,7 @@ def _clear(t, r, p):
     row of a*t - b*r with a > 0, so a stored t keeps a positive pivot."""
     g = gcd(r[p], t[p])
     a, b = r[p] // g, t[p] // g
-    out = {c: a * x for c, x in t.items()}
+    out = dict(t) if a == 1 else {c: a * x for c, x in t.items()}
     for c, y in r.items():
         z = out.get(c, 0) - b * y
         if z:

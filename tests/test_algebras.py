@@ -10,14 +10,15 @@ from lsconf.algebras import (AlgebraSpec, CATALOG, DimensionMismatch,
                              MissingOps, RepresentationSpec, UnknownIdentity, associated,
                              check_identity, check_representation,
                              eval_product, identity_residuals, normalize_identity_id, novikov_star,
-                             prod_basis, product_tensor, regular_gd_representation,
+                             prod_basis, product_tensor, products_span, regular_gd_representation,
                              regular_novikov_representation, require_identity,
                              semidirect, tensor)
+from lsconf.cohomology import SPANNING_OPS
 from lsconf.conformal import build_rank_one
 from lsconf import constructions as cons
 
 from conftest import (construction_pre_gd_family, random_algebra, rank_two,
-                      small_fraction, two_dim_lw, unital_two_dim)
+                      small_fraction, two_dim_lw, unital_one_dim, unital_two_dim)
 import oracles
 
 F = Fraction
@@ -218,6 +219,37 @@ def test_catalog_matches_dense_oracle_on_binomial_zoo(n):
     rng = random.Random(n)
     for alg in algebras:
         assert_catalog_matches_oracle(alg, D, few_nonzero_vectors(rng, n))
+
+
+def products_have_full_rank(alg, op):
+    rows = [oracles.prod_basis(alg, op, i, j) for i in range(alg.dim) for j in range(alg.dim)]
+    return len(oracles.rref(rows, alg.dim)[1]) == alg.dim
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(1, 4), st.floats(0.05, 0.6))
+def test_products_span_is_full_rank_of_all_products(seed, dim, density):
+    alg = random_algebra(random.Random(seed), dim, density=density)
+    for op in SPANNING_OPS:
+        assert products_span(alg, op) == products_have_full_rank(alg, op), op
+
+
+# e0 ld e0 = e0 + e1 and e1 ld e1 = 2(e0 + e1): both coordinates met, rank 1
+COLLINEAR = AlgebraSpec("collinear", 2, ("e0", "e1"),
+                        {"ld": tensor(2, {(0, 0, 0): 1, (0, 0, 1): 1,
+                                          (1, 1, 0): 2, (1, 1, 1): 2})})
+
+
+@pytest.mark.parametrize("alg, spanning", [
+    # the nilpotent binomial pre-GD algebras never produce x1
+    *((alg, set()) for _, algebras in BINOMIAL_ZOO[1:] for alg in algebras[1:]),
+    (rank_two(1, 1), {"ast", "star", "ld"}),      # rd is absent
+    (unital_one_dim(), {"ast", "star", "ld"}),
+    (COLLINEAR, set()),
+])
+def test_products_span_examples(alg, spanning):
+    assert {op for op in SPANNING_OPS if products_span(alg, op)} == spanning
+    assert {op for op in SPANNING_OPS if products_have_full_rank(alg, op)} == spanning
 
 
 @settings(max_examples=12, deadline=None)

@@ -75,3 +75,20 @@ def test_every_allowed_name_is_still_named_outside_src_only():
     named = named_in()
     assert sorted(name for name in ALLOWED
                   if name in named["src"] or name not in set().union(*named.values())) == []
+
+
+def test_every_name_a_src_module_imports_is_used_there():
+    """A call removed from a module takes its import with it: every name
+    bound by an import in src/lsconf is read somewhere in that module."""
+    stale = []
+    for path in sorted((ROOT / "src" / "lsconf").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(a.asname or a.name.partition(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        stale += [f"{path.name}: {name}" for name in sorted(imported - used)]
+    assert stale == []

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from lsconf import ideals
 from lsconf.algebras import AlgebraSpec, check_identity, eval_product, tensor
 from lsconf.conformal import build_rank_one
-from lsconf.ideals import (TrivialAlgebra, associative_envelope,
+from lsconf.ideals import (PRE_GD_OPS, TrivialAlgebra, associative_envelope,
                            certify_conformal_simplicity, ideal_closure,
                            multiplication_operators, simple_on_ops)
 from lsconf.linalg import Subspace, mat_mul, unit
@@ -58,6 +58,39 @@ def test_envelope_dimensions():
     # built once per spec and op set, which is read sorted and without repeats
     assert multiplication_operators(alg, ("rd", "circ", "ld", "ld")) is gens
     assert multiplication_operators(alg, ("ld",)) == gens[4:8]
+
+
+# each has zero operators among its (ld, rd, circ) ones; between them they
+# reach all three stages: a unit-vector closure, a full envelope and rad(E)V
+SPARSE_ALGEBRAS = [rank_two(0, 0), LD_PAIR,
+                   *(random_algebra(random.Random(seed), 3 + seed % 3, density=0.15)
+                     for seed in (0, 2, 20))]
+
+
+@pytest.mark.parametrize("alg", SPARSE_ALGEBRAS)
+def test_zero_operators_are_never_applied(monkeypatch, alg):
+    applied = []
+    for name in ("_apply", "_apply_to_word"):
+        def counted(cols, *rest, apply=getattr(ideals, name)):
+            applied.append(cols)
+            return apply(cols, *rest)
+        monkeypatch.setattr(ideals, name, counted)
+    ops, dim = PRE_GD_OPS, alg.dim
+    assert not all(map(any, multiplication_operators(alg, ops)))
+    cert = simple_on_ops(alg, ops)
+    env = associative_envelope(alg, ops)
+    assert applied and all(map(any, applied))
+    assert env == oracles.associative_envelope(alg, ops)
+    closures = [oracles.ideal_closure(alg, [unit(dim, i)], ops) for i in range(dim)]
+    proper = [c for c in closures if 0 < c.dim < dim]
+    if proper:
+        assert (cert.verdict, cert.criterion, cert.witness) == (
+            "not_simple", "witness_ideal", proper[0])
+    elif env.is_full():
+        assert cert.verdict == "simple"
+    else:
+        assert (cert.verdict, cert.criterion) == ("not_simple", "witness_ideal")
+        assert oracles.ideal_closure(alg, cert.witness, ops) == cert.witness
 
 
 def test_simple_on_ops_witnesses():
