@@ -46,7 +46,8 @@ def _cli_rational(text):
 
 
 def _cli_count(text):
-    if not text.isdecimal():
+    """A count flag: ASCII digits only, as in the file grammar."""
+    if not (text.isascii() and text.isdecimal()):
         raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
     return int(text)
 

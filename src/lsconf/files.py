@@ -24,9 +24,12 @@ whatever the interpreter's int/str conversion limit is set to.
 Every JSON we write, files and --json reports alike, goes through one
 direct writer, `dump_json`, whose bytes equal those of
 json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) plus a
-newline.  It takes only str-keyed dicts, lists, tuples, strings, ints,
-bools and None; anything else (a float or a Fraction, say) is a defect
-and raises TypeError.  Two outputs that name one file are refused.
+newline.  A list of same-keyed records whose values are strings or lists
+of strings (a check report's violations) is rendered in one pass, with
+the same bytes.  It takes only str-keyed dicts, lists, tuples, strings,
+ints, bools and None; anything else (a float or a Fraction, say) is a
+defect and raises TypeError, before any output is opened.  Two outputs
+that name one file are refused.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from math import gcd, lcm
 from .algebras import AlgebraSpec, LinearMapSpec
 from .cohomology import CocycleFamily
 
-RATIONAL_RE = re.compile(r"-?\d+(/\d+)?$")
+RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 # CPython's default int/str conversion limit
 MAX_DIGITS = 4300
 
@@ -59,7 +62,7 @@ class FileFormatError(Exception):
 
 def _rational(text, location):
     """A rational string as its reduced (numerator, denominator) pair."""
-    if not isinstance(text, str) or not RATIONAL_RE.match(text):
+    if not isinstance(text, str) or not RATIONAL_RE.fullmatch(text):
         raise FileFormatError(f"not a rational string: {text!r}", location)
     if len(text) > MAX_DIGITS and any(len(part) > MAX_DIGITS
                                       for part in text.lstrip("-").split("/")):
@@ -244,6 +247,10 @@ def _dump(x, out, nl):
             return
         except TypeError:
             pass
+        chunks = _records(x, nl)
+        if chunks is not None:
+            out += chunks
+            return
         sep = "[" + inner
         for item in x:
             out.append(sep)
@@ -263,11 +270,61 @@ def _dump(x, out, nl):
         raise TypeError(f"{type(x).__name__} {x!r} has no JSON form here")
 
 
+def _records(x, nl):
+    """The chunks of x at indent nl when x is a list of records: non-empty
+    dicts with the first one's keys, each value a string or a non-empty
+    list of strings.  Each key's head is encoded once for the whole list,
+    and each item is rendered with string joins, not recursion.  None for
+    any other list, which _dump then walks item by item, raising its
+    TypeError for a value with no JSON form."""
+    first = x[0]
+    if type(first) is not dict or not first:
+        return None
+    inner = nl + "  "
+    key_nl = inner + "  "
+    try:
+        keys = sorted(first)
+        heads = [("{" if n == 0 else ",") + key_nl + encode_basestring(k) + ": "
+                 for n, k in enumerate(keys)]
+    except TypeError:  # a key that is not a str
+        return None
+    # each key's head, before a string and before a list of strings
+    fields = [(head, head + "[" + key_nl + "  ", k) for head, k in zip(heads, keys)]
+    sep, close_list = "," + key_nl + "  ", key_nl + "]"
+    keyset, item_end = first.keys(), inner + "}," + inner
+    chunks = ["[" + inner]
+    append = chunks.append
+    for item in x:
+        if type(item) is not dict or item.keys() != keyset:
+            return None
+        for head, list_head, key in fields:
+            v = item[key]
+            if type(v) is str:
+                append(head)
+                append(encode_basestring(v))
+            elif type(v) is list and v:
+                try:
+                    strings = sep.join(map(encode_basestring, v))
+                except TypeError:  # an item that is not a str
+                    return None
+                append(list_head)
+                append(strings)
+                append(close_list)
+            else:
+                return None
+        append(item_end)
+    chunks[-1] = inner + "}" + nl + "]"
+    return chunks
+
+
 def _write_json(*outputs):
-    """Write dump_json(doc) for each (doc, path) pair, opening every path
-    (without truncating) before writing any, and refusing a path that
-    names the same file as an earlier one; on failure, remove the files
-    this call created and report the path as an input error."""
+    """Write dump_json(doc) for each (doc, path) pair.  Every document is
+    rendered before any path is opened, so a document with no JSON form
+    raises its TypeError with every file untouched.  Then every path is
+    opened (without truncating) before any is written, and a path that
+    names the same file as an earlier one is refused; on failure, remove
+    the files this call created and report the path as an input error."""
+    texts = [dump_json(doc) for doc, _ in outputs]
     opened = []
     try:
         for _, path in outputs:
@@ -275,10 +332,10 @@ def _write_json(*outputs):
             fd = opened[-1][1].fileno()
             if any(os.path.sameopenfile(fd, fh.fileno()) for _, fh in opened[:-1]):
                 raise OSError("names the same file as another output")
-        for (doc, path), (_, fh) in zip(outputs, opened):
+        for text, (_, path), (_, fh) in zip(texts, outputs, opened):
             with fh:
                 fh.truncate(0)
-                fh.write(dump_json(doc))
+                fh.write(text)
     except OSError as exc:
         for fresh, fh in opened:
             fh.close()

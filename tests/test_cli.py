@@ -542,6 +542,11 @@ R1 = {"name": "r1", "dim": 1, "basis": ["L"], "ops": {"ld": {"L,L": {"L": "1"}}}
     ("algebra", {**R1, "name": 5}),
     pytest.param("algebra", {**R1, "ops": {"ld": {"L,L": {"L": "9" * 5000}}}},
                  id="algebra-long-rational"),
+    # the grammar's digits are ASCII, and the whole string must match it
+    *(pytest.param("algebra", {**R1, "ops": {"ld": {"L,L": {"L": cell}}}},
+                   id=f"algebra-rational-{name}")
+      for name, cell in [("newline", "1\n"), ("ratio-newline", "1/2\n"),
+                         ("arabic-indic", "١/٢"), ("negative-arabic-indic", "-٣")]),
     pytest.param("algebra", b'{"name": "r1", "dim": ' + b"9" * 5000 + b"}",
                  id="algebra-long-integer"),
     pytest.param("algebra", b'{"name": "r\xff"}', id="algebra-not-utf8"),
@@ -671,6 +676,10 @@ def test_answers_do_not_depend_on_how_a_file_spells_the_algebra(capsys, tmp_path
     ["simple", "{r1}", "--trials", "-5"],
     ["h2", "{r1}", "--degree-cap", "-1"],
     ["h2", "{r1}", "--degree-cap", "two"],
+    # a count is ASCII digits: another script's digits are refused too
+    ["h2", "{r1}", "--degree-cap", "٢"],
+    ["coeff-check", "{r1}", "--window", "٢"],
+    ["simple", "{r1}", "--trials", "٢"],
 ])
 def test_negative_counts_are_refused(capsys, inputs, argv):
     with pytest.raises(SystemExit) as exc:
@@ -679,13 +688,14 @@ def test_negative_counts_are_refused(capsys, inputs, argv):
     assert "Traceback" not in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["1e5000", "9" * 5000, "1/0", "0.5"])
+@pytest.mark.parametrize("value", ["1e5000", "9" * 5000, "1/0", "0.5",
+                                   "١/٢", "-٣", "1/2\n"])
 @pytest.mark.parametrize("flag", ["--beta", "--xi"])
 def test_rational_flags_take_the_file_grammar(capsys, inputs, flag, value):
     """A rational flag is read as a rational string of an input file: an
     exponent, a decimal point, a numeral of more than files.MAX_DIGITS
-    digits and a zero denominator are usage errors, refused before any
-    number is built."""
+    digits, a zero denominator, another script's digits and a trailing
+    newline are usage errors, refused before any number is built."""
     argv = (["h2", inputs["r1"]] if flag == "--beta"
             else ["construct", "zinbiel-pregd", inputs["zin3"], "--derivation",
                   inputs["zin3_D"], "--k", "1", "-o", inputs["dir"] + "/never.json"])

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import tracemalloc
 from fractions import Fraction
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from lsconf.algebras import DERIVED, STORED_OPS, AlgebraSpec, tensor
 from lsconf.cli import main
 from lsconf.cohomology import CocycleFamily
-from lsconf.files import (FileFormatError, algebra_to_json, cocycle_to_json,
+from lsconf.files import (FileFormatError, _write_json, algebra_to_json, cocycle_to_json,
                           dump_json, file_sha256, load_algebra, load_cocycle,
                           load_matrix, parse_rational, save_algebra)
 
@@ -23,18 +24,29 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 # quotes, backslashes, control characters, U+2028/U+2029, non-ASCII letters
 # and an astral character, next to plain letters
 TEXT = st.text(st.sampled_from('ab"\\/\n\t\x00\x1f\x7f\u2028\u2029λ∂é😀 ,:'), max_size=8)
+# lists of records, as in a check report's violations: dicts with one key
+# set, each value a string or a non-empty list of strings
+RECORDS = st.lists(TEXT, min_size=1, max_size=3, unique=True).flatmap(
+    lambda keys: st.lists(st.fixed_dictionaries(
+        {k: TEXT | st.lists(TEXT, min_size=1, max_size=3) for k in keys}),
+        min_size=1, max_size=4))
 JSON_DOCS = st.recursive(
     st.none() | st.booleans() | st.integers() | TEXT,
     lambda inner: (st.lists(inner, max_size=4) | st.lists(TEXT, max_size=4)
                    | st.lists(inner, max_size=3).map(tuple)
-                   | st.dictionaries(TEXT, inner, max_size=4)),
+                   | st.dictionaries(TEXT, inner, max_size=4)
+                   # records, and records that a last item of any kind ends
+                   | RECORDS | st.tuples(RECORDS, inner).map(lambda t: t[0] + [t[1]])),
     max_leaves=30)
 
 
 def test_parse_rational():
     assert parse_rational("-7/3") == F(-7, 3)
     assert parse_rational("4") == 4
-    for bad in ("", "1/0", "1/00", "0x2", "1.5", "2/", "--3", None, 7):
+    # a trailing newline, and decimal digits of other scripts, are not the
+    # ASCII -?digits[/digits] of the grammar
+    for bad in ("", "1/0", "1/00", "0x2", "1.5", "2/", "--3", None, 7,
+                "1\n", "1/2\n", "١/٢", "-٣", "٣", "1/٢", "１"):
         with pytest.raises(FileFormatError):
             parse_rational(bad)
     # the digit bound is lsconf's own rule, not the interpreter's
@@ -269,15 +281,47 @@ def test_cocycle_round_trip(tmp_path):
 @example([])
 @example({"a": [], "b": {}, "c": [[]], "d": [{}], "e": ["", "\u2028"]})
 @example({"k": [{"l": [[[{"m": ["x", 1, None, True]}]]]}]})
+# record lists that leave the one-pass path, at their first item or later:
+# other keys of the same count, one key fewer, an int, None or True value,
+# an empty or a nested list, a tuple item or value; and a single record
+@example([{"a": "1", "b": ["x"]}, {"a": "2", "c": ["y"]}])
+@example([{"a": "1", "b": ["x"]}, {"a": "2"}])
+@example([{"a": "1", "b": ["x"]}, {"a": 2, "b": ["y"]}])
+@example([{"a": "1", "b": ["x"]}, {"a": None, "b": ["y"]}])
+@example([{"a": "1", "b": ["x"]}, {"a": True, "b": ["y"]}])
+@example([{"a": "1", "b": ["x"]}, {"a": "2", "b": []}])
+@example([{"a": "1", "b": ["x"]}, {"a": "2", "b": ["y", ["z"]]}])
+@example([{"a": "1", "b": ["x"]}, ("a", "b")])
+@example([{"a": "1", "b": ["x"]}, {"a": "2", "b": ("y",)}])
+@example([{"a": [], "b": ["x"]}])
+@example([{"at": ["∂W", "q\"\\t"], "identity": "q1", "residual": ["-9/2", "0"]}])
 def test_dump_json_matches_the_stdlib_rendering(doc):
     assert dump_json(doc) == oracles.dump_json(doc)
 
 
 @pytest.mark.parametrize("bad", [0.5, F(1, 2), {"residual": [F(1, 2)]}, [1, 2.0],
-                                 {1: "int key"}, {"s": {"a", "b"}}])
+                                 {1: "int key"}, {"s": {"a", "b"}},
+                                 [{"at": ["x"], "residual": ["1"]},
+                                  {"at": ["y"], "residual": [F(1, 2)]}],
+                                 [{"at": ["x"], "residual": F(1, 2)}],
+                                 [{"a": "1"}, {1: "1"}], [{1: "1"}, {1: "2"}]])
 def test_dump_json_refuses_values_without_an_exact_json_form(bad):
     with pytest.raises(TypeError):
         dump_json(bad)
+
+
+def test_a_document_without_a_json_form_leaves_every_output_untouched(tmp_path):
+    """_write_json renders every document before it opens any path: a
+    defect leaves an existing output with its bytes, creates no file and
+    still raises its TypeError."""
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_text("old\n", encoding="utf-8")
+    with pytest.raises(TypeError):
+        _write_json(({"bad": 0.5}, str(old)), ({"a": "1"}, str(new)))
+    with pytest.raises(TypeError):
+        _write_json(({"a": "1"}, str(new)), ({"bad": [F(1, 2)]}, str(old)))
+    assert old.read_bytes() == b"old\n"
+    assert sorted(os.listdir(tmp_path)) == ["old.json"]
 
 
 def test_failing_check_report_is_byte_identical_to_the_golden(capsys, monkeypatch):
