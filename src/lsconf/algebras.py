@@ -26,12 +26,10 @@ dense view derived from the rows, for callers that want tensors.
 
 The identity catalog evaluates residuals on basis triples; by
 multilinearity that is exhaustive.  Its product tables hold only their
-nonzero entries (an absent entry is zero), so the work follows the nonzero
-structure constants rather than dim^3 index tuples per term.  The same
+nonzero entries, each a coordinate vector packed into one int.  The same
 evaluator turns a bilinear formula in that notation into a structure tensor
-(`product_tensor`); the constructions build their outputs so.  A module M
-of an algebra A is checked through the same catalog, as the split null
-extension A + M (`semidirect`).
+(`product_tensor`), as the constructions do; a module M of an algebra A is
+checked as the split null extension A + M (`semidirect`).
 """
 
 from __future__ import annotations
@@ -39,9 +37,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
-from math import gcd, lcm
-from operator import itemgetter
+from functools import cache, cached_property, partial
+from math import gcd, lcm, prod
+from operator import mul
 from types import MappingProxyType
 
 from .linalg import ZERO, DimensionMismatch, Subspace, exact, exact_array, vzero
@@ -223,9 +221,14 @@ def _int_rows(alg, op):
     n = range(alg.dim)
     # an absent stored op has no parts: it is zero
     parts = [(sign, alg.rows(base), swap) for sign, base, swap in DERIVED.get(op, ())]
-    return tuple(tuple(tuple(sorted(_lincomb((sign, r[j][i] if swap else r[i][j])
-                                             for sign, r, swap in parts)))
-                       for j in n) for i in n)
+
+    def row(i, j):
+        acc = {}
+        for sign, r, swap in parts:
+            for k, x in r[j][i] if swap else r[i][j]:
+                acc[k] = acc.get(k, 0) + sign * x
+        return tuple(sorted((k, x) for k, x in acc.items() if x))
+    return tuple(tuple(row(i, j) for j in n) for i in n)
 
 
 def _dense(alg, row):
@@ -399,19 +402,6 @@ def normalize_identity_id(identity_id):
     return identity_id.strip().replace("-", "_").upper()
 
 
-def _sparse(vec):
-    return tuple((k, x) for k, x in enumerate(vec) if x)
-
-
-def _lincomb(pairs):
-    """Sparse sum of c * vec over (c, sparse vec) pairs."""
-    acc = {}
-    for c, vec in pairs:
-        for k, x in vec:
-            acc[k] = acc.get(k, 0) + c * x
-    return tuple((k, x) for k, x in acc.items() if x)
-
-
 def _shape(tree):
     """(tree with its letters blanked to None, the letters' positions in abc)."""
     if isinstance(tree, str):
@@ -421,131 +411,170 @@ def _shape(tree):
             sum((letters for _, letters in parts), ()))
 
 
-def _products(shape):
-    """How many op nodes, aux excluded, a shape nests."""
-    return 0 if shape is None else (shape[0] != "aux") + sum(map(_products, shape[1:]))
+def _products(shape, aux=False):
+    """How many op nodes (aux nodes, when aux) a shape nests."""
+    return 0 if shape is None else ((shape[0] == "aux") == aux) + sum(
+        _products(s, aux) for s in shape[1:])
 
 
-class _Scaled(dict):
-    """x -> Fraction(x, scale) for integers x, each built on first use and
-    then shared; 0 maps to ZERO."""
+class _Memo(dict):
+    """key -> build(key), each built on first use and then shared."""
 
-    def __init__(self, scale):
-        super().__init__({0: ZERO})
-        self.scale = scale
+    def __init__(self, build, seed=()):
+        super().__init__(seed)
+        self.build = build
 
-    def __missing__(self, x):
-        value = self[x] = Fraction(x, self.scale)
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
         return value
 
 
-def _plan(laws):
-    """The laws of an identity system (or one ad-hoc law) shaped for
-    `_residuals`: per law (label, arity, top, terms, done), with top the
-    most op nodes in one of its terms, a term (coef, shape, top minus the
-    term's op nodes, the getter that maps a table key back to its idx), and
-    done the shapes that no later law reads."""
+def _digits(flat, dim, arity, strides=None):
+    """The arity basis indices whose flat index (digits base dim) is flat;
+    with strides, the flat index that weights digit t by strides[t]."""
+    idx = tuple(flat // dim ** e % dim for e in range(arity - 1, -1, -1))
+    return idx if strides is None else sum(map(mul, idx, strides))
+
+
+def _plan(laws, dim):
+    """The laws (label, terms) shaped for `_residuals` at dimension dim, as
+    (strides, laws): strides maps each binary product's shape to its left
+    operand's stride, dim ** (letters on its right).  A law is (label,
+    arity, indices, scale, terms, done): indices maps a flat index to its
+    tuple, scale is the (den power, aux power, coefficient lcm) dividing a
+    residual back, done the shapes no later law reads.  A term is (integer
+    coefficient, shape, the op of each of its nodes, den power, aux power,
+    None or the map of its letters' flat index to the law's)."""
     shaped = [(label, [(coef, *_shape(tree)) for coef, tree in terms])
               for label, terms in laws]
     last_use = {shape: n for n, (_, law) in enumerate(shaped) for _, shape, _ in law}
-    plan = []
+    strides, plan = {}, []
+
+    def ops(shape):
+        if shape is None:
+            return ()
+        if len(shape) == 3:
+            strides[shape] = dim ** (_products(shape[2]) + 1)
+        return sum(map(ops, shape[1:]), (shape[0],))
     for n, (label, law) in enumerate(shaped):
-        top = max(_products(shape) for _, shape, _ in law)
-        terms = tuple((coef, shape, top - _products(shape),
-                       itemgetter(*sorted(range(len(letters)), key=letters.__getitem__)))
-                      for coef, shape, letters in law)
-        plan.append((label, len(law[0][2]), top, terms,
-                     tuple(shape for shape, last in last_use.items() if last == n)))
-    return tuple(plan)
+        arity, cden = len(law[0][2]), lcm(*(coef.denominator for coef, _, _ in law))
+        top = [max(_products(shape, aux) for _, shape, _ in law) for aux in (False, True)]
+        terms = tuple((int(coef * cden), shape, ops(shape), top[0] - _products(shape),
+                       top[1] - _products(shape, True),
+                       None if at == tuple(range(arity)) else _Memo(partial(
+                           _digits, dim=dim, arity=arity,
+                           strides=[dim ** (arity - 1 - x) for x in at])))
+                      for coef, shape, at in law)
+        plan.append((label, arity, _Memo(partial(_digits, dim=dim, arity=arity)), (*top, cden),
+                     terms, tuple(shape for shape, last in last_use.items() if last == n)))
+    return strides, tuple(plan)
 
 
 @cache
-def _catalog_plan(key):
-    """The plan of CATALOG[key], shaped on first use."""
-    return _plan(CATALOG[key])
+def _catalog_plan(key, dim):
+    """The plan of CATALOG[key] at dimension dim, shaped on first use."""
+    return _plan(CATALOG[key], dim)
 
 
-def _residuals(alg, plan, aux, leaves, domains):
+def _residuals(alg, plan, aux, domains):
     """Yield (label, idx, residual) for each law of plan (see `_plan`) and
-    each index tuple idx, picking the law's arguments a, b, c from leaves,
-    at which the residual is nonzero; a zero residual is never yielded.
-    domains maps an arity to the index tuples to visit, in their order, or
-    to None for every tuple, in sorted (= itertools.product) order.
+    each index tuple idx of basis vectors a, b, c where the residual is
+    nonzero.  domains maps an arity to the index tuples to visit, in their
+    order, or to None for all, in sorted order.
 
-    Every distinct nested product is tabulated once over all tuples of
-    leaves, from the integer rows (scaled by alg.den per op node).  A table
-    holds its nonzero entries only, so an absent key means zero.  A binary
-    node's table is a sparse join, Gustavson's row-by-row product: the
-    right operand's table is indexed by coordinate (j -> [(entry, y)]) and
-    the op's rows by their nonempty (j, row) pairs per i, so a left entry
-    visits only the pairs that meet a nonzero product.  A law's residuals
-    are summed by walking each term's table, every key mapped back to its
-    idx through the inverse of the permutation the term's letters spell; a
-    nonzero residual is divided back once, its entries read from one
-    `_Scaled` table per scale, shared by the laws of the call, so residuals
-    share their Fractions: a report holds only a few distinct values.
-    """
-    tensors = {} if aux is None else {"aux": [_sparse(col) for col in zip(*aux.matrix)]}
-    tables = {None: {(x,): v for x, v in enumerate(map(_sparse, leaves)) if v}}
+    A vector x is packed into one int, sum_k x_k 2^(W k), so a vector sum
+    or integer multiple is one big-int operation.  Operands are integers:
+    op rows scaled by den, aux columns and coefficients by their lcm
+    denominators.  W is fixed before evaluation from a bound.  Let |op| be
+    the largest L1 norm of op's rows (of aux's columns), or 1; |leaf| = 1,
+    |node| = |op| |left| |right| and |aux node| = |aux| |child|.  As
+    |sum_ij u_i w_j op(e_i, e_j)|_1 <= |op| |u|_1 |w|_1 and |aux u|_1 <=
+    |aux| |u|_1, every entry of a node's table, each partial sum included,
+    has L1 norm <= |node|; every partial sum of a residual, <= B = the sum
+    over the law's terms of max(1, |c|) |node|, c the integer coefficient
+    times its den and aux powers, and B >= |node|.  With W = bitlength(max
+    B) + 1, every coordinate has |x_k| <= B < 2^(W-1): a lane plus 2^(W-1)
+    lies in [1, 2^W), carries into no other lane and reads back exactly.
 
-    def op_pairs(op):
-        # per i, the (j, row) of e_i op e_j over the nonempty rows only
-        if op not in tensors:
-            t = alg.rows({"nov": novikov_star(alg), "s1": "ld"}.get(op, op))
-            tensors[op] = [tuple((j, row) for j, row in enumerate(plane) if row)
-                           for plane in (zip(*t) if op == "s1" else t)]
-        return tensors[op]
+    Tables hold nonzero entries keyed by flat index (letters' basis indices,
+    base dim).  A binary node is Gustavson's sparse join: the left operand's
+    coordinates (units, op rows, else decoded entries) meet the op's packed
+    nonempty rows and the right entries with that coordinate; one `_Memo`
+    per scale makes residuals share their Fractions."""
+    (strides, laws), dim, den, aden, rows = plan, alg.dim, alg.den, 1, {}
+    if aux is not None:
+        aden = lcm(*(x.denominator for row in aux.matrix for x in row))
+        rows["aux"] = [tuple((k, int(x * aden)) for k, x in enumerate(col) if x)
+                       for col in zip(*aux.matrix)]
+    for op in dict.fromkeys(op for *_, terms, _ in laws for term in terms for op in term[2]
+                            if op not in rows):
+        t = alg.rows({"nov": novikov_star(alg), "s1": "ld"}.get(op, op))
+        rows[op] = tuple(zip(*t)) if op == "s1" else t
+    norm = {op: max([1, *(sum(abs(x) for _, x in v)
+                          for v in (r if op == "aux" else itertools.chain(*r)))])
+            for op, r in rows.items()}
+    width = max(sum(max(abs(coef) * den ** dp * aden ** da, 1) * prod(map(norm.get, ops))
+                    for coef, _, ops, dp, da, _ in terms)
+                for *_, terms, _ in laws).bit_length() + 1
+    shifts, half, mask = range(0, width * dim, width), 1 << (width - 1), (1 << width) - 1
+    offset = sum(half << s for s in shifts)
+
+    def pack(vec):
+        return sum(x << shifts[k] for k, x in vec)
+
+    packed = {op: [pack(col) for col in r] if op == "aux" else
+              [tuple((j, pack(row)) for j, row in enumerate(plane) if row) for plane in r]
+              for op, r in rows.items()}
+    tables, operands = {}, {None: {x: ((x, 1),) for x in range(dim)}}
+
+    def operand(shape):
+        # flat index -> sparse coordinates of each nonzero entry
+        if shape not in operands:
+            operands[shape] = (
+                {i * dim + j: row for i, plane in enumerate(rows[shape[0]])
+                 for j, row in enumerate(plane) if row} if shape[1:] == (None, None) else
+                {key: tuple((k, x) for k, s in enumerate(shifts)
+                            if (x := (((p + offset) >> s) & mask) - half))
+                 for key, p in table(shape).items()})
+        return operands[shape]
 
     def table(shape):
         if shape not in tables:
-            if len(shape) == 2:
-                t = tensors["aux"]
-                tables[shape] = {key: w for key, v in table(shape[1]).items()
-                                 if (w := _lincomb((x, t[j]) for j, x in v))}
+            if shape[0] == "aux":
+                cols = packed["aux"]
+                tables[shape] = {key: p for key, u in operand(shape[1]).items()
+                                 if (p := sum(x * cols[j] for j, x in u))}
             else:
-                t = op_pairs(shape[0])
-                right = list(table(shape[2]).items())
-                by_j = [[] for _ in range(alg.dim)]
-                for r, (_, v) in enumerate(right):
-                    for j, y in v:
-                        by_j[j].append((r, y))
-                out = {}
-                for kl, u in table(shape[1]).items():
-                    accs = {}
+                op_rows, stride, by_j = packed[shape[0]], strides[shape], [[] for _ in range(dim)]
+                for key, w in operand(shape[2]).items():
+                    for j, y in w:
+                        by_j[j].append((key, y))
+                out = tables[shape] = {}
+                for left, u in operand(shape[1]).items():
+                    acc = {}
                     for i, x in u:
-                        for j, row in t[i]:
-                            for r, y in by_j[j]:
-                                acc = accs.get(r)
-                                if acc is None:
-                                    acc = accs[r] = {}
-                                c = x * y
-                                for k, z in row:
-                                    acc[k] = acc.get(k, 0) + c * z
-                    for r, acc in accs.items():
-                        if w := tuple((k, z) for k, z in acc.items() if z):
-                            out[kl + right[r][0]] = w
-                tables[shape] = out
+                        for j, p in op_rows[i]:
+                            for key, y in by_j[j]:
+                                acc[key] = acc.get(key, 0) + x * y * p
+                    out.update((left * stride + key, p) for key, p in acc.items() if p)
         return tables[shape]
 
-    dim, den, scaled_by = alg.dim, alg.den, {}
-    for label, arity, top, terms, done in plan:
+    scaled_by = _Memo(lambda scale: _Memo(partial(Fraction, denominator=scale), {0: ZERO}))
+    for label, arity, indices, (top, aux_top, cden), terms, done in laws:
         acc = {}
-        for coef, shape, power, back in terms:
-            coef *= den ** power
-            for key, vec in table(shape).items():
-                idx = back(key)
-                row = acc.get(idx)
-                if row is None:
-                    row = acc[idx] = [0] * dim
-                for k, x in vec:
-                    row[k] += coef * x
-        scale = den ** top
-        scaled = scaled_by.setdefault(scale, _Scaled(scale)).__getitem__
-        given = domains[arity]
-        for idx in sorted(acc) if given is None else given:
-            row = acc.get(idx)
-            if row and any(row):
-                yield label, idx, tuple(map(scaled, row))
+        for coef, shape, _, dp, da, permuted in terms:
+            coef *= den ** dp * aden ** da
+            for key, p in table(shape).items():
+                if permuted is not None:
+                    key = permuted[key]
+                acc[key] = acc.get(key, 0) + coef * p
+        scaled, given = scaled_by[den ** top * aden ** aux_top * cden], domains[arity]
+        weights = [dim ** e for e in range(arity - 1, -1, -1)]
+        for idx, p in (((indices[key], acc[key]) for key in sorted(acc)) if given is None else
+                       ((idx, acc.get(sum(map(mul, idx, weights)))) for idx in given)):
+            if p:
+                p += offset
+                yield label, idx, tuple([scaled[((p >> s) & mask) - half] for s in shifts])
         # drop what no later law reads, which bounds the peak memory
         for shape in done:
             del tables[shape]
@@ -579,23 +608,25 @@ def check_identity(alg, identity_id, aux=None, triples=None, pairs=None):
         for idx in given or ():
             if len(idx) != arity or not all(i in range(alg.dim) for i in idx):
                 raise DimensionMismatch(f"{idx!r} is not a tuple of {arity} basis indices")
-    units = [[int(i == k) for k in range(alg.dim)] for i in range(alg.dim)]
-    violations = tuple(_residuals(alg, _catalog_plan(key), aux, units, domains))
+    violations = tuple(_residuals(alg, _catalog_plan(key, alg.dim), aux, domains))
     return IdentityReport(key, not violations, violations)
 
 
 def identity_residuals(alg, identity_id, vectors, aux=None):
     """[(label, residual)] for each law of an identity system at the
-    arguments a, b, c = vectors, arbitrary coordinate vectors, computed by
-    the same contraction check_identity runs on basis tuples."""
+    arguments a, b, c = vectors, arbitrary coordinate vectors: by
+    multilinearity, the basis residuals contracted with their coordinates."""
     key, laws = _laws(alg, identity_id, aux)
     if len(vectors) != 3:
         raise DimensionMismatch(f"need the three vectors a, b, c, got {len(vectors)}")
     if any(len(v) != alg.dim for v in vectors):
         raise DimensionMismatch("operand length does not match algebra dim")
-    found = {label: res for label, _, res in _residuals(
-        alg, _catalog_plan(key), aux, vectors, {2: [(0, 1)], 3: [(0, 1, 2)]})}
-    return [(label, found.get(label, (ZERO,) * alg.dim)) for label, _ in laws]
+    found = {label: [ZERO] * alg.dim for label, _ in laws}
+    for label, idx, res in _residuals(alg, _catalog_plan(key, alg.dim), aux,
+                                      {2: None, 3: None}):
+        if c := prod(v[i] for v, i in zip(vectors, idx)):
+            found[label] = [x + c * y for x, y in zip(found[label], res)]
+    return [(label, tuple(found[label])) for label, _ in laws]
 
 
 def product_tensor(alg, terms, aux=None):
@@ -610,11 +641,10 @@ def product_tensor(alg, terms, aux=None):
     for _, tree in terms:
         if sorted(_shape(tree)[1]) != [0, 1]:
             raise ValueError(f"{tree!r} is not bilinear in the letters a and b")
-    units = [[int(i == k) for k in range(alg.dim)] for i in range(alg.dim)]
     out = tensor(alg.dim)
     if terms:  # an empty sum is zero, and has no letters to read the arity from
-        for _, (i, j), res in _residuals(alg, _plan([("product", terms)]), aux, units,
-                                             {2: None}):
+        for _, (i, j), res in _residuals(alg, _plan([("product", terms)], alg.dim), aux,
+                                         {2: None}):
             out[i][j] = list(res)
     return out
 

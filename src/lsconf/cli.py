@@ -52,6 +52,15 @@ def _cli_count(text):
     return int(text)
 
 
+def _cli_int(text):
+    """A signed integer flag: an optional '-' and ASCII digits, as in the
+    file grammar."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdecimal()):
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _emit(args, doc, text_lines):
     """Print doc as JSON under --json, else the lines that text_lines()
     returns: the text is built only when it is printed."""
@@ -314,7 +323,7 @@ def build_parser():
     c.add_argument("file")
     c.add_argument("--trials", type=_cli_count, default=20,
                    help="random candidates for the regular-element rule only")
-    c.add_argument("--seed", type=int, default=0, help="seed of those candidates")
+    c.add_argument("--seed", type=_cli_int, default=0, help="seed of those candidates")
     c.add_argument("--json", action="store_true")
     c.set_defaults(func=cmd_simple)
 
@@ -323,7 +332,7 @@ def build_parser():
     c.add_argument("file", nargs="?")
     c.add_argument("-o", "--output", required=True)
     c.add_argument("--c", type=_cli_rational)
-    c.add_argument("--n", type=int)
+    c.add_argument("--n", type=_cli_count)
     c.add_argument("--k", type=_cli_rational)
     c.add_argument("--xi", type=_cli_rational)
     c.add_argument("--derivation")

@@ -89,7 +89,7 @@ from math import comb, gcd, prod
 from operator import itemgetter
 
 from lsconf.algebras import (AlgebraSpec, IdentityReport, LinearMapSpec, MissingMaps,
-                             UnknownOp, _laws, _lincomb, _products, _shape, _sparse,
+                             UnknownOp, _laws, _products, _shape,
                              novikov_star, products_span, require_identity, tensor)
 from lsconf.cohomology import CocycleFamily, CohomologyError, coord_index, ncols
 from lsconf.conformal import LambdaPoly, ModuleElement, WindowedElement, WindowMismatch
@@ -635,6 +635,19 @@ def six_expansion_cocycle_system(alg, beta, degree_cap):
 
 # ---------------------------------------------------------------------------
 # the identity catalog on every index tuple
+
+def _sparse(vec):
+    return tuple((k, x) for k, x in enumerate(vec) if x)
+
+
+def _lincomb(pairs):
+    """Sparse sum of c * vec over (c, sparse vec) pairs."""
+    acc = {}
+    for c, vec in pairs:
+        for k, x in vec:
+            acc[k] = acc.get(k, 0) + c * x
+    return tuple((k, x) for k, x in acc.items() if x)
+
 
 def _residuals(alg, laws, aux, leaves, domain):
     """Yield (label, idx, residual) per law and per index tuple of

@@ -376,8 +376,9 @@ def test_product_tensor_matches_dense_oracle_on_binomial_zoo(case, terms):
 
 
 def test_catalog_laws_are_shaped_once_per_identity(monkeypatch):
-    """check_identity shapes a catalog system on its first use only; an
-    ad-hoc product_tensor formula is shaped on every call."""
+    """check_identity shapes a catalog system on its first use at a
+    dimension only; an ad-hoc product_tensor formula is shaped on every
+    call."""
     from lsconf import algebras
     check_identity(two_dim_lw(), "PRE_GD")
     shaped, shape = [], algebras._shape
@@ -396,6 +397,118 @@ def test_product_tensor_refuses_trees_not_bilinear_in_a_and_b():
             product_tensor(alg, [(1, tree)])
     with pytest.raises(DimensionMismatch):
         product_tensor(alg, [(1, ("ld", "a", ("aux", "b")))], aux=LinearMapSpec(((1,),)))
+
+
+# --- packed lanes ----------------------------------------------------------
+# The catalog evaluator packs a coordinate vector into one int, in lanes of
+# W bits fixed from a bound on every coordinate it decodes.  These cases put
+# the lanes at their edges, each against the dense oracle.
+
+def huge_fraction(rng):
+    """Up to 10^30 in size over a denominator up to 10^12, so that with den
+    and the nested products the lanes are hundreds of bits wide."""
+    return F(rng.randint(-10 ** 30, 10 ** 30), rng.choice((1, 7, 10 ** 12 - 39, 10 ** 12)))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(1, 3), st.floats(0.1, 0.6))
+def test_lanes_wider_than_64_bits_match_the_oracle(seed, dim, density):
+    rng = random.Random(seed)
+    ops = {op: [[[huge_fraction(rng) if rng.random() < density else 0 for _ in range(dim)]
+                 for _ in range(dim)] for _ in range(dim)]
+           for op in ("ld", "rd", "circ", "dot", "bracket")}
+    alg = AlgebraSpec("huge", dim, tuple(f"e{i}" for i in range(dim)), ops)
+    aux = LinearMapSpec([[huge_fraction(rng) for _ in range(dim)] for _ in range(dim)])
+    assert_catalog_matches_oracle(alg, aux, [[huge_fraction(rng) for _ in range(dim)]
+                                             for _ in range(3)])
+    terms = [(huge_fraction(rng), tree) for tree in (("ld", "a", ("aux", "b")),
+                                                      ("star", ("aux", "b"), "a"),
+                                                      ("aux", ("circ", "a", "b")))]
+    assert product_tensor(alg, terms, aux=aux) == dense_product_tensor(alg, terms, aux)
+
+
+def test_lane_borrows_and_the_top_lane_match_the_oracle():
+    """Coordinates of alternating sign, so that every negative lane borrows
+    from the next; and a product whose only nonzero coordinate is the top
+    lane, at +-2n where the lanes' bound is 2n, just under 2^(W-1): the
+    widest values the lanes hold, of both signs, read back exactly."""
+    n, basis = 2 ** 70 - 1, ("e0", "e1", "e2", "e3")
+    alternating = AlgebraSpec("alternating", 4, basis, {"dot": tensor(4, {
+        (0, 1, k): F((-1) ** k * n, 3) for k in range(4)})})
+    rep = check_identity(alternating, "COMM_ASSOC")
+    assert rep == oracles.check_identity(alternating, "COMM_ASSOC")
+    v = (F(n, 3), F(-n, 3), F(n, 3), F(-n, 3))
+    assert rep.violations[:3] == (("commutativity", (0, 1), v),
+                                  ("commutativity", (1, 0), tuple(-x for x in v)),
+                                  ("associativity", (0, 0, 1), tuple(F(n, 3) * x for x in v)))
+    top = AlgebraSpec("top", 4, basis, {"dot": tensor(4, {(2, 3, 3): n, (3, 2, 3): -n})})
+    commutator = [(1, ("dot", "a", "b")), (-1, ("dot", "b", "a"))]
+    got = product_tensor(top, commutator)
+    assert got == dense_product_tensor(top, commutator, None)
+    assert got[2][3] == [0, 0, 0, 2 * n] and got[3][2] == [0, 0, 0, -2 * n]
+
+
+def test_the_lane_bound_counts_coefficients_and_aux_powers():
+    """A formula whose integer residual is exactly its lanes' bound: a/2 . b
+    + a . aux(b) with aux = 1/3 is 3 n + 2 n = 5 n over the integers (times
+    1/6 after), and 5 n needs a lane one bit wider than 3 n or 2 n would
+    give; the value sits in lane 0, under lane 1."""
+    n = 2 ** 70 - 1
+    alg = AlgebraSpec("one", 2, ("e0", "e1"), {"dot": tensor(2, {(1, 1, 0): n})})
+    aux = LinearMapSpec([[F(1, 3), 0], [0, F(1, 3)]])
+    terms = [(F(1, 2), ("dot", "a", "b")), (1, ("dot", "a", ("aux", "b")))]
+    got = product_tensor(alg, terms, aux=aux)
+    assert got == dense_product_tensor(alg, terms, aux)
+    assert got[1][1] == [F(5 * n, 6), 0]
+
+
+def test_derivation_and_constructions_with_a_fraction_aux_map_match_the_oracle():
+    zin, D = cons.truncated_binomial_zinbiel(4)
+    for scale in (F(1, 3), F(-5, 7)):
+        aux = LinearMapSpec([[scale * x for x in row] for row in D.matrix])
+        assert check_identity(zin, "DERIVATION", aux=aux) == oracles.check_identity(
+            zin, "DERIVATION", aux=aux)
+        assert check_identity(zin, "DERIVATION", aux=aux).passed
+        bent = [list(row) for row in aux.matrix]
+        bent[1][0] += F(1, 2)
+        rep = check_identity(zin, "DERIVATION", aux=LinearMapSpec(bent))
+        assert not rep.passed
+        assert rep == oracles.check_identity(zin, "DERIVATION", aux=LinearMapSpec(bent))
+        terms = [(1, ("dot", ("aux", "b"), "a")), (F(1, 2), ("dot", "b", "a")),
+                 (F(-3, 4), ("aux", ("dot", "a", ("aux", "b"))))]
+        assert product_tensor(zin, terms, aux=aux) == dense_product_tensor(zin, terms, aux)
+
+
+def test_restricted_domains_keep_their_order_against_the_oracle():
+    """A domain out of sorted order and with repeats is visited as given."""
+    alg, aux = _golden_algebra()
+    domain = {3: [(2, 1, 0), (0, 0, 0), (2, 1, 0), (1, 2, 2)], 2: [(1, 0), (0, 1), (1, 0)]}
+    for key, laws in CATALOG.items():
+        rep = check_identity(alg, key, aux=aux, triples=domain[3], pairs=domain[2])
+        assert rep == oracles.check_identity(alg, key, aux=aux, triples=domain[3],
+                                             pairs=domain[2]), key
+        assert rep.violations, key
+        for label, _ in laws:
+            seen = [idx for law, idx, _ in rep.violations if law == label]
+            assert seen == [idx for idx in domain[len(seen[0])] if idx in seen], (key, label)
+
+
+def test_identity_residuals_at_fraction_vectors_match_the_oracle():
+    """Every catalog system at vectors with Fraction coordinates, on the
+    golden algebra, where every law fails: each law's residual, of arity 2
+    and 3 alike, is nonzero and equals the oracle's."""
+    alg, aux = _golden_algebra()
+    rng = random.Random(31)
+    vectors = [[F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3)] for _ in range(3)]
+    arities = set()
+    for key, laws in CATALOG.items():
+        want = list(oracles._residuals(alg, laws, aux, vectors,
+                                       lambda arity: [tuple(range(arity))]))
+        got = identity_residuals(alg, key, vectors, aux=aux)
+        assert got == [(label, res) for label, _, res in want], key
+        assert all(any(res) for _, res in got), key
+        arities.update(len(idx) for _, idx, _ in want)
+    assert arities == {2, 3}
 
 
 # --- representations -------------------------------------------------------

@@ -680,6 +680,12 @@ def test_answers_do_not_depend_on_how_a_file_spells_the_algebra(capsys, tmp_path
     ["h2", "{r1}", "--degree-cap", "٢"],
     ["coeff-check", "{r1}", "--window", "٢"],
     ["simple", "{r1}", "--trials", "٢"],
+    # so are a size and a seed in another script's digits, with underscores
+    # or with spaces: int() would take each of them
+    ["construct", "binomial-zinbiel", "--n", "٣", "-o", "{dir}/never.json"],
+    ["construct", "binomial-zinbiel", "--n", " 3_0", "-o", "{dir}/never.json"],
+    ["simple", "{r1}", "--seed", "٣"],
+    ["simple", "{r1}", "--seed", "1_0"],
 ])
 def test_negative_counts_are_refused(capsys, inputs, argv):
     with pytest.raises(SystemExit) as exc:
