@@ -20,7 +20,10 @@ generate_cocycle_system reads the lam-bracket table conformal._brackets,
 and d sesquilinearly: under alpha_{lam+mu}(., c), d x reads as -(lam+mu) x;
 under alpha_lam(a, .), d y reads as (lam + beta) y, d being beta on the
 centre.  The images of a_lam b - b_mu a, b_mu c and a_lam c are each
-summed per lam^p mu^q before expansion: nine expansions per triple.
+summed per lam^p mu^q before expansion.  Each image is expanded once per
+call into a flat term list of (monomial, column, coefficient), one per
+pair and per diagonal or not; every triple that shares the pair adds the
+list, shifted to its own columns, term by term.
 
 Cocycle coordinates are ordered highest-degree form first:
 
@@ -164,23 +167,32 @@ def generate_cocycle_system(alg, beta, degree_cap):
                        for p in range(i + 1)] for dl, dm in shifts}
     lam = {(n, e): [((i + e, n), off, -1) for i, off in offs] for n, e in shifts}
     mu = {(n, e): [((n, i + e), off, 1) for i, off in offs] for n, e in shifts}
-    # a diagonal triple expands into the monomials lam^i mu^j with i < j only
-    full = (both, lam, mu)
-    diagonal = tuple({s: [t for t in exp if t[0][0] < t[0][1]] for s, exp in side.items()}
-                     for side in full)
+
+    def terms(imgs, expansion):
+        # the flat (monomial, column before the triple's shift, coefficient) terms
+        # of one image, for any triple and for a diagonal one, whose monomials
+        # lam^i mu^j have i < j
+        full = [(key, off + k, co * x) for s, vec in imgs.items()
+                for key, off, co in expansion[s] for k, x in vec]
+        return full, [t for t in full if t[0][0] < t[0][1]]
+
+    # each term list is built once and read by every triple that shares its pair
+    outer = {pair: terms(imgs, both) for pair, imgs in outer.items()}
+    left = {pair: terms(imgs, lam) for pair, imgs in inner.items()}
+    right = {pair: terms(imgs, mu) for pair, imgs in inner.items()}
     rows = []
     for (a, b), c in itertools.product(pairs, range(dim)):
-        acc = defaultdict(dict)
-        for expansion, imgs, shift in zip(diagonal if a == b else full,
-                                          (outer[a, b], inner[b, c], inner[a, c]),
-                                          (c, dim * a, dim * b)):
-            for s, vec in imgs.items():
-                for key, off, co in expansion[s]:
-                    row, off = acc[key], off + shift
-                    for k, x in vec:
-                        row[off + k] = row.get(off + k, 0) + co * x
+        acc, d = defaultdict(dict), a == b
+        for tab, shift in ((outer[a, b][d], c), (left[b, c][d], dim * a),
+                           (right[a, c][d], dim * b)):
+            for key, col, x in tab:
+                row = acc[key]
+                col += shift
+                row[col] = row.get(col, 0) + x
         for key in sorted(acc):
-            row = {col: x for col, x in acc[key].items() if x}
+            row = acc[key]
+            if 0 in row.values():
+                row = {col: x for col, x in row.items() if x}
             if row:
                 rows.append(row)
     return rows
@@ -248,6 +260,26 @@ class ExtensionResult:
         return tuple(family_from_coords(self.degree_cap, dim, v) for v in self._z2.basis)
 
 
+def _no_cap_refusal(alg):
+    """Why h2 refuses without a cap when no product spans V.  Let S be the
+    span of the d-power parts of every lam-bracket, im ld + im circ +
+    im star, and c = dim V - dim S.  A form phi that vanishes on S x V and
+    on V x S makes alpha_lam = lam^D phi a cocycle for every D: each term of
+    the extension identity has a bracket in one argument of alpha, where d
+    reads as a scalar.  For D >= 2 it is no coboundary, since coboundaries
+    have lam-degree at most 1.  So on a pre-GD algebra (checked only once a
+    cap is given) c > 0 proves H2 infinite-dimensional."""
+    parts = [dict(row) for op in ("ld", "circ", "star") for plane in alg.rows(op)
+             for row in plane if row]
+    c = alg.dim - Subspace(alg.dim, parts).dim
+    if not c:
+        return "no product spans V; supply an explicit degree cap"
+    return (f"no product spans V; the lambda-bracket's parts span a subspace S of "
+            f"codimension {c}, so on a pre-GD algebra H2 is infinite-dimensional: for every "
+            f"bilinear form phi that vanishes on S x V and on V x S, lambda^D phi is a "
+            f"cocycle and not a coboundary for every D >= 2; supply an explicit degree cap")
+
+
 def forced_zeros(rows):
     """(rounds, left) for rows {col: int}: rounds[r] is the set of columns
     that stand alone in a row once the columns of rounds[:r] are dropped,
@@ -272,8 +304,7 @@ def h2(alg, beta, degree_cap=None):
     spanning = check_spanning(alg)
     if degree_cap is None:
         if not spanning:
-            raise SpanningConditionError(
-                "no product spans V; supply an explicit degree cap")
+            raise SpanningConditionError(_no_cap_refusal(alg))
         cap, cap_limited = 3, False
     else:
         cap, cap_limited = degree_cap, not spanning

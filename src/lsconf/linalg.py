@@ -6,10 +6,12 @@ matrices with Fraction entries.  A row is a dense list of Fractions or ints,
 or a sparse row {col: x} of either; int_row turns it into a gcd-primitive
 integer row, rescaling only a row that holds a Fraction.  Every echelon
 is built in Subspace.add, a streaming fraction-free echelon (Bareiss 1968
-style) of sparse integer rows: each arriving vector is reduced against the
-stored pivots by cross multiplication and re-reduced by the gcd after every
-combination, so entries stay small without leaving exact arithmetic; a
-dependent vector (a duplicate, say) is dropped on arrival.  rref, rank,
+style) of sparse integer rows: each arriving vector is reduced against all
+the stored pivots it meets in one integer accumulator, scaled by the lcm of
+the pivot denominators and divided by its gcd once, at the end (the proof
+is in Subspace._residual); a dependent vector (a duplicate, say) is dropped
+on arrival.  The stored rows are back-substituted one pivot at a time, each
+re-reduced by its gcd, so they stay the canonical primitive RREF.  rref, rank,
 nullspace, Subspace.contains and quotient_representatives read the same
 echelon; nullspace and quotient_representatives work on its integer
 rows, not on the Fraction `basis`.  Columns known to vanish on the kernel
@@ -35,6 +37,11 @@ class DimensionMismatch(LinalgError):
 
 class ContainmentError(LinalgError):
     """Raised when a claimed subspace inclusion does not hold."""
+
+
+class ZeroColumnPivot(Exception):
+    """nullspace was told that a column is zero where its rows make a pivot:
+    a defect in the caller, not bad input, so not a LinalgError."""
 
 
 def exact(x):
@@ -135,10 +142,13 @@ def nullspace(rows, ncols, zero=frozenset()):
     free column f, the integer vector with f scaled to the lcm of the
     pivot entries of the echelon rows that reach f.  The columns in zero
     are declared zero, neither pivot nor free, so the kernel lies in the
-    coordinate subspace where they vanish; no row may reach them.  That is
-    the kernel of rows plus the unit rows of those columns, without
+    coordinate subspace where they vanish; no pivot of the echelon may fall
+    in them (ZeroColumnPivot), and a row may reach them only off its pivot.
+    That is the kernel of rows plus the unit rows of those columns, without
     eliminating the unit rows."""
     echelon = Subspace(ncols, rows)._rows
+    if not echelon.keys().isdisjoint(zero):
+        raise ZeroColumnPivot(f"zero columns {sorted(echelon.keys() & set(zero))} are pivots")
     basis = []
     for f in range(ncols):
         if f not in echelon and f not in zero:
@@ -171,15 +181,35 @@ class Subspace:
             self.add(v)
 
     def _residual(self, v):
-        """v (dense or sparse) as a primitive integer row
-        with every stored pivot eliminated; empty iff v is in the span."""
+        """v (dense or sparse) as a primitive integer row with every stored
+        pivot eliminated; empty iff v is in the span.  A stored row r_p is
+        zero at every other pivot, so eliminating one pivot never brings in
+        another and the entries of t at the pivots it meets never change:
+        the residual is t - sum_p (t[p] / r_p[p]) r_p.  It is built in one
+        integer accumulator, times the lcm m of the r_p[p] / gcd(r_p[p], t[p]),
+        and divided by its gcd once, at the end.  That is a positive multiple
+        of the row that clearing one pivot at a time (_clear) leaves, so the
+        same primitive row.  A sparse row of ints is read as it is; any other
+        row goes through int_row."""
         n = self.ambient_dim
         if not isinstance(v, dict) and len(v) != n:
             raise DimensionMismatch(f"vector of length {len(v)} in ambient dimension {n}")
-        t, rows = int_row(v), self._rows
-        for p in [c for c in t if c in rows]:
-            t = _clear(t, rows[p], p)
-        return t
+        t = v if isinstance(v, dict) and {*map(type, v.values())} <= {int} else int_row(v)
+        rows, met, m = self._rows, [], 1
+        for p in rows.keys() & t.keys():
+            r = rows[p]
+            x, rp = t[p], r[p]
+            if x % rp:
+                m = lcm(m, rp // gcd(rp, x))
+            met.append((r, x, rp))
+        if not met and t is not v:
+            return t
+        out = {c: m * x for c, x in t.items()} if m > 1 else dict(t)
+        for r, x, rp in met:
+            b = m * x // rp
+            for c, y in r.items():
+                out[c] = out.get(c, 0) - b * y
+        return _primitive({c: x for c, x in out.items() if x})
 
     def add(self, v):
         """Put v into the span; True iff it was not already there."""

@@ -4,6 +4,10 @@
   before its sparse echelon, with `reduce_against` and
   `quotient_representatives` rebuilding the echelon after every insertion
   as the library once did.
+* `ClearChainSubspace` is `lsconf.linalg.Subspace` with the residual the
+  library computed before its one-accumulator form: the stored pivots the
+  vector meets are cleared one at a time with `_clear`, each step
+  re-reduced by its gcd.
 * `prod_basis`/`eval_product`, `ideal_closure`, `associative_envelope`
   and `generate_cocycle_system` are the Fraction kernels the library used
   before its memoised integer structure rows: every product is read off
@@ -212,6 +216,21 @@ def rref(rows, ncols):
         lead = Fraction(row[col])
         out.append([Fraction(x) / lead for x in row])
     return out, pivots
+
+
+class ClearChainSubspace(Subspace):
+    """Subspace whose residual clears one stored pivot at a time."""
+
+    __slots__ = ()
+
+    def _residual(self, v):
+        n = self.ambient_dim
+        if not isinstance(v, dict) and len(v) != n:
+            raise DimensionMismatch(f"vector of length {len(v)} in ambient dimension {n}")
+        t, rows = linalg.int_row(v), self._rows
+        for p in [c for c in t if c in rows]:
+            t = linalg._clear(t, rows[p], p)
+        return t
 
 
 def reduce_against(red, pivots, v):

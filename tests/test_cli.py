@@ -122,6 +122,24 @@ def test_h2_refusal_and_cap_override(capsys, inputs):
     assert "dim H2 = 4" in lines
 
 
+def test_h2_refusal_names_the_infinite_family(capsys, tmp_path):
+    path = str(tmp_path / "pregd4.json")
+    save_algebra(constructions.zinbiel_to_pre_gd(*truncated_binomial_zinbiel(4),
+                                                 F(1, 2), F(1)), path)
+    code, out, err = run(capsys, "h2", path, "--json")
+    assert (code, out) == (3, "")
+    assert "H2 is infinite-dimensional" in err and "codimension 1" in err
+
+
+def test_zero_column_pivot_is_an_internal_error(capsys, monkeypatch, inputs):
+    def broken(*args, **kwargs):
+        return nullspace([{0: 1, 1: -1}], 2, zero={0})
+
+    monkeypatch.setattr(cli, "h2", broken)
+    code, _, err = run(capsys, "h2", inputs["lw"])
+    assert code == 70 and "ZeroColumnPivot" in err
+
+
 def test_h2_degree_cap_zero(capsys, inputs):
     # at cap 0 only coboundaries of phi with phi(a star b) = 0 are truncated
     # families; rank_one(1) has none, and no cocycle either

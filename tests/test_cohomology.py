@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lsconf.algebras import (AlgebraSpec, IdentityError, LinearMapSpec, RepresentationSpec,
-                             product_tensor, tensor)
+                             op_tensor, product_tensor, tensor)
 from lsconf.cohomology import (CocycleFamily, CohomologyError, NoUnitFound,
                                SpanningConditionError, check_spanning,
                                coboundary_space, coord_index, family_from_coords,
@@ -125,6 +125,49 @@ def test_refusal_without_spanning_product():
     res = h2(zero, 0, degree_cap=3)
     assert res.cap_limited
     assert (res.dim_Z2, res.dim_B2, res.dim_H2) == (4, 0, 4)
+
+
+BINOMIAL_4 = cons.zinbiel_to_pre_gd(*cons.truncated_binomial_zinbiel(4), F(1, 2), F(1))
+PLAIN_REFUSAL = "no product spans V; supply an explicit degree cap"
+
+
+def test_refusal_names_the_infinite_family():
+    # binomial pre-GD n = 4: no product reaches e_0, so S has codimension 1
+    with pytest.raises(SpanningConditionError) as exc:
+        h2(BINOMIAL_4, F(1, 2))
+    msg = str(exc.value)
+    assert msg.startswith("no product spans V; ")
+    assert "codimension 1" in msg and "H2 is infinite-dimensional" in msg
+    assert "lambda^D phi" in msg and msg.endswith("supply an explicit degree cap")
+
+
+def test_refusal_keeps_its_text_when_the_bracket_parts_span_v():
+    # circ spans V, but circ is none of the four spanning products
+    circ_only = AlgebraSpec("circ_only", 1, ("e",), {"circ": tensor(1, {(0, 0, 0): 1})})
+    assert not check_spanning(circ_only)
+    with pytest.raises(SpanningConditionError) as exc:
+        h2(circ_only, 0)
+    assert str(exc.value) == PLAIN_REFUSAL
+
+
+@pytest.mark.parametrize("beta", [F(0), F(1, 2)])
+def test_lambda_power_family_is_a_cocycle_outside_b2(beta):
+    """phi = psi (x) psi, psi killing S = im ld + im circ + im star: lam^D phi
+    lies in Z2 and outside B2 at caps D to D + 2, for D = 2, 3, 4."""
+    dim = BINOMIAL_4.dim
+    products = [op_tensor(BINOMIAL_4, op)[i][j] for op in ("ld", "circ", "star")
+                for i in range(dim) for j in range(dim)]
+    psi = nullspace(Subspace(dim, products).basis, dim).basis
+    assert len(psi) == 1
+    phi = tuple(tuple(x * y for y in psi[0]) for x in psi[0])
+    zero = ((0,) * dim,) * dim
+    for cap in range(2, 7):
+        res = h2(BINOMIAL_4, beta, cap)
+        b2 = coboundary_space(BINOMIAL_4, beta, cap)
+        for d in range(max(2, cap - 2), min(4, cap) + 1):
+            fam = CocycleFamily(d, (zero,) * d + (phi,))
+            vec = family_to_coords(fam, cap, dim)
+            assert res._z2.contains(vec) and not b2.contains(vec), (cap, d)
 
 
 def test_spanning_report():

@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lsconf.linalg import (ContainmentError, DimensionMismatch, Subspace, int_row,
-                           nullspace, quotient_representatives, rank, rref, unit)
+from lsconf.linalg import (ContainmentError, DimensionMismatch, LinalgError, Subspace,
+                           ZeroColumnPivot, int_row, nullspace, quotient_representatives,
+                           rank, rref, unit)
 
 import oracles
 
@@ -190,3 +191,74 @@ def test_nullspace_with_zero_columns_is_the_kernel_with_their_unit_rows(mnc, dat
     rows = [[F(0) if j in zero else x for j, x in enumerate(row)] for row in rows]
     assert (nullspace(rows, nc, zero=zero)
             == nullspace(rows + [unit(nc, c) for c in zero], nc))
+
+
+def test_nullspace_refuses_a_zero_column_that_is_a_pivot():
+    # x0 = x1 with x0 declared zero: the kernel is {0}, not the line (1, 1).
+    # The refusal is a caller's defect (exit 70), not an input error (exit 2)
+    with pytest.raises(ZeroColumnPivot):
+        nullspace([{0: 1, 1: -1}], 2, zero={0})
+    assert not issubclass(ZeroColumnPivot, (LinalgError, ValueError))
+
+
+def test_nullspace_zero_column_reached_off_its_pivot():
+    # x0 = x1 with x1 declared zero: x1 is no pivot, and the kernel is {0}
+    assert nullspace([{0: 1, 1: -1}], 2, zero={1}) == Subspace(2)
+
+
+BIG = 2 ** 70
+any_entry = st.one_of(st.integers(-4, 4), st.integers(-BIG, BIG), fracs)
+
+
+@st.composite
+def mixed_vectors(draw, max_cols=6, max_vectors=8):
+    """Sparse int rows (explicit zeros and entries above 2^64 included),
+    sparse rows with Fractions and dense rows, in one ambient space, with
+    scaled copies and sums of earlier integer rows mixed in."""
+    nc = draw(st.integers(1, max_cols))
+    out = []
+    for _ in range(draw(st.integers(0, max_vectors))):
+        kind = draw(st.sampled_from(("int", "sparse", "dense", "combo")))
+        ints = [v for v in out
+                if isinstance(v, dict) and all(type(x) is int for x in v.values())]
+        if kind == "combo" and ints:
+            u, w = draw(st.sampled_from(ints)), draw(st.sampled_from(ints))
+            k = draw(st.integers(-3, 3))
+            out.append({j: k * u.get(j, 0) + w.get(j, 0) for j in u.keys() | w.keys()})
+            continue
+        entry = st.one_of(st.integers(-4, 4), st.integers(-BIG, BIG)) if kind == "int" else any_entry
+        row = draw(st.lists(entry, min_size=nc, max_size=nc))
+        if kind == "dense":
+            out.append(row)
+        else:
+            out.append({j: x for j, x in enumerate(row) if x or draw(st.booleans())})
+    return nc, out
+
+
+@st.composite
+def many_large_pivots(draw):
+    """k stored rows, each with a large pivot and large entries in two
+    shared columns, then vectors that meet every one of those pivots."""
+    k = draw(st.integers(2, 8))
+    big = st.integers(2 ** 64, BIG)
+    rows = [{i: draw(big), k: draw(big), k + 1: draw(st.integers(-BIG, BIG))} for i in range(k)]
+    probes = draw(st.lists(st.lists(st.integers(-BIG, BIG).filter(bool), min_size=k + 2,
+                                    max_size=k + 2).map(lambda r: dict(enumerate(r))),
+                           min_size=1, max_size=3))
+    return k + 2, rows + probes
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(mixed_vectors(), many_large_pivots()))
+@example((2, [{0: 4, 1: 6}]))                     # a non-primitive row
+@example((2, [{0: 2, 1: 3}, {0: -4, 1: -6}]))     # a row that reduces to zero
+@example((3, [{0: 0, 2: 5}, [F(1, 2), 0, F(3)]]))  # explicit zero, then a Fraction row
+def test_residual_matches_the_clear_chain(case):
+    """The one-accumulator residual is the stepwise _clear chain's row, so
+    add returns the same verdicts and leaves the same stored rows."""
+    nc, vectors = case
+    fast, slow = Subspace(nc), oracles.ClearChainSubspace(nc)
+    for v in vectors:
+        assert fast._residual(v) == slow._residual(v)
+        assert fast.add(v) is slow.add(v)
+        assert fast._rows == slow._rows
